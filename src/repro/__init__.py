@@ -16,6 +16,7 @@ The package is organised by subsystem:
 
 __version__ = "1.1.0"
 
+from repro.blas import pin_blas_to_one_thread
 from repro.compression import (
     available_families,
     available_schemes,
@@ -25,6 +26,9 @@ from repro.compression import (
 from repro.simulator.cluster import ClusterSpec, multirack_cluster, paper_testbed
 from repro.simulator.scenario import Scenario, parse_scenario, scenario
 from repro.topology import FabricSpec, SwitchModel, two_tier_fabric
+
+# One BLAS thread for the whole process: see repro.blas for why.
+pin_blas_to_one_thread()
 
 
 def __getattr__(name: str):

@@ -42,6 +42,8 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
+from repro.grammar import format_number
+
 
 class UnknownSchemeError(KeyError):
     """An unknown scheme name or family, with close-match suggestions.
@@ -175,7 +177,7 @@ class Param:
         if isinstance(value, bool):
             return "true" if value else "false"
         if isinstance(value, float):
-            return f"{value:g}"
+            return format_number(value)
         return str(value)
 
     def _kind_label(self) -> str:
@@ -425,7 +427,7 @@ def _render_literal(value: object) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return f"{value:g}"
+        return format_number(value)
     return str(value)
 
 

@@ -50,6 +50,7 @@ import re
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Sequence
 
+from repro.grammar import format_number
 from repro.simulator.scenario import (
     DEGRADED_RELATIVE_TOLERANCE,
     Scenario,
@@ -119,17 +120,6 @@ class PolicyParamError(ValueError):
     """A well-formed policy spec whose arguments do not fit the rule."""
 
 
-def _format_number(value: float) -> str:
-    """Shortest spelling that parses back to exactly ``value``.
-
-    ``%g`` keeps common specs tidy (``k=3``, not ``k=3.0``) but only carries
-    six significant digits; when that would lose precision -- and break the
-    round-trip contract -- fall back to the exact ``repr``.
-    """
-    text = f"{value:g}"
-    return text if float(text) == value else repr(value)
-
-
 # --------------------------------------------------------------------------- #
 # Rules
 # --------------------------------------------------------------------------- #
@@ -166,7 +156,7 @@ class TimeoutRule(PolicyRule):
             )
 
     def _spec_args(self) -> list[str]:
-        return [f"k={_format_number(self.k)}"]
+        return [f"k={format_number(self.k)}"]
 
 
 @dataclass(frozen=True)
@@ -195,7 +185,7 @@ class RetryRule(PolicyRule):
             )
 
     def _spec_args(self) -> list[str]:
-        return [f"max={self.max_attempts}", f"backoff={_format_number(self.backoff)}"]
+        return [f"max={self.max_attempts}", f"backoff={format_number(self.backoff)}"]
 
 
 @dataclass(frozen=True)

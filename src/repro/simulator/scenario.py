@@ -50,6 +50,8 @@ from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 import numpy as np
 
+from repro.grammar import format_number
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.simulator.cluster import ClusterSpec
 
@@ -260,7 +262,7 @@ class SlowdownEvent(ScenarioEvent):
         return _scale_profiles(cluster, [self.worker], slowdown=self.factor)
 
     def _spec_args(self) -> list[str]:
-        return [f"w={self.worker}", f"x={self.factor:g}"]
+        return [f"w={self.worker}", f"x={format_number(self.factor)}"]
 
 
 @dataclass(frozen=True)
@@ -282,7 +284,7 @@ class NicDegradeEvent(ScenarioEvent):
         return _scale_profiles(cluster, [self.worker], nic=self.factor)
 
     def _spec_args(self) -> list[str]:
-        return [f"w={self.worker}", f"x={self.factor:g}"]
+        return [f"w={self.worker}", f"x={format_number(self.factor)}"]
 
 
 @dataclass(frozen=True)
@@ -313,7 +315,7 @@ class LinkFlapEvent(ScenarioEvent):
         return _scale_rank_range(cluster, start, start + members_per_rack, nic=self.factor)
 
     def _spec_args(self) -> list[str]:
-        return [f"rack={self.rack}", f"x={self.factor:g}"]
+        return [f"rack={self.rack}", f"x={format_number(self.factor)}"]
 
 
 @dataclass(frozen=True)
@@ -351,7 +353,7 @@ class DomainFailEvent(ScenarioEvent):
         return _scale_rank_range(cluster, start, start + workers_per_domain, nic=self.factor)
 
     def _spec_args(self) -> list[str]:
-        return [f"d={self.domain}", f"x={self.factor:g}"]
+        return [f"d={self.domain}", f"x={format_number(self.factor)}"]
 
 
 @dataclass(frozen=True)
@@ -384,7 +386,7 @@ class SwitchMemoryPressureEvent(ScenarioEvent):
         return replace(cluster, fabric=replace(cluster.fabric, switch=squeezed))
 
     def _spec_args(self) -> list[str]:
-        return [f"x={self.factor:g}"]
+        return [f"x={format_number(self.factor)}"]
 
 
 @dataclass(frozen=True)
@@ -449,7 +451,7 @@ class ChurnEvent(ScenarioEvent):
         )
 
     def _spec_args(self) -> list[str]:
-        return [f"p={self.p:g}", f"x={self.factor:g}"]
+        return [f"p={format_number(self.p)}", f"x={format_number(self.factor)}"]
 
 
 def _resize_nodes(cluster: "ClusterSpec", new_num_nodes: int) -> "ClusterSpec":

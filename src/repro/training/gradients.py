@@ -85,6 +85,10 @@ class SyntheticGradientModel:
             mean=0.0, sigma=block_scale_sigma, size=num_blocks
         )
         self._envelope = np.repeat(block_scales, locality_block)[:num_coordinates]
+        envelope_rms = float(np.sqrt(np.mean(np.square(self._envelope))))
+        self._normalized_envelope = (
+            self._envelope / envelope_rms if envelope_rms > 0 else self._envelope
+        )
 
         # Fixed low-rank basis shared across rounds (mimics slowly varying
         # curvature directions).
@@ -110,7 +114,8 @@ class SyntheticGradientModel:
         """Generate the per-worker gradients of the next round.
 
         Returns:
-            A list of ``num_workers`` float32 vectors of length ``d``.
+            A list of ``num_workers`` float32 vectors of length ``d`` (the
+            rows of one ``(num_workers, d)`` array).
         """
         if num_workers <= 0:
             raise ValueError("num_workers must be positive")
@@ -119,8 +124,9 @@ class SyntheticGradientModel:
 
         dense = rng.standard_normal(self.num_coordinates) * self._envelope
         low_rank = self._low_rank_component(rng)
-        if np.linalg.norm(low_rank) > 0:
-            low_rank *= np.linalg.norm(dense) / np.linalg.norm(low_rank)
+        low_rank_norm = np.linalg.norm(low_rank)
+        if low_rank_norm > 0:
+            low_rank *= np.linalg.norm(dense) / low_rank_norm
         true_gradient = (
             (1.0 - self.low_rank_fraction) * dense + self.low_rank_fraction * low_rank
         )
@@ -131,19 +137,19 @@ class SyntheticGradientModel:
         if rms > 0:
             true_gradient = true_gradient / rms
 
-        envelope_rms = float(np.sqrt(np.mean(np.square(self._envelope))))
-        normalized_envelope = (
-            self._envelope / envelope_rms if envelope_rms > 0 else self._envelope
-        )
-        gradients = []
-        for _ in range(num_workers):
-            noise = (
-                rng.standard_normal(self.num_coordinates)
-                * self.worker_noise
-                * normalized_envelope
-            )
-            gradients.append((true_gradient + noise).astype(np.float32))
-        return gradients
+        # Each worker's noise is drawn into one reused float64 buffer and
+        # scaled in place, in the same order as ``normal * noise * envelope``;
+        # the float64 sum is rounded once, straight into its float32 row.
+        # The rows share one (n, d) block, which is freed whole rather than
+        # as n separate buffers that linger in the allocator's heap.
+        noise = np.empty(self.num_coordinates)
+        rows = np.empty((num_workers, self.num_coordinates), dtype=np.float32)
+        for row in rows:
+            rng.standard_normal(out=noise)
+            noise *= self.worker_noise
+            noise *= self._normalized_envelope
+            np.add(true_gradient, noise, out=row)
+        return list(rows)
 
     def true_mean(self, worker_gradients: list[np.ndarray]) -> np.ndarray:
         """The exact mean the schemes are trying to estimate."""

@@ -61,6 +61,16 @@ class TestParsing:
         spec = parse_spec("ef(topkc(b=2, perm=false), decay=0.5)")
         assert parse_spec(spec.format()) == spec
 
+    def test_float_beyond_six_digits_round_trips(self):
+        canonical = canonical_spec("topkc(b=0.12345678)")
+        assert "b=0.12345678" in canonical
+        assert canonical_spec(canonical) == canonical
+        assert make_scheme(canonical).spec() == canonical
+        # Six-digit %g used to give both schemes one memo and cache key.
+        assert canonical != canonical_spec("topkc(b=0.123457)")
+        nested = parse_spec("ef(topk(b=2), decay=0.987654321)")
+        assert parse_spec(nested.format()) == nested
+
 
 class TestParseErrors:
     @pytest.mark.parametrize(

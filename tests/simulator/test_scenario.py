@@ -204,6 +204,15 @@ class TestSpecLanguage:
         assert parsed.spec() == text
         assert parse_scenario(parsed.spec()) == parsed
 
+    def test_float_beyond_six_digits_round_trips(self):
+        original = scenario("slowdown(w=1, x=1.2345678)@3..9")
+        assert original.spec() == "slowdown(w=1, x=1.2345678)@3..9"
+        reparsed = scenario(original.spec())
+        assert reparsed == original
+        assert reparsed.cache_key() == original.cache_key()
+        churn_spec = "churn(p=0.0123456789, x=3.14159265)"
+        assert parse_scenario(churn_spec).spec() == churn_spec
+
     def test_aliases_and_defaults(self):
         assert parse_scenario("link_flap(rack=1)") == parse_scenario("flap(rack=1, x=8)")
         assert parse_scenario("nic(w=0, x=2)") == parse_scenario("nic_degrade(w=0, x=2)")
