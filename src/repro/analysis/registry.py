@@ -17,9 +17,10 @@ A rule class needs:
 
 from __future__ import annotations
 
-import difflib
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Iterator
+
+from repro.grammar import UnknownNameError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
     import ast
@@ -28,7 +29,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
     from repro.analysis.findings import Finding
 
 
-class UnknownRuleError(KeyError):
+class UnknownRuleError(UnknownNameError):
     """An unknown rule code, with close-match suggestions.
 
     Subclasses :class:`KeyError` so ``except KeyError`` handlers keep
@@ -36,20 +37,11 @@ class UnknownRuleError(KeyError):
     :class:`repro.compression.spec.UnknownSchemeError`.
     """
 
-    def __init__(self, name: str, known: Iterable[str]):
-        self.name = name
-        self.known = sorted(known)
-        self.suggestions = difflib.get_close_matches(
-            name.upper(), self.known, n=3, cutoff=0.5
-        )
-        message = f"unknown reprolint rule {name!r}"
-        if self.suggestions:
-            message += f"; did you mean: {', '.join(self.suggestions)}?"
-        message += f" (known: {', '.join(self.known)})"
-        super().__init__(message)
+    what = "reprolint rule"
 
-    def __str__(self) -> str:  # KeyError would repr() the message
-        return self.args[0]
+    @staticmethod
+    def _comparable(name: str) -> str:
+        return name.upper()
 
 
 @dataclass

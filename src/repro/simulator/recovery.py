@@ -32,8 +32,8 @@ A :class:`RecoveryPolicy` composes up to one rule of each kind:
   ``s`` *consecutive* aborted rounds before falling back to skipping the
   update entirely (``skip`` is the implicit default for aborts).
 
-Policies are spec strings with the same parse / round-trip / suggestion UX
-as ``scenario(...)``::
+Policies are spec strings in the policy dialect of :mod:`repro.grammar`,
+with the same parse / round-trip / suggestion UX as ``scenario(...)``::
 
     policy("timeout(k=3) + retry(max=2, backoff=0.1) + drop(max_workers=1)")
 
@@ -45,12 +45,17 @@ registry and both kernel backends).
 
 from __future__ import annotations
 
-import difflib
-import re
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from repro.grammar import format_number
+from repro.grammar import (
+    Dialect,
+    GrammarParamError,
+    GrammarSyntaxError,
+    Param,
+    UnknownNameError,
+    parse_terms,
+)
 from repro.simulator.scenario import (
     DEGRADED_RELATIVE_TOLERANCE,
     Scenario,
@@ -88,35 +93,19 @@ __all__ = [
 ]
 
 
-class UnknownPolicyRuleError(KeyError):
+class UnknownPolicyRuleError(UnknownNameError):
     """An unknown recovery-rule name, with close-match suggestions."""
 
-    def __init__(self, name: str, known: list[str]):
-        self.name = name
-        self.known = sorted(known)
-        self.suggestions = difflib.get_close_matches(name, self.known, n=3, cutoff=0.5)
-        message = f"unknown recovery rule {name!r}"
-        if self.suggestions:
-            message += f"; did you mean: {', '.join(self.suggestions)}?"
-        message += f" (known: {', '.join(self.known)})"
-        super().__init__(message)
-
-    def __str__(self) -> str:  # KeyError.__str__ shows the repr of args[0]
-        return self.args[0]
+    what = "recovery rule"
 
 
-class PolicySyntaxError(ValueError):
+class PolicySyntaxError(GrammarSyntaxError):
     """A policy spec string that does not conform to the grammar."""
 
-    def __init__(self, text: str, position: int, reason: str):
-        self.text = text
-        self.position = position
-        self.reason = reason
-        pointer = " " * position + "^"
-        super().__init__(f"invalid recovery policy spec: {reason}\n  {text}\n  {pointer}")
+    what = "recovery policy spec"
 
 
-class PolicyParamError(ValueError):
+class PolicyParamError(GrammarParamError):
     """A well-formed policy spec whose arguments do not fit the rule."""
 
 
@@ -134,11 +123,7 @@ class PolicyRule:
 
     def spec(self) -> str:
         """Canonical spec-string form of this rule."""
-        args = ", ".join(self._spec_args())
-        return f"{self.kind}({args})" if args else self.kind
-
-    def _spec_args(self) -> list[str]:
-        raise NotImplementedError
+        return self._spec_family.format_instance(self)
 
 
 @dataclass(frozen=True)
@@ -154,9 +139,6 @@ class TimeoutRule(PolicyRule):
                 f"k ({self.k:g}) must be >= 1: the deadline is k x the nominal "
                 "round time, and a sub-nominal deadline would abort every round"
             )
-
-    def _spec_args(self) -> list[str]:
-        return [f"k={format_number(self.k)}"]
 
 
 @dataclass(frozen=True)
@@ -184,9 +166,6 @@ class RetryRule(PolicyRule):
                 "in nominal round times, before each re-issue)"
             )
 
-    def _spec_args(self) -> list[str]:
-        return [f"max={self.max_attempts}", f"backoff={format_number(self.backoff)}"]
-
 
 @dataclass(frozen=True)
 class DropRule(PolicyRule):
@@ -202,9 +181,6 @@ class DropRule(PolicyRule):
                 "zero workers never changes the round (omit the rule instead)"
             )
 
-    def _spec_args(self) -> list[str]:
-        return [f"max_workers={self.max_workers}"]
-
 
 @dataclass(frozen=True)
 class StaleRule(PolicyRule):
@@ -219,9 +195,6 @@ class StaleRule(PolicyRule):
                 f"max ({self.max_stale}) must be >= 0 (0 always skips "
                 "timed-out updates instead of re-applying a stale aggregate)"
             )
-
-    def _spec_args(self) -> list[str]:
-        return [f"max={self.max_stale}"]
 
 
 #: Canonical composition order of rule kinds within a policy spec; also the
@@ -318,193 +291,44 @@ NONE_SPEC = "none"
 # The spec-string language
 # --------------------------------------------------------------------------- #
 
-_REQUIRED = object()
-
-
-@dataclass(frozen=True)
-class _RuleParam:
-    """One spec-language parameter of a rule family."""
-
-    names: tuple[str, ...]  # first name is canonical
-    kind: type
-    attr: str
-    default: object = _REQUIRED
-
-    def coerce(self, value: object, family: str) -> object:
-        if self.kind is int:
-            if isinstance(value, int) and not isinstance(value, bool):
-                return value
-        elif self.kind is float:
-            if isinstance(value, (int, float)) and not isinstance(value, bool):
-                return float(value)
-        raise PolicyParamError(
-            f"{family}: parameter {self.names[0]!r} expects {self.kind.__name__}, "
-            f"got {value!r}"
-        )
-
-
-@dataclass(frozen=True)
-class _RuleFamily:
-    """A recovery-rule family: class, aliases, and typed parameters."""
-
-    name: str
-    cls: type
-    params: tuple[_RuleParam, ...]
-    aliases: tuple[str, ...] = ()
-
-    def param_named(self, key: str) -> _RuleParam:
-        for param in self.params:
-            if key in param.names:
-                return param
-        valid = ", ".join(p.names[0] for p in self.params) or "(none)"
-        raise PolicyParamError(
-            f"{self.name}: unknown parameter {key!r}; valid parameters: {valid}"
-        )
-
-    def build(self, args: Sequence[tuple[str | None, object]]) -> PolicyRule:
-        bound: dict[_RuleParam, object] = {}
-        positional_cursor = 0
-        for key, value in args:
-            if key is None:
-                if positional_cursor >= len(self.params):
-                    raise PolicyParamError(
-                        f"{self.name}: too many positional arguments "
-                        f"(takes {len(self.params)})"
-                    )
-                param = self.params[positional_cursor]
-                positional_cursor += 1
-            else:
-                param = self.param_named(key)
-            if param in bound:
-                raise PolicyParamError(
-                    f"{self.name}: parameter {param.names[0]!r} given twice"
-                )
-            bound[param] = param.coerce(value, self.name)
-        kwargs = {param.attr: value for param, value in bound.items()}
-        try:
-            return self.cls(**kwargs)
-        except ValueError as error:
-            raise PolicyParamError(f"{self.name}: {error}") from None
-
-
-_RULE_FAMILIES: dict[str, _RuleFamily] = {}
-_RULE_NAMES: dict[str, _RuleFamily] = {}  # aliases included
-
-
-def _register_rule(family: _RuleFamily) -> None:
-    _RULE_FAMILIES[family.name] = family
-    for alias in (family.name, *family.aliases):
-        _RULE_NAMES[alias] = family
-
-
-_register_rule(
-    _RuleFamily(
-        "timeout",
-        TimeoutRule,
-        (_RuleParam(("k",), float, "k", default=3.0),),
-        aliases=("deadline",),
-    )
+#: The policy dialect: numeric arguments and ``+`` joins; no round windows.
+_RULES = Dialect(
+    PolicySyntaxError,
+    PolicyParamError,
+    UnknownPolicyRuleError,
+    window_hint="recovery rules do not take round windows; a policy is active "
+    "for the whole run (windows belong to scenario events)",
+    term_name="a recovery rule name",
+    terms="rules",
 )
-_register_rule(
-    _RuleFamily(
-        "retry",
-        RetryRule,
-        (
-            _RuleParam(("max", "max_attempts"), int, "max_attempts", default=2),
-            _RuleParam(("backoff",), float, "backoff", default=0.1),
-        ),
-    )
+
+_RULES.register("timeout", TimeoutRule, (Param("k", float),), aliases=("deadline",))
+_RULES.register(
+    "retry",
+    RetryRule,
+    (Param("max", int, "max_attempts", aliases=("max_attempts",)), Param("backoff", float)),
 )
-_register_rule(
-    _RuleFamily(
-        "drop",
-        DropRule,
-        (_RuleParam(("max_workers", "f"), int, "max_workers", default=1),),
-        aliases=("drop_stragglers",),
-    )
+_RULES.register(
+    "drop", DropRule, (Param("max_workers", int, aliases=("f",)),), aliases=("drop_stragglers",)
 )
-_register_rule(
-    _RuleFamily(
-        "stale",
-        StaleRule,
-        (_RuleParam(("max", "max_stale"), int, "max_stale", default=1),),
-        aliases=("stale_gradients",),
-    )
+_RULES.register(
+    "stale",
+    StaleRule,
+    (Param("max", int, "max_stale", aliases=("max_stale",)),),
+    aliases=("stale_gradients",),
 )
 
 
 def available_policy_rules() -> list[str]:
     """Canonical recovery-rule names, sorted."""
-    return sorted(_RULE_FAMILIES)
-
-
-_RULE_TERM_RE = re.compile(
-    r"""
-    (?P<name>[a-z_][a-z0-9_]*)
-    \s*
-    (?:\( (?P<args>[^()]*) \))?
-    """,
-    re.VERBOSE,
-)
-
-_NUMBER_RE = re.compile(r"^[+-]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?$")
-
-
-def _parse_literal(text: str, spec: str, position: int) -> object:
-    token = text.strip()
-    if _NUMBER_RE.match(token):
-        try:
-            return int(token)
-        except ValueError:
-            return float(token)
-    raise PolicySyntaxError(spec, position, f"expected a number, got {token!r}")
-
-
-def _parse_rule_term(spec: str, position: int) -> tuple[PolicyRule, int]:
-    match = _RULE_TERM_RE.match(spec, position)
-    if match is None or not match.group("name"):
-        raise PolicySyntaxError(spec, position, "expected a recovery rule name")
-    name = match.group("name")
-    family = _RULE_NAMES.get(name)
-    if family is None:
-        raise UnknownPolicyRuleError(name, sorted(_RULE_NAMES))
-    args: list[tuple[str | None, object]] = []
-    raw_args = match.group("args")
-    if raw_args is not None and raw_args.strip():
-        args_offset = match.start("args")
-        for fragment in raw_args.split(","):
-            fragment_offset = args_offset + raw_args.index(fragment)
-            if "=" in fragment:
-                key, _, raw_value = fragment.partition("=")
-                key = key.strip()
-                if not key.isidentifier():
-                    raise PolicySyntaxError(
-                        spec, fragment_offset, f"bad parameter name {key!r}"
-                    )
-                args.append((key, _parse_literal(raw_value, spec, fragment_offset)))
-            else:
-                args.append((None, _parse_literal(fragment, spec, fragment_offset)))
-    end = match.end()
-    if end < len(spec) and spec[end] == "@":
-        raise PolicySyntaxError(
-            spec,
-            end,
-            "recovery rules do not take round windows; a policy is active "
-            "for the whole run (windows belong to scenario events)",
-        )
-    rule = family.build(tuple(args))
-    return rule, end
+    return _RULES.names()
 
 
 def parse_policy(text: str, *, name: str = "") -> RecoveryPolicy:
     """Parse a policy spec string into a :class:`RecoveryPolicy`.
 
-    Grammar (whitespace-insensitive)::
-
-        policy := "" | "none" | rule ("+" rule)*
-        rule   := RULE [ "(" [ arg ("," arg)* ] ")" ]
-        arg    := NAME "=" NUMBER | NUMBER
-
+    The grammar is the policy dialect of :mod:`repro.grammar`: rules joined
+    by ``+`` with numeric arguments, and ``""`` or ``"none"`` for no rules.
     All parameters are validated at parse time (``timeout(k=0.5)`` or
     ``retry(max=-1)`` fail here, not mid-simulation).
 
@@ -518,22 +342,7 @@ def parse_policy(text: str, *, name: str = "") -> RecoveryPolicy:
     stripped = text.strip()
     if not stripped or stripped == NONE_SPEC:
         return RecoveryPolicy(name=name)
-    rules: list[PolicyRule] = []
-    position = 0
-    while True:
-        while position < len(text) and text[position].isspace():
-            position += 1
-        rule, position = _parse_rule_term(text, position)
-        rules.append(rule)
-        while position < len(text) and text[position].isspace():
-            position += 1
-        if position >= len(text):
-            break
-        if text[position] != "+":
-            raise PolicySyntaxError(
-                text, position, f"expected '+' between rules, got {text[position]!r}"
-            )
-        position += 1
+    rules = [family.build(args) for family, args, _ in parse_terms(text, _RULES)]
     return RecoveryPolicy(rules=tuple(rules), name=name)
 
 

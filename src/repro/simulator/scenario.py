@@ -27,8 +27,8 @@ for the rounds in its window:
 * :func:`join` / :func:`leave` -- elastic membership at node granularity.
 
 Scenarios are expressed programmatically (``Scenario.of(slowdown(3, 2.5,
-at_round=10, until=40))``) or as composable spec strings mirroring the
-scheme-spec language::
+at_round=10, until=40))``) or as spec strings in the scenario dialect of
+:mod:`repro.grammar`::
 
     scenario("flap(rack=1)@20..25 + churn(p=0.05)")
 
@@ -43,48 +43,38 @@ p50/p95/p99 round time, excess time attributable to events, recovery).
 
 from __future__ import annotations
 
-import difflib
-import re
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 import numpy as np
 
-from repro.grammar import format_number
+from repro.grammar import (
+    REQUIRED,
+    Dialect,
+    GrammarParamError,
+    GrammarSyntaxError,
+    Param,
+    UnknownNameError,
+    parse_terms,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.simulator.cluster import ClusterSpec
 
 
-class UnknownEventError(KeyError):
+class UnknownEventError(UnknownNameError):
     """An unknown scenario event name, with close-match suggestions."""
 
-    def __init__(self, name: str, known: list[str]):
-        self.name = name
-        self.known = sorted(known)
-        self.suggestions = difflib.get_close_matches(name, self.known, n=3, cutoff=0.5)
-        message = f"unknown scenario event {name!r}"
-        if self.suggestions:
-            message += f"; did you mean: {', '.join(self.suggestions)}?"
-        message += f" (known: {', '.join(self.known)})"
-        super().__init__(message)
-
-    def __str__(self) -> str:  # KeyError.__str__ shows the repr of args[0]
-        return self.args[0]
+    what = "scenario event"
 
 
-class ScenarioSyntaxError(ValueError):
+class ScenarioSyntaxError(GrammarSyntaxError):
     """A scenario spec string that does not conform to the grammar."""
 
-    def __init__(self, text: str, position: int, reason: str):
-        self.text = text
-        self.position = position
-        self.reason = reason
-        pointer = " " * position + "^"
-        super().__init__(f"invalid scenario spec: {reason}\n  {text}\n  {pointer}")
+    what = "scenario spec"
 
 
-class ScenarioParamError(ValueError):
+class ScenarioParamError(GrammarParamError):
     """A well-formed scenario spec whose arguments do not fit the event."""
 
 
@@ -137,16 +127,12 @@ class ScenarioEvent:
 
     def spec(self) -> str:
         """Canonical spec-string form of this event, window suffix included."""
-        args = ", ".join(self._spec_args())
-        text = f"{self.kind}({args})" if args else self.kind
+        text = self._spec_family.format_instance(self)
         if self.until_round is not None:
             return f"{text}@{self.start_round}..{self.until_round}"
         if self.start_round > 0:
             return f"{text}@{self.start_round}"
         return text
-
-    def _spec_args(self) -> list[str]:
-        raise NotImplementedError
 
     def _window_bound(self) -> int:
         """Last round (exclusive) this event can perturb; open windows count 1."""
@@ -261,9 +247,6 @@ class SlowdownEvent(ScenarioEvent):
     def apply(self, cluster, round_index, rng):
         return _scale_profiles(cluster, [self.worker], slowdown=self.factor)
 
-    def _spec_args(self) -> list[str]:
-        return [f"w={self.worker}", f"x={format_number(self.factor)}"]
-
 
 @dataclass(frozen=True)
 class NicDegradeEvent(ScenarioEvent):
@@ -282,9 +265,6 @@ class NicDegradeEvent(ScenarioEvent):
 
     def apply(self, cluster, round_index, rng):
         return _scale_profiles(cluster, [self.worker], nic=self.factor)
-
-    def _spec_args(self) -> list[str]:
-        return [f"w={self.worker}", f"x={format_number(self.factor)}"]
 
 
 @dataclass(frozen=True)
@@ -313,9 +293,6 @@ class LinkFlapEvent(ScenarioEvent):
         members_per_rack = cluster.workers_per_rack
         start = self.rack * members_per_rack
         return _scale_rank_range(cluster, start, start + members_per_rack, nic=self.factor)
-
-    def _spec_args(self) -> list[str]:
-        return [f"rack={self.rack}", f"x={format_number(self.factor)}"]
 
 
 @dataclass(frozen=True)
@@ -352,9 +329,6 @@ class DomainFailEvent(ScenarioEvent):
         start = self.domain * workers_per_domain
         return _scale_rank_range(cluster, start, start + workers_per_domain, nic=self.factor)
 
-    def _spec_args(self) -> list[str]:
-        return [f"d={self.domain}", f"x={format_number(self.factor)}"]
-
 
 @dataclass(frozen=True)
 class SwitchMemoryPressureEvent(ScenarioEvent):
@@ -384,9 +358,6 @@ class SwitchMemoryPressureEvent(ScenarioEvent):
             ),
         )
         return replace(cluster, fabric=replace(cluster.fabric, switch=squeezed))
-
-    def _spec_args(self) -> list[str]:
-        return [f"x={format_number(self.factor)}"]
 
 
 @dataclass(frozen=True)
@@ -449,9 +420,6 @@ class ChurnEvent(ScenarioEvent):
             profile_overrides=None,
             worker_profiles=None,
         )
-
-    def _spec_args(self) -> list[str]:
-        return [f"p={format_number(self.p)}", f"x={format_number(self.factor)}"]
 
 
 def _resize_nodes(cluster: "ClusterSpec", new_num_nodes: int) -> "ClusterSpec":
@@ -523,9 +491,6 @@ class JoinEvent(ScenarioEvent):
     def apply(self, cluster, round_index, rng):
         return _resize_nodes(cluster, cluster.num_nodes + self.nodes)
 
-    def _spec_args(self) -> list[str]:
-        return [f"n={self.nodes}"]
-
 
 @dataclass(frozen=True)
 class LeaveEvent(ScenarioEvent):
@@ -541,9 +506,6 @@ class LeaveEvent(ScenarioEvent):
 
     def apply(self, cluster, round_index, rng):
         return _resize_nodes(cluster, cluster.num_nodes - self.nodes)
-
-    def _spec_args(self) -> list[str]:
-        return [f"n={self.nodes}"]
 
 
 # --------------------------------------------------------------------------- #
@@ -678,242 +640,50 @@ STATIC_SPEC = "static"
 # The spec-string language
 # --------------------------------------------------------------------------- #
 
-_REQUIRED = object()
-
-
-@dataclass(frozen=True)
-class _EventParam:
-    """One spec-language parameter of an event family."""
-
-    names: tuple[str, ...]  # first name is canonical
-    kind: type
-    attr: str
-    default: object = _REQUIRED
-
-    def coerce(self, value: object, family: str) -> object:
-        if self.kind is int:
-            if isinstance(value, int) and not isinstance(value, bool):
-                return value
-        elif self.kind is float:
-            if isinstance(value, (int, float)) and not isinstance(value, bool):
-                return float(value)
-        raise ScenarioParamError(
-            f"{family}: parameter {self.names[0]!r} expects {self.kind.__name__}, "
-            f"got {value!r}"
-        )
-
-
-@dataclass(frozen=True)
-class _EventFamily:
-    """A scenario event family: class, aliases, and typed parameters."""
-
-    name: str
-    cls: type
-    params: tuple[_EventParam, ...]
-    aliases: tuple[str, ...] = ()
-
-    def param_named(self, key: str) -> _EventParam:
-        for param in self.params:
-            if key in param.names:
-                return param
-        valid = ", ".join(p.names[0] for p in self.params) or "(none)"
-        raise ScenarioParamError(
-            f"{self.name}: unknown parameter {key!r}; valid parameters: {valid}"
-        )
-
-    def build(
-        self,
-        args: Sequence[tuple[str | None, object]],
-        start_round: int,
-        until_round: int | None,
-    ) -> ScenarioEvent:
-        bound: dict[_EventParam, object] = {}
-        positional_cursor = 0
-        for key, value in args:
-            if key is None:
-                if positional_cursor >= len(self.params):
-                    raise ScenarioParamError(
-                        f"{self.name}: too many positional arguments "
-                        f"(takes {len(self.params)})"
-                    )
-                param = self.params[positional_cursor]
-                positional_cursor += 1
-            else:
-                param = self.param_named(key)
-            if param in bound:
-                raise ScenarioParamError(
-                    f"{self.name}: parameter {param.names[0]!r} given twice"
-                )
-            bound[param] = param.coerce(value, self.name)
-        kwargs = {param.attr: value for param, value in bound.items()}
-        for param in self.params:
-            if param.default is _REQUIRED and param.attr not in kwargs:
-                raise ScenarioParamError(
-                    f"{self.name}: missing required parameter {param.names[0]!r}"
-                )
-        try:
-            return self.cls(**kwargs, start_round=start_round, until_round=until_round)
-        except ValueError as error:
-            raise ScenarioParamError(f"{self.name}: {error}") from None
-
-
-_EVENT_FAMILIES: dict[str, _EventFamily] = {}
-_EVENT_NAMES: dict[str, _EventFamily] = {}  # aliases included
-
-
-def _register_event(family: _EventFamily) -> None:
-    _EVENT_FAMILIES[family.name] = family
-    for alias in (family.name, *family.aliases):
-        _EVENT_NAMES[alias] = family
-
-
-_register_event(
-    _EventFamily(
-        "slowdown",
-        SlowdownEvent,
-        (
-            _EventParam(("w", "worker"), int, "worker"),
-            _EventParam(("x", "factor"), float, "factor"),
-        ),
-    )
+#: The scenario dialect: numeric arguments, ``+`` joins, ``@A..B`` windows.
+_EVENTS = Dialect(
+    ScenarioSyntaxError,
+    ScenarioParamError,
+    UnknownEventError,
+    windows=True,
+    term_name="an event name",
+    terms="events",
 )
-_register_event(
-    _EventFamily(
-        "nic_degrade",
-        NicDegradeEvent,
-        (
-            _EventParam(("w", "worker"), int, "worker"),
-            _EventParam(("x", "factor"), float, "factor"),
-        ),
-        aliases=("nic",),
-    )
+
+_WORKER = Param("w", int, "worker", default=REQUIRED, aliases=("worker",))
+_FACTOR = Param("x", float, "factor", aliases=("factor",))
+_REQUIRED_FACTOR = Param("x", float, "factor", default=REQUIRED, aliases=("factor",))
+_NODES = Param("n", int, "nodes", aliases=("nodes",))
+
+_EVENTS.register("slowdown", SlowdownEvent, (_WORKER, _REQUIRED_FACTOR))
+_EVENTS.register("nic_degrade", NicDegradeEvent, (_WORKER, _REQUIRED_FACTOR), aliases=("nic",))
+_EVENTS.register(
+    "flap", LinkFlapEvent, (Param("rack", int, default=REQUIRED), _FACTOR), aliases=("link_flap",)
 )
-_register_event(
-    _EventFamily(
-        "flap",
-        LinkFlapEvent,
-        (
-            _EventParam(("rack",), int, "rack"),
-            _EventParam(("x", "factor"), float, "factor", default=8.0),
-        ),
-        aliases=("link_flap",),
-    )
+_EVENTS.register(
+    "domain_fail",
+    DomainFailEvent,
+    (Param("d", int, "domain", default=REQUIRED, aliases=("domain",)), _FACTOR),
+    aliases=("domain",),
 )
-_register_event(
-    _EventFamily(
-        "domain_fail",
-        DomainFailEvent,
-        (
-            _EventParam(("d", "domain"), int, "domain"),
-            _EventParam(("x", "factor"), float, "factor", default=8.0),
-        ),
-        aliases=("domain",),
-    )
+_EVENTS.register(
+    "switch_mem", SwitchMemoryPressureEvent, (_FACTOR,), aliases=("switch_memory_pressure",)
 )
-_register_event(
-    _EventFamily(
-        "switch_mem",
-        SwitchMemoryPressureEvent,
-        (_EventParam(("x", "factor"), float, "factor", default=0.25),),
-        aliases=("switch_memory_pressure",),
-    )
-)
-_register_event(
-    _EventFamily(
-        "churn",
-        ChurnEvent,
-        (
-            _EventParam(("p",), float, "p"),
-            _EventParam(("x", "factor"), float, "factor", default=4.0),
-        ),
-    )
-)
-_register_event(
-    _EventFamily("join", JoinEvent, (_EventParam(("n", "nodes"), int, "nodes", default=1),))
-)
-_register_event(
-    _EventFamily("leave", LeaveEvent, (_EventParam(("n", "nodes"), int, "nodes", default=1),))
-)
+_EVENTS.register("churn", ChurnEvent, (Param("p", float, default=REQUIRED), _FACTOR))
+_EVENTS.register("join", JoinEvent, (_NODES,))
+_EVENTS.register("leave", LeaveEvent, (_NODES,))
 
 
 def available_events() -> list[str]:
     """Canonical scenario event names, sorted."""
-    return sorted(_EVENT_FAMILIES)
-
-
-_TERM_RE = re.compile(
-    r"""
-    (?P<name>[a-z_][a-z0-9_]*)
-    \s*
-    (?:\( (?P<args>[^()]*) \))?
-    \s*
-    (?:@ \s* (?P<start>\d+) \s* (?:\.\.\s*(?P<until>\d+))? )?
-    """,
-    re.VERBOSE,
-)
-
-_NUMBER_RE = re.compile(r"^[+-]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?$")
-
-
-def _parse_literal(text: str, spec: str, position: int) -> object:
-    token = text.strip()
-    if _NUMBER_RE.match(token):
-        try:
-            return int(token)
-        except ValueError:
-            return float(token)
-    raise ScenarioSyntaxError(spec, position, f"expected a number, got {token!r}")
-
-
-def _parse_term(spec: str, position: int) -> tuple[ScenarioEvent, int]:
-    match = _TERM_RE.match(spec, position)
-    if match is None or not match.group("name"):
-        raise ScenarioSyntaxError(spec, position, "expected an event name")
-    name = match.group("name")
-    family = _EVENT_NAMES.get(name)
-    if family is None:
-        raise UnknownEventError(name, sorted(_EVENT_NAMES))
-    args: list[tuple[str | None, object]] = []
-    raw_args = match.group("args")
-    if raw_args is not None and raw_args.strip():
-        args_offset = match.start("args")
-        for fragment in raw_args.split(","):
-            fragment_offset = args_offset + raw_args.index(fragment)
-            if "=" in fragment:
-                key, _, raw_value = fragment.partition("=")
-                key = key.strip()
-                if not key.isidentifier():
-                    raise ScenarioSyntaxError(
-                        spec, fragment_offset, f"bad parameter name {key!r}"
-                    )
-                args.append((key, _parse_literal(raw_value, spec, fragment_offset)))
-            else:
-                args.append((None, _parse_literal(fragment, spec, fragment_offset)))
-    start = int(match.group("start")) if match.group("start") else 0
-    until = int(match.group("until")) if match.group("until") else None
-    if match.group("start") and not match.group("until"):
-        until = None  # "@20" means "from round 20, forever"
-    if until is not None and until <= start:
-        raise ScenarioSyntaxError(
-            spec,
-            match.start("start"),
-            f"empty round window @{start}..{until}: windows are half-open "
-            f"[A, B), so B must be greater than A "
-            f"(did you mean @{start}..{start + 1} for the single round {start}?)",
-        )
-    event = family.build(tuple(args), start, until)
-    return event, match.end()
+    return _EVENTS.names()
 
 
 def parse_scenario(text: str, *, seed: int = 0, name: str = "") -> Scenario:
     """Parse a scenario spec string into a :class:`Scenario`.
 
-    Grammar (whitespace-insensitive)::
-
-        scenario := "static" | term ("+" term)*
-        term     := EVENT [ "(" [ arg ("," arg)* ] ")" ] [ "@" START [".." UNTIL] ]
-        arg      := NAME "=" NUMBER | NUMBER
-
+    The grammar is the scenario dialect of :mod:`repro.grammar`: events
+    joined by ``+``, numeric arguments, and ``"static"`` for no events.
     ``@A..B`` is the half-open round window ``[A, B)``; ``@A`` alone means
     "from round A until the end of the run"; no ``@`` means "always".
 
@@ -924,25 +694,12 @@ def parse_scenario(text: str, *, seed: int = 0, name: str = "") -> Scenario:
     """
     if not isinstance(text, str) or not text.strip():
         raise ScenarioSyntaxError(str(text), 0, "empty scenario spec")
-    stripped = text.strip()
-    if stripped == STATIC_SPEC:
+    if text.strip() == STATIC_SPEC:
         return Scenario(seed=seed, name=name)
-    events: list[ScenarioEvent] = []
-    position = 0
-    while True:
-        while position < len(text) and text[position].isspace():
-            position += 1
-        event, position = _parse_term(text, position)
-        events.append(event)
-        while position < len(text) and text[position].isspace():
-            position += 1
-        if position >= len(text):
-            break
-        if text[position] != "+":
-            raise ScenarioSyntaxError(
-                text, position, f"expected '+' between events, got {text[position]!r}"
-            )
-        position += 1
+    events = [
+        family.build(args, start_round=start, until_round=until)
+        for family, args, (start, until) in parse_terms(text, _EVENTS)
+    ]
     return Scenario(events=tuple(events), seed=seed, name=name)
 
 
@@ -1180,7 +937,3 @@ def run_scenario(
         metrics=scenario_metrics(round_seconds, baseline),
         distinct_clusters=len(cache),
     )
-
-
-def _event_field_names() -> set[str]:  # pragma: no cover - debugging aid
-    return {f.name for cls in _EVENT_FAMILIES.values() for f in fields(cls.cls)}

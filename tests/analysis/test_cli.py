@@ -216,15 +216,23 @@ def test_duration_reported_in_text_summary(tmp_path, capsys):
 
 
 def test_module_entry_point(tmp_path):
+    import os
     import subprocess
     import sys
 
+    import repro
+
     _clean_tree(tmp_path)
+    # The subprocess finds the package the way this process did, installed or not.
+    env = dict(os.environ)
+    src = str(Path(repro.__file__).parents[1])
+    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
     result = subprocess.run(
         [sys.executable, "-m", "repro.analysis", "--root", str(tmp_path), "src"],
         capture_output=True,
         text=True,
         check=False,
+        env=env,
     )
     assert result.returncode == EXIT_CLEAN, result.stderr
     assert "reprolint: clean" in result.stdout

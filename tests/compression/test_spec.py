@@ -83,12 +83,27 @@ class TestParseErrors:
             ("topk(b=2) extra", "trailing input"),
             ("topk(b=2)!", "unexpected character"),
             ("", "empty scheme spec"),
+            ("topkc(b=1e999)", "overflows a float"),
         ],
     )
     def test_malformed_specs_raise_with_pointer(self, text, fragment):
         with pytest.raises(SpecSyntaxError) as excinfo:
             make_scheme(text)
         assert fragment in str(excinfo.value)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("topk(b=-1)", "topk: bits_per_coordinate must be positive"),
+            ("thc(q=0)", "thc: quantization_bits must be >= 2"),
+            ("powersgd(r=0)", "powersgd: rank must be >= 1"),
+            ("ef(topk(b=2), decay=2)", "ef: decay must be in [0, 1]"),
+        ],
+    )
+    def test_constructor_rejections_are_typed_and_name_the_family(self, text, message):
+        with pytest.raises(SpecParamError) as excinfo:
+            make_scheme(text)
+        assert str(excinfo.value) == message
 
     def test_unknown_family_suggests_close_matches(self):
         with pytest.raises(UnknownSchemeError) as excinfo:

@@ -82,17 +82,66 @@ CORPUS = [
     (resolve_rule_codes, ["nope"], UnknownRuleError),
 ]
 
+#: Literals that overflow a float.  They used to parse to ``inf`` and print
+#: ``x=inf``, which does not parse back; now they are syntax errors.
+NON_FINITE = [
+    (parse_scenario, "slowdown(w=1, x=1e999)", ScenarioSyntaxError),
+    (parse_scenario, "churn(p=0.1, x=1e999)", ScenarioSyntaxError),
+    (parse_policy, "timeout(k=1e999)", PolicySyntaxError),
+    (parse_policy, "retry(max=2, backoff=1e999)", PolicySyntaxError),
+    (make_scheme, "topkc(b=1e999)", SpecSyntaxError),
+]
+
+#: Scheme constructor rejections.  They used to escape as a bare
+#: ``ValueError`` without the family's name; now they are typed like the
+#: scenario and policy families' (``SpecParamError`` is a ``ValueError``;
+#: tests/compression/test_spec.py pins the messages).
+CONSTRUCTOR_ERRORS = [
+    (make_scheme, "topk(b=-1)", SpecParamError),
+    (make_scheme, "thc(q=0)", SpecParamError),
+    (make_scheme, "powersgd(r=0)", SpecParamError),
+    (make_scheme, "ef(topk(b=2), decay=2)", SpecParamError),
+]
+
+#: An argument list left open.  The old regex matcher skipped it and built
+#: the event without arguments, so this raised ScenarioParamError ("missing
+#: required parameter 'w'"); the parser now reports the unclosed list.
+UNCLOSED_ARGUMENTS = [
+    (parse_scenario, "slowdown(w=1, x=2", ScenarioSyntaxError),
+]
+
+#: An integer literal too large for a float parameter.  It used to escape
+#: as an OverflowError from the float conversion; now the parameter rejects
+#: it like any other value of the wrong type.
+HUGE_INTEGERS = [
+    (parse_scenario, "slowdown(w=1, x=1" + "0" * 400 + ")", ScenarioParamError),
+    (make_scheme, "topk(b=1" + "0" * 400 + ")", SpecParamError),
+]
+
+ALL_CASES = CORPUS + NON_FINITE + CONSTRUCTOR_ERRORS + UNCLOSED_ARGUMENTS + HUGE_INTEGERS
+
+SYNTAX_ERRORS = (SpecSyntaxError, ScenarioSyntaxError, PolicySyntaxError)
+
 
 def _case_id(case) -> str:
     parse, text, _ = case
-    return f"{parse.__name__}:{text!r}"
+    return f"{parse.__name__}:{str(text)[:40]!r}"
 
 
-@pytest.mark.parametrize("parse, text, expected", CORPUS, ids=[_case_id(c) for c in CORPUS])
+@pytest.mark.parametrize(
+    "parse, text, expected", ALL_CASES, ids=[_case_id(c) for c in ALL_CASES]
+)
 def test_malformed_input_raises_exactly(parse, text, expected):
     with pytest.raises(Exception) as excinfo:
         parse(text)
     assert type(excinfo.value) is expected
-    position = getattr(excinfo.value, "position", None)
-    if position is not None:
-        assert 0 <= position <= len(text)
+    if expected in SYNTAX_ERRORS:
+        assert 0 <= excinfo.value.position <= len(text)
+
+
+@pytest.mark.parametrize("parse, text, expected", NON_FINITE, ids=[_case_id(c) for c in NON_FINITE])
+def test_non_finite_literal_is_pointed_at(parse, text, expected):
+    with pytest.raises(expected) as excinfo:
+        parse(text)
+    assert excinfo.value.position == text.index("1e999")
+    assert "1e999" in excinfo.value.reason
