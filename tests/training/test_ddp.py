@@ -4,12 +4,19 @@ import numpy as np
 import pytest
 
 from repro.compression.registry import make_scheme
+from repro.core.evaluation import build_trainer
+from repro.experiments.adaptive import (
+    DEFAULT_ADAPTIVE_CANDIDATES,
+    DEFAULT_ADAPTIVE_SCENARIO,
+    default_adaptive_cluster,
+    default_adaptive_controller,
+)
 from repro.simulator.gpu import Precision
 from repro.training.data import SyntheticTeacherDataset
 from repro.training.ddp import DDPTrainer, TrainingHistory
 from repro.training.models import MLPClassifier
 from repro.training.worker import DDPWorker
-from repro.training.workloads import vgg19_tinyimagenet
+from repro.training.workloads import bert_large_wikitext, vgg19_tinyimagenet
 
 
 @pytest.fixture
@@ -194,3 +201,98 @@ class TestDDPTrainer:
         history = trainer.run(40)
         assert history.final_metric() == history.evaluations[-1].metrics["accuracy"]
         assert history.best_metric() >= history.evaluations[0].metrics["accuracy"]
+
+
+#: The trainer's adaptive + recovery-policy run, pinned bit-exactly: the
+#: controller switches transports twice, and each switch rebuilds the
+#: recovery engine, which adopts the run-level counters of its predecessor.
+ADAPTIVE_POLICY_LOSSES = [
+    4.786338449477039, 4.3162848354920325, 4.843109824070961,
+    4.12996279732701, 4.105955719032448, 4.109989665755455,
+    4.253530168289497, 3.693327090566953, 3.266275504993973,
+    4.420695409861574, 4.376092192896673, 3.4518956684234867,
+    3.422701715403722, 3.5221612492851238, 4.194729426502494,
+    4.033906421302925, 3.7040237668404705, 4.36504348148041,
+    4.138325099549775, 2.421721886045289, 4.6523509937508125,
+    2.650397395533481, 2.7758285768244475, 3.1578827306008206,
+    3.1373113945861837, 5.892251986203066, 2.387797637885669,
+    3.660873661473832, 5.862487533536547, 3.285107921192714,
+    3.045421952145036, 3.9556256726694246, 4.897437235085874,
+    2.9433581485634344, 2.3080950684940325, 5.643220207460855,
+    6.500430690077444, 4.078218243715317, 7.0213701862440985,
+    1.978122590090949, 7.131957095901622, 5.152378681687351,
+    6.0962278674105015, 2.2930576602734742, 3.272529426851613,
+    2.9353869244504276, 5.967962967146477, 6.341909731110906,
+    3.6827466541883074, 6.598641881222134, 6.338609680004667,
+    5.68026612188397, 9.749078613404455, 5.751809818231921,
+    6.143411399961753, 5.336985194501282, 3.891093693472162,
+    5.195357480867225, 7.202083367298488, 4.293132597810959,
+    3.611274777278159, 4.798838430812174, 5.166823926585625,
+    1.5904872603274316, 3.8625389267518098, 6.415673761011576,
+    2.2136409039002887, 5.051717842738332, 5.513760676220532,
+    8.950552204799225, 3.4311779676241168, 6.628365101398007,
+    6.749244250720555, 6.968859197993972, 4.962574797988554,
+    7.943821106703206, 8.920490766049177, 5.427309305021394,
+    8.35453200166739, 2.3731604332298235, 4.738705256454976,
+    3.6964745948109243, 7.47127565892257, 10.435966822988503,
+    7.758613726421759, 9.030242324321131, 6.884329232422701,
+    8.76815904383973, 3.9129627646356404, 9.932258833780537,
+]
+ADAPTIVE_POLICY_EVAL_TIMES = [
+    0.0, 1.0397485719434083, 2.0794971438868166,
+    3.6748441637702935, 4.793318169980369, 5.911792176190444,
+    7.030266182400519, 8.148740188610594, 9.267214194820669,
+    10.390440369067912, 11.430188941011316, 12.46993751295472,
+    13.509686084898124, 14.549434656841528, 15.589183228784933,
+    16.628931800728342, 17.668680372671755, 18.708428944615168,
+    19.74817751655858,
+]
+
+
+class TestAdaptivePolicyRun:
+    @pytest.fixture(scope="class")
+    def history(self):
+        return build_trainer(
+            "thc(q=4, rot=partial, agg=switch)",
+            bert_large_wikitext(),
+            cluster=default_adaptive_cluster(),
+            scenario=DEFAULT_ADAPTIVE_SCENARIO,
+            policy="timeout(k=1.5) + retry(max=1, backoff=0.1) + stale(max=2)",
+            controller=default_adaptive_controller(DEFAULT_ADAPTIVE_CANDIDATES),
+            eval_every=5,
+        ).run(90)
+
+    def test_round_times(self, history):
+        switch, sat = 0.20794971438868168, 0.22369480124201502
+        # Round 11 hits the pressure window on the switch transport: the
+        # first attempt and its retry both abort at the 1.5x deadline.
+        aborted = 0.6446441146049131
+        assert history.round_times == (
+            [switch] * 10 + [aborted] + [sat] * 31 + [switch] * 48
+        )
+
+    def test_train_losses(self, history):
+        assert history.train_losses == ADAPTIVE_POLICY_LOSSES
+
+    def test_evaluation_times(self, history):
+        assert [record.round_index for record in history.evaluations] == list(
+            range(0, 91, 5)
+        )
+        assert [
+            record.sim_time_seconds for record in history.evaluations
+        ] == ADAPTIVE_POLICY_EVAL_TIMES
+
+    def test_switches(self, history):
+        assert [
+            (switch.round_index, switch.from_spec, switch.to_spec)
+            for switch in history.scheme_switches
+        ] == [
+            (11, "thc(q=4, rot=partial, agg=switch)", "thc(q=4, rot=partial, agg=sat)"),
+            (42, "thc(q=4, rot=partial, agg=sat)", "thc(q=4, rot=partial, agg=switch)"),
+        ]
+
+    def test_recovery_counters(self, history):
+        assert history.timed_out_rounds == 1
+        assert history.retries == 1
+        assert history.dropped_worker_rounds == 0
+        assert history.stale_rounds == 1
