@@ -12,6 +12,10 @@ Two guarantees the recovery layer (PR 9) makes:
   tail metrics are exactly equal (no tolerance) across the whole scheme
   registry and both kernel backends, and a trainer run under it
   reproduces the plain scenario run's losses and clock exactly.
+
+A third contract ties the two drivers together: a trainer and a throughput
+estimate of the same scheme, cluster, scenario and policy charge the same
+rounds, so the estimate's tail metrics are exactly the trainer's clock.
 """
 
 from __future__ import annotations
@@ -24,7 +28,9 @@ from hypothesis import strategies as st
 from repro.api import ExperimentSession
 from repro.compression.kernels import KernelBackend
 from repro.compression.registry import ALIASES
-from repro.core.evaluation import run_end_to_end
+from repro.api.measures import estimate_throughput
+from repro.core.evaluation import build_scheme_pair, build_trainer, run_end_to_end
+from repro.simulator.cluster import multirack_cluster, paper_testbed
 from repro.simulator.recovery import (
     DropRule,
     RecoveryPolicy,
@@ -34,6 +40,7 @@ from repro.simulator.recovery import (
     parse_policy,
     policy,
 )
+from repro.simulator.scenario import scenario_metrics
 from repro.training.workloads import bert_large_wikitext
 
 REGISTRY_SPECS = sorted(set(ALIASES.values()))
@@ -172,3 +179,64 @@ class TestEmptyPolicyBitExact:
             assert record_a.sim_time_seconds == record_b.sim_time_seconds
             assert record_a.metrics == record_b.metrics
         assert np.array_equal(plain.curve.values, empty.curve.values)
+
+
+#: A chaos run every recovery rule reacts to: a deterministic straggler
+#: window (drop and timeout) overlapping transient churn (retry re-draws).
+AGREEMENT_SCENARIO = "slowdown(w=1, x=8)@5..15 + churn(p=0.05, x=4)@10..30"
+AGREEMENT_POLICY = "timeout(k=2) + retry(max=1, backoff=0.1) + drop(max_workers=1)"
+AGREEMENT_ROUNDS = 35
+
+#: A registry sample covering dense, sparse (with error feedback in
+#: training), quantized and low-rank pricing.
+AGREEMENT_SPECS = [
+    "baseline(p=fp16)",
+    "topkc(b=2)",
+    "thc(q=4, rot=partial, agg=sat)",
+    "powersgd(r=2)",
+]
+
+AGREEMENT_CLUSTERS = {
+    "testbed": paper_testbed,
+    "multirack": lambda: multirack_cluster(2, nodes_per_rack=2, gpus_per_node=2),
+}
+
+
+class TestTrainerThroughputAgreement:
+    @pytest.mark.parametrize("num_buckets", [1, 4])
+    @pytest.mark.parametrize("cluster_name", sorted(AGREEMENT_CLUSTERS))
+    @pytest.mark.parametrize("spec", AGREEMENT_SPECS)
+    def test_trainer_clock_matches_throughput_estimate(
+        self, spec, cluster_name, num_buckets
+    ):
+        workload = bert_large_wikitext()
+        cluster = AGREEMENT_CLUSTERS[cluster_name]()
+        history = build_trainer(
+            spec,
+            workload,
+            cluster=cluster,
+            num_buckets=num_buckets,
+            scenario=AGREEMENT_SCENARIO,
+            policy=AGREEMENT_POLICY,
+        ).run(AGREEMENT_ROUNDS)
+        # Price the trainer's own pricing scheme: training adds error
+        # feedback to some families, which changes what a round costs.
+        _, pricing = build_scheme_pair(spec, workload)
+        estimate = estimate_throughput(
+            pricing,
+            workload,
+            cluster=cluster,
+            num_buckets=num_buckets,
+            scenario=AGREEMENT_SCENARIO,
+            num_rounds=AGREEMENT_ROUNDS,
+            policy=AGREEMENT_POLICY,
+        )
+        assert history.round_seconds == estimate.pipeline.makespan_seconds
+        expected = estimate.scenario_metrics
+        observed = scenario_metrics(history.round_times, history.round_seconds)
+        assert observed.total_seconds == expected.total_seconds
+        assert observed.p99_round_seconds == expected.p99_round_seconds
+        assert history.retries == expected.retries
+        assert history.dropped_worker_rounds == expected.dropped_worker_rounds
+        assert history.timed_out_rounds == expected.timed_out_rounds
+        assert history.stale_rounds == expected.stale_rounds
