@@ -13,32 +13,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.collectives.api import CollectiveBackend
-from repro.compression.base import AggregationScheme, CostEstimate, SimContext
+from repro.compression.base import AggregationScheme, CostEstimate, SimContext, price_round
 from repro.compression.kernels import KernelBackend
 from repro.compression.registry import configure_scheme_for_shapes
 from repro.core.metrics import vnmse
 from repro.simulator.cluster import ClusterSpec, paper_testbed
 from repro.simulator.gpu import Precision
 from repro.simulator.kernel_cost import KernelCostModel
-from repro.simulator.pipeline import (
-    PipelineResult,
-    bucketed_schedule,
-    legacy_overlap_schedule,
-    serialized_schedule,
-    simulate_schedule,
-)
+from repro.simulator.pipeline import PipelineResult
 from repro.simulator.recovery import (
     RecoveryPolicy,
     policy as as_policy,
     run_recovered_scenario,
 )
-from repro.simulator.scenario import (
-    Scenario,
-    ScenarioMetrics,
-    run_scenario,
-    scenario as as_scenario,
-    scenario_metrics,
-)
+from repro.simulator.scenario import Scenario, ScenarioMetrics, scenario as as_scenario
 from repro.simulator.timeline import RoundTimeline
 from repro.training.gradients import SyntheticGradientModel
 from repro.training.workloads import WorkloadSpec
@@ -157,15 +145,18 @@ def estimate_throughput(
     that round (pricing memoized per distinct configuration), and the
     estimate carries per-scenario tail metrics (p50/p95/p99 round time,
     excess cost, recovery).  ``num_rounds`` defaults to the scenario's
-    horizon plus a small recovery margin.  A scenario with no events is
-    bit-exact with the static estimate.
+    horizon plus a small recovery margin.
 
     ``policy`` (a :class:`~repro.simulator.recovery.RecoveryPolicy` or a
     spec string like ``"timeout(k=3) + retry(max=2, backoff=0.1)"``) makes
     the scenario run *react* to its faults: degraded rounds are retried,
     stragglers dropped, and over-deadline rounds aborted, with the recovery
-    counters reported on the scenario metrics.  The empty policy
-    (``policy("")``/``"none"``) is bit-exact with the plain scenario path.
+    counters reported on the scenario metrics.
+
+    Every scenario run, with or without a policy, goes through one driver
+    (:func:`~repro.simulator.recovery.run_recovered_scenario`): a plain
+    scenario run is the empty policy (``policy("")``/``"none"``), and a
+    scenario with no events is the static estimate, bit-exactly.
     """
     if num_buckets < 1:
         raise ValueError("num_buckets must be >= 1")
@@ -173,8 +164,6 @@ def estimate_throughput(
         raise ValueError("overlap_fraction is a legacy shim; use num_buckets without it")
     if num_rounds is not None and scenario is None:
         raise ValueError("num_rounds only applies to scenario runs; pass scenario=")
-    if num_rounds is not None and num_rounds < 1:
-        raise ValueError("num_rounds must be >= 1")
     policy_obj = as_policy(policy)
     if not policy_obj.is_empty and scenario is None:
         raise ValueError(
@@ -186,108 +175,43 @@ def estimate_throughput(
     compute_seconds = workload.compute_seconds_for(training_precision)
     base_cluster = ctx.backend.cluster
 
-    def price(
-        cluster_spec: ClusterSpec,
-        price_ctx: SimContext,
-        deadline_seconds: float | None = None,
-    ):
-        if overlap_fraction is not None:
-            round_cost = scheme.estimate_costs(workload.paper_num_coordinates, price_ctx)
-            schedule = legacy_overlap_schedule(
-                compute_seconds,
-                round_cost.compression_seconds,
-                round_cost.communication_seconds,
-                overlap_fraction=overlap_fraction,
-            )
-        else:
-            bucket_costs = scheme.estimate_bucket_costs(
-                workload.paper_num_coordinates, num_buckets, price_ctx
-            )
-            round_cost = CostEstimate(
-                compression_seconds=sum(b.compression_seconds for b in bucket_costs),
-                communication_seconds=sum(b.communication_seconds for b in bucket_costs),
-                bits_per_coordinate=bucket_costs[0].bits_per_coordinate,
-            )
-            if len(bucket_costs) == 1:
-                schedule = serialized_schedule(
-                    compute_seconds,
-                    round_cost.compression_seconds,
-                    round_cost.communication_seconds,
-                )
-            else:
-                schedule = bucketed_schedule(
-                    compute_seconds,
-                    [
-                        (b.compression_seconds, b.communication_seconds)
-                        for b in bucket_costs
-                    ],
-                )
-        return round_cost, len(schedule), simulate_schedule(
-            schedule, cluster_spec, deadline_seconds=deadline_seconds
+    def price(effective_ctx: SimContext, deadline_seconds: float | None = None):
+        return price_round(
+            scheme,
+            workload.paper_num_coordinates,
+            compute_seconds,
+            effective_ctx,
+            num_buckets=num_buckets,
+            overlap_fraction=overlap_fraction,
+            deadline_seconds=deadline_seconds,
         )
 
-    cost, scheduled_buckets, result = price(base_cluster, ctx)
+    cost, result = price(ctx)
     round_seconds = result.makespan_seconds
-    reported_buckets = scheduled_buckets if overlap_fraction is None else 1
+    rounds_per_second = 1.0 / round_seconds
+    scenario_obj = None if scenario is None else as_scenario(scenario)
+    metrics = None
+    if scenario_obj is not None:
 
-    if scenario is None:
-        scenario_obj = None
-        metrics = None
-        rounds_per_second = 1.0 / round_seconds
-    else:
-        scenario_obj = as_scenario(scenario)
-        rounds = (
-            num_rounds if num_rounds is not None else scenario_obj.default_num_rounds()
-        )
-        if scenario_obj.is_static:
-            # No events: every round is the static round, bit-exactly.
-            metrics = scenario_metrics([round_seconds] * rounds, round_seconds)
-            rounds_per_second = 1.0 / round_seconds
-        else:
+        def price_effective(
+            effective: ClusterSpec, deadline: float | None
+        ) -> tuple[float, bool]:
+            if effective is base_cluster and deadline is None:
+                return round_seconds, False
+            priced = price(ctx.for_cluster(effective), deadline)[1]
+            return priced.makespan_seconds, priced.aborted
 
-            def ctx_for(effective: ClusterSpec) -> SimContext:
-                # No scenario event changes the GPU model, so the caller's
-                # kernel cost model (custom factors included) carries over.
-                return SimContext(
-                    backend=CollectiveBackend(effective),
-                    kernels=(
-                        ctx.kernels
-                        if effective.gpu == base_cluster.gpu
-                        else KernelCostModel(gpu=effective.gpu)
-                    ),
-                    rng=np.random.default_rng(0),
-                    kernel_backend=ctx.kernel_backend,
-                )
-
-            if policy_obj.is_empty:
-
-                def price_effective(effective: ClusterSpec) -> float:
-                    if effective is base_cluster:
-                        return round_seconds
-                    return price(effective, ctx_for(effective))[2].makespan_seconds
-
-                run = run_scenario(base_cluster, scenario_obj, rounds, price_effective)
-                metrics = run.metrics
-            else:
-
-                def price_recovered(
-                    effective: ClusterSpec, deadline: float | None
-                ) -> tuple[float, bool]:
-                    effective_ctx = (
-                        ctx if effective is base_cluster else ctx_for(effective)
-                    )
-                    result = price(effective, effective_ctx, deadline)[2]
-                    return result.makespan_seconds, result.aborted
-
-                run = run_recovered_scenario(
-                    base_cluster,
-                    scenario_obj,
-                    policy_obj,
-                    rounds,
-                    price_recovered,
-                    nominal_seconds=round_seconds,
-                )
-                metrics = run.metrics
+        rounds = num_rounds if num_rounds is not None else scenario_obj.default_num_rounds()
+        metrics = run_recovered_scenario(
+            base_cluster,
+            scenario_obj,
+            policy_obj,
+            rounds,
+            price_effective,
+        ).metrics
+        # No events: every round is the static round, so the closed form
+        # stays exact; otherwise report the run-level throughput.
+        if not scenario_obj.is_static:
             rounds_per_second = metrics.num_rounds / metrics.total_seconds
             round_seconds = metrics.mean_round_seconds
 
@@ -297,7 +221,7 @@ def estimate_throughput(
         rounds_per_second=rounds_per_second,
         round_seconds=round_seconds,
         cost=cost,
-        num_buckets=reported_buckets,
+        num_buckets=1 if overlap_fraction is not None else len(result.traces),
         pipeline=result,
         scenario=scenario_obj.spec() if scenario_obj is not None else None,
         scenario_metrics=metrics,

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -29,6 +29,10 @@ from repro.collectives.api import CollectiveBackend
 from repro.compression.kernels import KernelBackend, RoundWorkspace
 from repro.simulator.kernel_cost import KernelCostModel
 from repro.simulator.timeline import RoundTimeline
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.simulator.cluster import ClusterSpec
+    from repro.simulator.pipeline import PipelineResult
 
 
 @dataclass
@@ -77,6 +81,27 @@ class SimContext:
         """Record simulated time if a timeline is attached (no-op otherwise)."""
         if self.timeline is not None:
             self.timeline.add(phase, label, seconds)
+
+    def for_cluster(
+        self, cluster: ClusterSpec, *, rng: np.random.Generator | None = None
+    ) -> SimContext:
+        """A copy of this context on ``cluster`` (e.g. a scenario round's).
+
+        The kernel backend and, on the same GPU, the kernel cost model
+        (custom factors included) carry over.  ``rng`` defaults to a fresh
+        seed-0 stream, which pricing never draws from.
+        """
+        kernels = (
+            self.kernels
+            if cluster.gpu == self.backend.cluster.gpu
+            else KernelCostModel(gpu=cluster.gpu)
+        )
+        return SimContext(
+            backend=CollectiveBackend(cluster),
+            kernels=kernels,
+            rng=rng if rng is not None else np.random.default_rng(0),
+            kernel_backend=self.kernel_backend,
+        )
 
 
 @dataclass(frozen=True)
@@ -143,6 +168,61 @@ class CostEstimate:
     def total_seconds(self) -> float:
         """Compression plus communication time (no training compute)."""
         return self.compression_seconds + self.communication_seconds
+
+
+def price_round(
+    scheme: AggregationScheme,
+    num_coordinates: int,
+    compute_seconds: float,
+    ctx: SimContext,
+    *,
+    num_buckets: int = 1,
+    overlap_fraction: float | None = None,
+    deadline_seconds: float | None = None,
+) -> tuple[CostEstimate, PipelineResult]:
+    """Price one training round of ``scheme`` on ``ctx``'s cluster.
+
+    One bucket serializes compute, compression and communication; more
+    buckets pipeline their collectives with the backward pass
+    (:mod:`repro.simulator.pipeline`); ``overlap_fraction`` selects the
+    deprecated two-stage shim.  A round running past ``deadline_seconds``
+    is aborted there.  Returns the cost breakdown (summed over buckets) and
+    the simulated schedule.
+    """
+    from repro.simulator.pipeline import (
+        bucketed_schedule,
+        legacy_overlap_schedule,
+        serialized_schedule,
+        simulate_schedule,
+    )
+
+    if overlap_fraction is not None:
+        costs = scheme.estimate_costs(num_coordinates, ctx)
+        schedule = legacy_overlap_schedule(
+            compute_seconds,
+            costs.compression_seconds,
+            costs.communication_seconds,
+            overlap_fraction=overlap_fraction,
+        )
+    else:
+        bucket_costs = scheme.estimate_bucket_costs(num_coordinates, num_buckets, ctx)
+        costs = CostEstimate(
+            compression_seconds=sum(b.compression_seconds for b in bucket_costs),
+            communication_seconds=sum(b.communication_seconds for b in bucket_costs),
+            bits_per_coordinate=bucket_costs[0].bits_per_coordinate,
+        )
+        if len(bucket_costs) == 1:
+            schedule = serialized_schedule(
+                compute_seconds, costs.compression_seconds, costs.communication_seconds
+            )
+        else:
+            schedule = bucketed_schedule(
+                compute_seconds,
+                [(b.compression_seconds, b.communication_seconds) for b in bucket_costs],
+            )
+    return costs, simulate_schedule(
+        schedule, ctx.backend.cluster, deadline_seconds=deadline_seconds
+    )
 
 
 class AggregationScheme(abc.ABC):

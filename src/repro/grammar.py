@@ -43,8 +43,11 @@ def format_number(value: float) -> str:
 
     ``%g`` keeps common specs tidy (``k=3``, not ``k=3.0``) but only carries
     six significant digits; when that would lose precision -- and break the
-    round-trip contract -- fall back to the exact ``repr``.
+    round-trip contract -- fall back to the exact ``repr``.  Negative zero
+    prints as ``0``: ``-0`` would parse back as the integer 0.
     """
+    if value == 0:
+        value = 0.0
     text = f"{value:g}"
     return text if float(text) == value else repr(value)
 

@@ -774,8 +774,8 @@ def run_recovered_scenario(
     ``(seconds, aborted)`` (wrap a plain float function with
     :func:`deadline_clamp`), is memoized per distinct effective cluster,
     and each round is resolved through the full retry / drop / timeout /
-    stale pipeline.  With the empty policy the charged round times equal
-    :func:`run_scenario`'s bit-exactly.
+    stale pipeline.  Under the empty policy this is :func:`run_scenario`,
+    which delegates here.
     """
     if num_rounds < 1:
         raise ValueError("num_rounds must be >= 1")

@@ -915,25 +915,22 @@ def run_scenario(
     scenario with one slowdown window prices exactly two configurations.
 
     The baseline for the tail metrics is ``price_round(base)`` -- the static
-    round time of the unperturbed cluster.
+    round time of the unperturbed cluster.  This is
+    :func:`~repro.simulator.recovery.run_recovered_scenario` under the empty
+    policy, with ``price_round`` wrapped by ``deadline_clamp``.
     """
-    if num_rounds < 1:
-        raise ValueError("num_rounds must be >= 1")
-    cache: dict[object, float] = {}
+    from repro.simulator.recovery import (
+        RecoveryPolicy,
+        deadline_clamp,
+        run_recovered_scenario,
+    )
 
-    def priced(cluster: "ClusterSpec") -> float:
-        key = cluster.cache_key()
-        if key not in cache:
-            cache[key] = price_round(cluster)
-        return cache[key]
-
-    baseline = priced(base)
-    round_seconds = tuple(
-        priced(scenario.cluster_at(base, index)) for index in range(num_rounds)
+    run = run_recovered_scenario(
+        base, scenario, RecoveryPolicy(), num_rounds, deadline_clamp(price_round)
     )
     return ScenarioRun(
         scenario=scenario,
-        round_seconds=round_seconds,
-        metrics=scenario_metrics(round_seconds, baseline),
-        distinct_clusters=len(cache),
+        round_seconds=run.round_seconds,
+        metrics=run.metrics,
+        distinct_clusters=run.distinct_clusters,
     )

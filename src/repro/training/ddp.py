@@ -24,17 +24,12 @@ from typing import Protocol
 import numpy as np
 
 from repro.collectives.api import CollectiveBackend
-from repro.compression.base import AggregationScheme, CostEstimate, SimContext
+from repro.compression.base import AggregationScheme, CostEstimate, SimContext, price_round
 from repro.compression.kernels import KernelBackend
 from repro.simulator.cluster import ClusterSpec, paper_testbed
 from repro.simulator.gpu import Precision
 from repro.simulator.kernel_cost import KernelCostModel
-from repro.simulator.pipeline import (
-    bucketed_schedule,
-    legacy_overlap_schedule,
-    serialized_schedule,
-    simulate_schedule,
-)
+from repro.simulator.pipeline import PipelineResult
 from repro.simulator.recovery import PolicyEngine, RecoveryPolicy, policy as as_policy
 from repro.simulator.scenario import Scenario, scenario as as_scenario
 from repro.training.adaptive import AdaptiveController, SwitchEvent
@@ -162,6 +157,16 @@ class TrainingHistory:
 class DDPTrainer:
     """Trains one model with one aggregation scheme on a simulated cluster.
 
+    Every run goes through one round loop: a
+    :class:`~repro.simulator.recovery.PolicyEngine` resolves each round's
+    effective cluster, charged time and contributing workers from the
+    run's scenario (no events when none is given) and recovery policy
+    (empty when none is given).  A static run is the scenario with no
+    events, and a scenario run is the empty policy, both bit-exactly; a
+    static run also keeps the closed-form clock ``round_index *
+    round_seconds``.  Rounds are priced once per distinct (scheme,
+    effective cluster, deadline) and memoized for the whole run.
+
     Args:
         model: The NumPy model being trained (shared by all workers).
         dataset: Synthetic dataset providing per-worker shards and a test set.
@@ -200,8 +205,7 @@ class DDPTrainer:
             elastic membership events (join/leave) change which workers
             contribute gradients: leave drops the highest ranks, join adds
             fresh workers (error-feedback residuals reset on membership
-            changes, as a real elastic job's would).  A scenario with no
-            events is bit-exact with a static run.
+            changes, as a real elastic job's would).
         policy: Optional fault-recovery policy
             (:class:`~repro.simulator.recovery.RecoveryPolicy` or a spec
             string like ``"timeout(k=3) + retry(max=2)"``) applied to the
@@ -210,8 +214,7 @@ class DDPTrainer:
             collective (their gradients do not contribute -- the explicit
             variance penalty of partial aggregation), and timed-out rounds
             re-apply the previous aggregate (stale) or skip the update.
-            Requires ``scenario``; an empty policy is bit-exact with the
-            plain scenario path.
+            Requires ``scenario``.
         controller: Optional online
             :class:`~repro.training.adaptive.AdaptiveController` that
             watches windowed round-time telemetry and switches the active
@@ -309,151 +312,53 @@ class DDPTrainer:
             rng=np.random.default_rng(seed),
             kernel_backend=KernelBackend.coerce(kernel_backend),
         )
-        self.workers = [
-            DDPWorker(
-                rank=rank,
-                shard=dataset.worker_shard(rank, self.cluster.world_size),
-                batch_size=workload.sim_batch_size,
-                seed=seed,
-            )
-            for rank in range(self.cluster.world_size)
-        ]
+        self.workers: list[DDPWorker] = []
+        self._active_workers(self.cluster.world_size)
 
         self._pricing = pricing_scheme or scheme
         self._compute_seconds = workload.compute_seconds_for(training_precision)
-        costs, self.round_pipeline = self._price_round_on(self.cluster, self._ctx)
+        # Priced rounds by (scheme spec, effective cluster, deadline): one memo
+        # for the recovery engine and the controller's consultations.
+        self._round_prices: dict[tuple, tuple[CostEstimate, PipelineResult]] = {}
+        self.round_cost_estimate, self.round_pipeline = self._priced_round(self.cluster)
         self.round_seconds = self.round_pipeline.makespan_seconds
-        self.round_cost_estimate = costs
-        # Per-round pricing and functional contexts under a dynamic scenario,
-        # memoized by effective-cluster identity / world size respectively.
-        self._round_price_cache: dict[object, float] = {
-            self.cluster.cache_key(): self.round_seconds
-        }
         self._ctx_by_world: dict[int, SimContext] = {self.cluster.world_size: self._ctx}
-        # Adaptive-mode caches: cost-only contexts per effective cluster and
-        # per-(candidate spec, cluster) round prices for the controller's
-        # cost-model consultations.
-        self._pricing_ctx_cache: dict[object, SimContext] = {}
-        self._candidate_price_cache: dict[tuple[str, object], float] = {}
 
     # ------------------------------------------------------------------ #
-    def _price_round_on(
+    def _priced_round(
         self,
         cluster: ClusterSpec,
-        ctx: SimContext,
-        *,
-        pricing: AggregationScheme | None = None,
         deadline_seconds: float | None = None,
-    ):
-        """Price one paper-scale round on ``cluster`` (schedule + simulate)."""
-        pricing = pricing if pricing is not None else self._pricing
-        if self.overlap_fraction is not None:
-            costs = pricing.estimate_costs(self.workload.paper_num_coordinates, ctx)
-            schedule = legacy_overlap_schedule(
+        spec: str | None = None,
+    ) -> tuple[CostEstimate, PipelineResult]:
+        """Scheme ``spec``'s paper-scale round (default: the active one), memoized."""
+        spec = self._active_spec if spec is None else spec
+        key = (spec, cluster.cache_key(), deadline_seconds)
+        priced = self._round_prices.get(key)
+        if priced is None:
+            priced = price_round(
+                self._pricing
+                if spec == self._active_spec
+                else self._candidate_schemes[spec][1],
+                self.workload.paper_num_coordinates,
                 self._compute_seconds,
-                costs.compression_seconds,
-                costs.communication_seconds,
+                self._ctx.for_cluster(cluster),
+                num_buckets=self.num_buckets,
                 overlap_fraction=self.overlap_fraction,
+                deadline_seconds=deadline_seconds,
             )
-        else:
-            bucket_costs = pricing.estimate_bucket_costs(
-                self.workload.paper_num_coordinates, self.num_buckets, ctx
-            )
-            costs = CostEstimate(
-                compression_seconds=sum(b.compression_seconds for b in bucket_costs),
-                communication_seconds=sum(b.communication_seconds for b in bucket_costs),
-                bits_per_coordinate=bucket_costs[0].bits_per_coordinate,
-            )
-            if len(bucket_costs) == 1:
-                schedule = serialized_schedule(
-                    self._compute_seconds,
-                    costs.compression_seconds,
-                    costs.communication_seconds,
-                )
-            else:
-                schedule = bucketed_schedule(
-                    self._compute_seconds,
-                    [
-                        (b.compression_seconds, b.communication_seconds)
-                        for b in bucket_costs
-                    ],
-                )
-        return costs, simulate_schedule(
-            schedule, cluster, deadline_seconds=deadline_seconds
-        )
-
-    def _round_seconds_for(self, effective: ClusterSpec) -> float:
-        """Round time on an effective cluster, memoized by its cache key."""
-        key = effective.cache_key()
-        cached = self._round_price_cache.get(key)
-        if cached is None:
-            # No scenario event changes the GPU model, so the base context's
-            # kernel cost model (custom factors included) is reused verbatim.
-            kernels = (
-                self._ctx.kernels
-                if effective.gpu == self.cluster.gpu
-                else KernelCostModel(gpu=effective.gpu)
-            )
-            ctx = SimContext(
-                backend=CollectiveBackend(effective),
-                kernels=kernels,
-                kernel_backend=self._ctx.kernel_backend,
-            )
-            cached = self._price_round_on(effective, ctx)[1].makespan_seconds
-            self._round_price_cache[key] = cached
-        return cached
-
-    def _pricing_ctx(self, effective: ClusterSpec) -> SimContext:
-        """A cost-only context for an effective cluster, memoized by key."""
-        key = effective.cache_key()
-        ctx = self._pricing_ctx_cache.get(key)
-        if ctx is None:
-            kernels = (
-                self._ctx.kernels
-                if effective.gpu == self.cluster.gpu
-                else KernelCostModel(gpu=effective.gpu)
-            )
-            ctx = SimContext(
-                backend=CollectiveBackend(effective),
-                kernels=kernels,
-                kernel_backend=self._ctx.kernel_backend,
-            )
-            self._pricing_ctx_cache[key] = ctx
-        return ctx
-
-    def _candidate_seconds(self, spec: str, effective: ClusterSpec) -> float:
-        """A candidate scheme's round time on ``effective`` (memoized)."""
-        key = (spec, effective.cache_key())
-        cached = self._candidate_price_cache.get(key)
-        if cached is None:
-            pricing = self._candidate_schemes[spec][1]
-            cached = self._price_round_on(
-                effective, self._pricing_ctx(effective), pricing=pricing
-            )[1].makespan_seconds
-            self._candidate_price_cache[key] = cached
-        return cached
-
-    def _nominal_seconds(self) -> float:
-        """The active scheme's round time on the unperturbed cluster."""
-        if self._active_spec is None:
-            return self.round_seconds
-        return self._candidate_seconds(self._active_spec, self.cluster)
-
-    def _engine_price(self, cluster: ClusterSpec, deadline: float | None):
-        """Recovery-engine pricing callback: (makespan, aborted-at-deadline)."""
-        result = self._price_round_on(
-            cluster, self._pricing_ctx(cluster), deadline_seconds=deadline
-        )[1]
-        return result.makespan_seconds, result.aborted
+            self._round_prices[key] = priced
+        return priced
 
     def _make_engine(self) -> PolicyEngine:
-        return PolicyEngine(
-            self.cluster,
-            self.scenario,
-            self.policy,
-            self._engine_price,
-            nominal_seconds=self._nominal_seconds(),
-        )
+        """A recovery engine over the run's scenario, pricing the active scheme."""
+
+        def price(cluster: ClusterSpec, deadline: float | None) -> tuple[float, bool]:
+            result = self._priced_round(cluster, deadline)[1]
+            return result.makespan_seconds, result.aborted
+
+        scenario = self.scenario if self.scenario is not None else Scenario()
+        return PolicyEngine(self.cluster, scenario, self.policy, price)
 
     def _switch_to(self, spec: str) -> None:
         """Activate a candidate scheme pair (fresh residual/compressor state)."""
@@ -462,39 +367,38 @@ class DDPTrainer:
         self._pricing = pricing
         self._active_spec = spec
 
-    def _functional_ctx(
-        self, effective: ClusterSpec, world_size: int | None = None
-    ) -> SimContext:
+    def _functional_ctx(self, effective: ClusterSpec, world_size: int) -> SimContext:
         """The aggregation context for an effective cluster's world size.
 
-        Only membership (world size) affects the functional math, so contexts
-        are cached per world size; all of them share the base context's rng
-        stream, keeping scheme randomness a single deterministic sequence.
-        Passing ``world_size`` smaller than the effective cluster's models a
-        partial aggregation (drop-straggler rounds contribute n - f
-        gradients without a membership change).
+        Contexts are cached per world size; all of them share the base
+        context's rng stream, keeping scheme randomness a single
+        deterministic sequence.  Passing ``world_size`` smaller than the
+        effective cluster's models a partial aggregation (drop-straggler
+        rounds contribute n - f gradients without a membership change).
+
+        Known gap: world size is not all the functional math depends on.  On
+        a cluster with an active fabric the collective folds hierarchically
+        by :meth:`~repro.simulator.cluster.ClusterSpec.rack_assignment`, but
+        a partial aggregation runs on a flat ``n - f`` worker cluster with
+        no fabric, so the survivors of a drop round on a multi-rack cluster
+        fold on a flat ring (and the per-size cache then serves that flat
+        context to any later round of the same world size).
         """
-        size = world_size if world_size is not None else effective.world_size
-        ctx = self._ctx_by_world.get(size)
+        ctx = self._ctx_by_world.get(world_size)
         if ctx is None:
             backend_cluster = (
                 effective
-                if effective.world_size == size
+                if effective.world_size == world_size
                 else ClusterSpec(
-                    num_nodes=size,
+                    num_nodes=world_size,
                     gpus_per_node=1,
                     gpu=self.cluster.gpu,
                     inter_node_nic=self.cluster.inter_node_nic,
                     intra_node_nic=self.cluster.intra_node_nic,
                 )
             )
-            ctx = SimContext(
-                backend=CollectiveBackend(backend_cluster),
-                kernels=self._ctx.kernels,
-                rng=self._ctx.rng,
-                kernel_backend=self._ctx.kernel_backend,
-            )
-            self._ctx_by_world[size] = ctx
+            ctx = self._ctx.for_cluster(backend_cluster, rng=self._ctx.rng)
+            self._ctx_by_world[world_size] = ctx
         return ctx
 
     def _active_workers(self, world_size: int) -> list[DDPWorker]:
@@ -532,10 +436,13 @@ class DDPTrainer:
         if num_rounds <= 0:
             raise ValueError("num_rounds must be positive")
 
-        dynamic = self.scenario is not None and not self.scenario.is_static
         adaptive = self.controller is not None
-        use_policy = dynamic and not self.policy.is_empty
-        engine = self._make_engine() if use_policy else None
+        # A static run keeps the historical closed-form clock (round_index *
+        # round_seconds), which keeps it bit-exact with the static simulator.
+        closed_form = not adaptive and (
+            self.scenario is None or self.scenario.is_static
+        )
+        engine = self._make_engine()
         history = TrainingHistory(
             workload_name=self.workload.name,
             scheme_name=self.scheme.name,
@@ -551,32 +458,15 @@ class DDPTrainer:
         last_aggregate: np.ndarray | None = None
         sim_time = 0.0
         for round_index in range(1, num_rounds + 1):
-            resolution = None
-            if engine is not None:
-                resolution = engine.resolve(
-                    round_index - 1, can_stale=last_aggregate is not None
-                )
-                effective = resolution.cluster
-                round_time = resolution.seconds
-                workers = self._active_workers(effective.world_size)
-                if resolution.excused_ranks:
-                    excused = set(resolution.excused_ranks)
-                    workers = [w for w in workers if w.rank not in excused]
-                ctx = self._functional_ctx(effective, world_size=len(workers))
-            elif dynamic:
-                effective = self.scenario.cluster_at(self.cluster, round_index - 1)
-                round_time = (
-                    self._candidate_seconds(self._active_spec, effective)
-                    if adaptive
-                    else self._round_seconds_for(effective)
-                )
-                ctx = self._functional_ctx(effective)
-                workers = self._active_workers(effective.world_size)
-            else:
-                effective = self.cluster
-                round_time = self._nominal_seconds() if adaptive else self.round_seconds
-                ctx = self._ctx
-                workers = self.workers
+            resolution = engine.resolve(
+                round_index - 1, can_stale=last_aggregate is not None
+            )
+            effective = resolution.cluster
+            workers = self._active_workers(effective.world_size)
+            if resolution.excused_ranks:
+                excused = set(resolution.excused_ranks)
+                workers = [w for w in workers if w.rank not in excused]
+            ctx = self._functional_ctx(effective, len(workers))
             losses = []
             gradients = []
             for worker in workers:
@@ -584,9 +474,9 @@ class DDPTrainer:
                 losses.append(loss)
                 gradients.append(gradient)
             history.train_losses.append(float(losses[0]))
-            history.round_times.append(round_time)
+            history.round_times.append(resolution.seconds)
 
-            if resolution is not None and resolution.timed_out:
+            if resolution.timed_out:
                 # The collective aborted at the deadline: either re-apply the
                 # previous round's aggregate (stale) or skip the update.
                 if resolution.stale and last_aggregate is not None:
@@ -598,35 +488,32 @@ class DDPTrainer:
                 params = self.optimizer.step(params, result.mean_estimate)
                 self.model.set_flat_params(params)
 
-            # The static accumulation stays the historical closed form
-            # (round_index * round_seconds) so static runs are bit-exact.
             sim_time = (
-                sim_time + round_time
-                if dynamic or adaptive
-                else round_index * self.round_seconds
+                round_index * self.round_seconds
+                if closed_form
+                else sim_time + resolution.seconds
             )
             if adaptive:
                 chosen = self.controller.observe(
                     round_index,
                     self._active_spec,
-                    round_time,
-                    self._nominal_seconds(),
-                    lambda spec: self._candidate_seconds(spec, effective),
+                    resolution.seconds,
+                    engine.nominal_seconds,
+                    lambda spec: self._priced_round(effective, spec=spec)[1].makespan_seconds,
                 )
                 if chosen != self._active_spec:
                     self._switch_to(chosen)
+                    # The deadline and nominal round are scheme-specific; the
+                    # recovery counters belong to the run.
+                    successor = self._make_engine()
+                    successor.adopt_state(engine)
+                    engine = successor
                     # Re-bucketing and residual warmup are not free: charge
                     # the controller's switch cost to the simulated clock.
-                    sim_time += (
-                        self.controller.switch_cost_rounds * self._nominal_seconds()
-                    )
+                    sim_time += self.controller.switch_cost_rounds * engine.nominal_seconds
                     # The old scheme's aggregate is not a valid stale update
                     # for the new one (different compression error profile).
                     last_aggregate = None
-                    if engine is not None:
-                        successor = self._make_engine()
-                        successor.adopt_state(engine)
-                        engine = successor
             if round_index % self.eval_every == 0 or round_index == num_rounds:
                 record = self._evaluate(round_index, sim_time)
                 history.evaluations.append(record)
@@ -634,11 +521,10 @@ class DDPTrainer:
                     record.metrics[self.workload.metric]
                 ):
                     break
-        if engine is not None:
-            history.timed_out_rounds = engine.timed_out_rounds
-            history.retries = engine.retries
-            history.dropped_worker_rounds = engine.dropped_worker_rounds
-            history.stale_rounds = engine.stale_rounds
+        history.timed_out_rounds = engine.timed_out_rounds
+        history.retries = engine.retries
+        history.dropped_worker_rounds = engine.dropped_worker_rounds
+        history.stale_rounds = engine.stale_rounds
         if adaptive:
             history.scheme_switches = list(self.controller.switches)
         return history

@@ -325,6 +325,28 @@ class TestTrainerScenarioBehaviour:
         baseline = metrics.baseline_round_seconds
         assert metrics.max_round_seconds > 5 * baseline
 
+    def test_context_for_an_effective_cluster_keeps_kernels_on_the_same_gpu(self):
+        import dataclasses
+
+        from repro.collectives.api import CollectiveBackend
+        from repro.compression.base import SimContext
+        from repro.simulator.kernel_cost import KernelCostModel
+
+        base = paper_testbed()
+        kernels = KernelCostModel(gpu=base.gpu, topk_selection_factor=300.0)
+        ctx = SimContext(
+            backend=CollectiveBackend(base), kernels=kernels, kernel_backend="legacy"
+        )
+        perturbed = scenario("slowdown(w=1, x=8)").cluster_at(base, 0)
+        moved = ctx.for_cluster(perturbed)
+        assert moved.backend.cluster is perturbed
+        assert moved.kernels is kernels
+        assert moved.kernel_backend is ctx.kernel_backend
+        other_gpu = dataclasses.replace(base, gpu=dataclasses.replace(base.gpu, name="other"))
+        rebuilt = ctx.for_cluster(other_gpu)
+        assert rebuilt.kernels is not kernels
+        assert rebuilt.kernels.gpu == other_gpu.gpu
+
     def test_elastic_membership_changes_worker_count(self):
         session = ExperimentSession(seed=0)
         result = session.tta(

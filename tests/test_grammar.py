@@ -145,3 +145,10 @@ def test_non_finite_literal_is_pointed_at(parse, text, expected):
         parse(text)
     assert excinfo.value.position == text.index("1e999")
     assert "1e999" in excinfo.value.reason
+
+
+def test_negative_zero_prints_as_a_fixpoint():
+    scheme = make_scheme("ef(baseline(p=fp16), decay=0)")
+    scheme.decay = -0.0
+    assert scheme.spec() == "ef(baseline(p=fp16), decay=0)"
+    assert make_scheme(scheme.spec()).spec() == scheme.spec()
