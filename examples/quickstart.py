@@ -33,13 +33,16 @@ def step_1_single_round(session: ExperimentSession) -> None:
     generator = SyntheticGradientModel(num_coordinates=1 << 16, seed=7)
     gradients = generator.next_round(session.cluster.world_size)
     true_mean = generator.true_mean(gradients)
+    d = generator.num_coordinates
 
     for spec in SPECS:
+        # aggregate computes the round's values; estimate_costs prices it.
         result = session.aggregate(spec, gradients)
+        cost = session.scheme(spec).estimate_costs(d, session.context())
         print(
             f"  {spec:32s} b={result.bits_per_coordinate:6.2f}  "
             f"vNMSE={vnmse(result.mean_estimate, true_mean):.4f}  "
-            f"comm={result.communication_seconds * 1e3:6.3f} ms"
+            f"comm={cost.communication_seconds * 1e3:6.3f} ms"
         )
 
 

@@ -7,7 +7,7 @@ Two pieces redesigned around the paper's methodology:
   parameterized, round-trippable string such as ``"thc(q=4, rot=partial,
   agg=sat)"`` or ``"ef(topk(b=2))"``;
 * the **experiment session** (:class:`ExperimentSession`), which bundles
-  cluster, kernel models, seeds, and timeline, and exposes every measurement
+  cluster, kernel models and seeds, and exposes every measurement
   the paper uses -- ``aggregate``, ``throughput``, ``vnmse``, ``tta`` -- plus
   a concurrent, memoizing :meth:`~ExperimentSession.sweep` over
   spec x workload x cluster grids.

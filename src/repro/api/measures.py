@@ -27,7 +27,6 @@ from repro.simulator.recovery import (
     run_recovered_scenario,
 )
 from repro.simulator.scenario import Scenario, ScenarioMetrics, scenario as as_scenario
-from repro.simulator.timeline import RoundTimeline
 from repro.training.gradients import SyntheticGradientModel
 from repro.training.workloads import WorkloadSpec
 
@@ -36,7 +35,6 @@ def paper_context(
     cluster: ClusterSpec | None = None,
     *,
     seed: int = 0,
-    timeline: RoundTimeline | None = None,
     kernel_backend: "KernelBackend | str" = None,
 ) -> SimContext:
     """A simulation context on the paper's testbed (or a custom cluster).
@@ -49,7 +47,6 @@ def paper_context(
         backend=CollectiveBackend(cluster),
         kernels=KernelCostModel(gpu=cluster.gpu),
         rng=np.random.default_rng(seed),
-        timeline=timeline,
         kernel_backend=(
             KernelBackend.BATCHED if kernel_backend is None else kernel_backend
         ),
@@ -119,7 +116,6 @@ def estimate_throughput(
     training_precision: Precision = Precision.TF32,
     ctx: SimContext | None = None,
     num_buckets: int = 1,
-    overlap_fraction: float | None = None,
     scenario: "Scenario | str | None" = None,
     num_rounds: int | None = None,
     policy: "RecoveryPolicy | str | None" = None,
@@ -131,9 +127,7 @@ def estimate_throughput(
     * ``num_buckets=1`` (default) serializes compute, compression, and
       communication -- the historical fully exposed round;
     * ``num_buckets>1`` splits the gradient into buckets whose collectives
-      interleave with the backward pass and with later buckets' compression;
-    * ``overlap_fraction`` (deprecated) prices the round through the legacy
-      two-stage scalar shim instead; it cannot be combined with bucketing.
+      interleave with the backward pass and with later buckets' compression.
 
     Heterogeneous clusters (worker straggler slowdowns, mixed NIC tiers) are
     priced exactly: the schedule runs on the cluster's worker profiles.
@@ -160,8 +154,6 @@ def estimate_throughput(
     """
     if num_buckets < 1:
         raise ValueError("num_buckets must be >= 1")
-    if overlap_fraction is not None and num_buckets > 1:
-        raise ValueError("overlap_fraction is a legacy shim; use num_buckets without it")
     if num_rounds is not None and scenario is None:
         raise ValueError("num_rounds only applies to scenario runs; pass scenario=")
     policy_obj = as_policy(policy)
@@ -182,7 +174,6 @@ def estimate_throughput(
             compute_seconds,
             effective_ctx,
             num_buckets=num_buckets,
-            overlap_fraction=overlap_fraction,
             deadline_seconds=deadline_seconds,
         )
 
@@ -221,7 +212,7 @@ def estimate_throughput(
         rounds_per_second=rounds_per_second,
         round_seconds=round_seconds,
         cost=cost,
-        num_buckets=1 if overlap_fraction is not None else len(result.traces),
+        num_buckets=len(result.traces),
         pipeline=result,
         scenario=scenario_obj.spec() if scenario_obj is not None else None,
         scenario_metrics=metrics,

@@ -1,8 +1,8 @@
 """The unified experiment session: one object, every measurement.
 
 :class:`ExperimentSession` bundles what every experiment needs -- a cluster,
-its kernel cost model, a seed policy, and a session timeline -- and exposes
-the paper's measurements as methods:
+its kernel cost model and a seed policy -- and exposes the paper's
+measurements as methods:
 
 * :meth:`~ExperimentSession.aggregate` -- one functional aggregation round;
 * :meth:`~ExperimentSession.throughput` -- paper-scale round pricing;
@@ -58,7 +58,6 @@ from repro.simulator.gpu import Precision
 from repro.simulator.kernel_cost import KernelCostModel
 from repro.simulator.recovery import RecoveryPolicy
 from repro.simulator.scenario import Scenario, scenario as as_scenario
-from repro.simulator.timeline import RoundTimeline
 from repro.topology.fabric import FabricSpec
 from repro.training.workloads import WorkloadSpec
 
@@ -96,7 +95,6 @@ def _run_sweep_task(task: _SweepTask) -> tuple[float, object]:
         cluster=task.base_cluster,
         seed=task.seed,
         backend=task.backend,
-        record_timeline=False,
         executor="serial",
     )
     return session._evaluate_metric(
@@ -110,7 +108,7 @@ def _run_sweep_task(task: _SweepTask) -> tuple[float, object]:
 
 
 class ExperimentSession:
-    """Cluster, kernels, rng policy, and timeline in one experiment façade.
+    """Cluster, kernels and rng policy in one experiment façade.
 
     Args:
         cluster: Simulated cluster; defaults to the paper's 2x2 testbed.
@@ -122,8 +120,9 @@ class ExperimentSession:
         max_workers: Worker count for :meth:`sweep` (threads or processes);
             defaults to the number of grid points capped at 8 for threads and
             at the available CPUs for processes.
-        record_timeline: Keep a session-level :class:`RoundTimeline` that
-            :meth:`aggregate` records kernel/collective time on.
+        record_timeline: Accepted only as ``False``, for old callers.
+            Sessions record no time: a round's simulated seconds come from
+            ``scheme.estimate_costs(d, session.context())``.
         backend: Kernel backend every measurement of this session runs --
             ``"batched"`` (default; fused vectorized kernels over the stacked
             worker matrix) or ``"legacy"`` (the per-worker float64 reference
@@ -139,16 +138,21 @@ class ExperimentSession:
         *,
         seed: int = 0,
         max_workers: int | None = None,
-        record_timeline: bool = True,
+        record_timeline: bool = False,
         backend: KernelBackend | str = KernelBackend.BATCHED,
         executor: str = "auto",
     ):
+        if record_timeline is not False:
+            raise ValueError(
+                f"record_timeline={record_timeline!r} is not supported: sessions "
+                "record no time; price a round with "
+                "scheme.estimate_costs(d, session.context())"
+            )
         self.cluster = cluster or paper_testbed()
         self.seed = seed
         self.backend = KernelBackend.coerce(backend)
         self.executor = validate_executor(executor)
         self.kernels = KernelCostModel(gpu=self.cluster.gpu)
-        self.timeline: RoundTimeline | None = RoundTimeline() if record_timeline else None
         self.max_workers = max_workers
         self._memo: dict[tuple, SweepPoint] = {}
         self._memo_lock = threading.Lock()
@@ -178,7 +182,6 @@ class ExperimentSession:
         *,
         seed: int | None = None,
         cluster: ClusterSpec | None = None,
-        timeline: RoundTimeline | None = None,
     ) -> SimContext:
         """A fresh simulation context on the session's (or a given) cluster."""
         cluster = cluster or self.cluster
@@ -186,7 +189,6 @@ class ExperimentSession:
             backend=CollectiveBackend(cluster),
             kernels=self.kernels if cluster is self.cluster else KernelCostModel(gpu=cluster.gpu),
             rng=np.random.default_rng(self.seed if seed is None else seed),
-            timeline=timeline,
             kernel_backend=self.backend,
         )
 
@@ -203,10 +205,10 @@ class ExperimentSession:
     ) -> AggregationResult:
         """Aggregate one round of per-worker gradients with a scheme.
 
-        Records compression/communication time on the session timeline.
+        Returns values only; ``scheme.estimate_costs`` prices the round.
         """
         scheme = self.scheme(spec, error_feedback=error_feedback)
-        ctx = self.context(seed=seed, timeline=self.timeline)
+        ctx = self.context(seed=seed)
         return scheme.aggregate(worker_gradients, ctx)
 
     def throughput(
@@ -218,7 +220,6 @@ class ExperimentSession:
         cluster: ClusterSpec | None = None,
         error_feedback: bool = False,
         num_buckets: int = 1,
-        overlap_fraction: float | None = None,
         scenario: Scenario | str | None = None,
         num_rounds: int | None = None,
         policy: "RecoveryPolicy | str | None" = None,
@@ -226,11 +227,11 @@ class ExperimentSession:
         """Price one training round of a scheme on a workload at paper scale.
 
         ``num_buckets > 1`` prices the round through the bucketed pipeline
-        simulator (per-bucket collectives interleaved with backward compute);
-        ``overlap_fraction`` is the deprecated scalar shim.  ``scenario``
-        (a :class:`~repro.simulator.scenario.Scenario` or spec string such as
-        ``"flap(rack=1)@20..25 + churn(p=0.05)"``) prices a ``num_rounds``
-        run under dynamic events and attaches per-scenario tail metrics.
+        simulator (per-bucket collectives interleaved with backward compute).
+        ``scenario`` (a :class:`~repro.simulator.scenario.Scenario` or spec
+        string such as ``"flap(rack=1)@20..25 + churn(p=0.05)"``) prices a
+        ``num_rounds`` run under dynamic events and attaches per-scenario
+        tail metrics.
         ``policy`` (a :class:`~repro.simulator.recovery.RecoveryPolicy` or
         spec string such as ``"timeout(k=3) + drop(max_workers=1)"``) makes
         the scenario run recover from its faults; the empty policy is
@@ -243,7 +244,6 @@ class ExperimentSession:
             training_precision=training_precision,
             ctx=self.context(cluster=cluster),
             num_buckets=num_buckets,
-            overlap_fraction=overlap_fraction,
             scenario=scenario,
             num_rounds=num_rounds,
             policy=policy,

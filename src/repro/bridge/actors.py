@@ -80,7 +80,8 @@ class TransportBackend(CollectiveBackend):
     :class:`~repro.compression.base.SimContext`: the functional result comes
     from the :class:`AggregationServer` at the other end of ``endpoint``,
     while the priced :class:`CollectiveCost` is computed by the same cost
-    model the simulator uses, so ``ctx.add_time`` keeps working.
+    model the simulator uses, as the :class:`CollectiveBackend` contract
+    requires.
     """
 
     def __init__(
@@ -393,8 +394,6 @@ class GradientWorker:
                     "uplink_bytes": backend.uplink_bytes - bytes_before,
                     "collective_calls": len(backend.calls) - calls_before,
                     "bits_per_coordinate": result.bits_per_coordinate,
-                    "communication_seconds": result.communication_seconds,
-                    "compression_seconds": result.compression_seconds,
                     "wall_seconds": wall_seconds,
                 }
             )
@@ -415,8 +414,6 @@ class HarnessRound:
     per_worker_bytes: tuple[int, ...]
     collective_calls: int
     bits_per_coordinate: float
-    communication_seconds: float
-    compression_seconds: float
     wall_seconds: float
 
 
@@ -482,8 +479,6 @@ def _merge_results(
                 per_worker_bytes=tuple(entry["uplink_bytes"] for entry in per_worker),
                 collective_calls=per_worker[0]["collective_calls"],
                 bits_per_coordinate=per_worker[0]["bits_per_coordinate"],
-                communication_seconds=per_worker[0]["communication_seconds"],
-                compression_seconds=per_worker[0]["compression_seconds"],
                 wall_seconds=max(entry["wall_seconds"] for entry in per_worker),
             )
         )

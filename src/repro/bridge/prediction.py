@@ -11,9 +11,10 @@ bit; the validation family and ``tests/bridge`` enforce it.
 The simulated run uses the legacy kernel backend: that is the per-worker
 reference path whose collective calls carry real per-worker payloads, i.e.
 the same protocol the harness distributes.  (The batched backend computes
-identical results and identical pricing -- held by
-``tests/property/test_backend_equivalence.py`` -- but fuses the workers into
-one matrix, so it has no per-worker wire traffic to record.)
+identical results -- held by ``tests/property/test_backend_equivalence.py``
+-- but fuses the workers into one matrix, so it has no per-worker wire
+traffic to record.)  The run's simulated seconds come from the scheme's
+``estimate_costs``, the one cost ledger, not from the aggregation.
 """
 
 from __future__ import annotations
@@ -133,16 +134,19 @@ class SimulatedRound:
     per_worker_bits: tuple[int, ...]
     collective_calls: int
     bits_per_coordinate: float
-    communication_seconds: float
-    compression_seconds: float
 
 
 @dataclass(frozen=True)
 class SimulatedRun:
-    """A monolithic simulated pass over a trace, with traffic accounting."""
+    """A monolithic simulated pass over a trace, with traffic accounting.
+
+    ``total_seconds`` is the run's simulated time, priced by the one cost
+    ledger: the number of rounds times the scheme's ``estimate_costs``.
+    """
 
     spec: str
     rounds: tuple[SimulatedRound, ...] = field(default_factory=tuple)
+    total_seconds: float = 0.0
 
     @property
     def mean_vnmse(self) -> float:
@@ -151,15 +155,6 @@ class SimulatedRun:
     @property
     def total_bits(self) -> int:
         return sum(sum(round_.per_worker_bits) for round_ in self.rounds)
-
-    @property
-    def total_seconds(self) -> float:
-        return float(
-            sum(
-                round_.communication_seconds + round_.compression_seconds
-                for round_ in self.rounds
-            )
-        )
 
 
 def simulate_trace(
@@ -209,8 +204,11 @@ def simulate_trace(
                 per_worker_bits=per_worker,
                 collective_calls=len(step_calls),
                 bits_per_coordinate=result.bits_per_coordinate,
-                communication_seconds=result.communication_seconds,
-                compression_seconds=result.compression_seconds,
             )
         )
-    return SimulatedRun(spec=spec, rounds=tuple(rounds))
+    priced = scheme.estimate_costs(trace.num_coordinates, ctx)
+    return SimulatedRun(
+        spec=spec,
+        rounds=tuple(rounds),
+        total_seconds=len(rounds) * priced.total_seconds,
+    )

@@ -9,12 +9,12 @@ all-reduces -- and the protocol determines both the error and the cost.
 
 :class:`AggregationScheme` is that protocol abstraction.  Each scheme:
 
-* aggregates the per-worker gradients functionally (NumPy in, NumPy out);
-* records the simulated time of its compression kernels and collective calls
-  on the :class:`~repro.simulator.RoundTimeline` inside the
-  :class:`SimContext`;
-* reports the bits per coordinate ``b`` it put on the wire, the paper's
-  communication-volume metric.
+* aggregates the per-worker gradients functionally (NumPy in, NumPy out)
+  and reports the bits per coordinate ``b`` it put on the wire, the paper's
+  communication-volume metric;
+* prices a round analytically in :meth:`~AggregationScheme.estimate_costs`,
+  the one place simulated seconds come from (:func:`price_round` schedules
+  those estimates; ``aggregate`` computes values only).
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ import numpy as np
 from repro.collectives.api import CollectiveBackend
 from repro.compression.kernels import KernelBackend, RoundWorkspace
 from repro.simulator.kernel_cost import KernelCostModel
-from repro.simulator.timeline import RoundTimeline
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.simulator.cluster import ClusterSpec
@@ -43,14 +42,12 @@ class SimContext:
         backend: The collective communication backend (functional + priced).
         kernels: Per-kernel GPU cost model used to price compression work.
         rng: Source of randomness (stochastic rounding, rotation seeds...).
-        timeline: Optional per-round timeline; when present, schemes record
-            their compression/communication time on it.
         kernel_backend: Which compression hot path to run --
             :attr:`~repro.compression.kernels.KernelBackend.BATCHED` (default,
             one fused float32 pass over the stacked worker matrix) or
             :attr:`~repro.compression.kernels.KernelBackend.LEGACY` (the
-            original per-worker float64 reference loops).  Both paths price
-            rounds identically.
+            original per-worker float64 reference loops).  Pricing does not
+            depend on it.
         workspace: Preallocated scratch buffers reused across rounds by the
             batched kernels; a long-lived context (e.g. inside
             :class:`~repro.training.ddp.DDPTrainer`) allocates nothing on the
@@ -60,7 +57,6 @@ class SimContext:
     backend: CollectiveBackend
     kernels: KernelCostModel = field(default_factory=KernelCostModel)
     rng: np.random.Generator = field(default_factory=lambda: np.random.default_rng(0))
-    timeline: RoundTimeline | None = None
     kernel_backend: KernelBackend = KernelBackend.BATCHED
     workspace: RoundWorkspace = field(default_factory=RoundWorkspace)
 
@@ -76,11 +72,6 @@ class SimContext:
     def batched(self) -> bool:
         """Whether schemes should run their batched (vectorized) kernels."""
         return self.kernel_backend is KernelBackend.BATCHED
-
-    def add_time(self, phase: str, label: str, seconds: float) -> None:
-        """Record simulated time if a timeline is attached (no-op otherwise)."""
-        if self.timeline is not None:
-            self.timeline.add(phase, label, seconds)
 
     def for_cluster(
         self, cluster: ClusterSpec, *, rng: np.random.Generator | None = None
@@ -106,7 +97,10 @@ class SimContext:
 
 @dataclass(frozen=True)
 class AggregationResult:
-    """What one aggregation round produced.
+    """What one aggregation round produced: values, not seconds.
+
+    The round's simulated time is priced by
+    :meth:`AggregationScheme.estimate_costs`.
 
     Attributes:
         mean_estimate: The scheme's estimate of the mean of the worker
@@ -121,22 +115,15 @@ class AggregationResult:
             does not apply.  The batched backend may return a
             :class:`~repro.compression.kernels.LazyTransmitted` sequence that
             defers the per-worker decompression until first access.
-        communication_seconds: Simulated time of all collective calls.
-        compression_seconds: Simulated time of all compression and
-            decompression kernels (one worker's critical path).
     """
 
     mean_estimate: np.ndarray
     bits_per_coordinate: float
     per_worker_transmitted: Sequence[np.ndarray] | None = None
-    communication_seconds: float = 0.0
-    compression_seconds: float = 0.0
 
     def __post_init__(self) -> None:
         if self.bits_per_coordinate < 0:
             raise ValueError("bits_per_coordinate must be non-negative")
-        if self.communication_seconds < 0 or self.compression_seconds < 0:
-            raise ValueError("times must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -177,49 +164,37 @@ def price_round(
     ctx: SimContext,
     *,
     num_buckets: int = 1,
-    overlap_fraction: float | None = None,
     deadline_seconds: float | None = None,
 ) -> tuple[CostEstimate, PipelineResult]:
     """Price one training round of ``scheme`` on ``ctx``'s cluster.
 
     One bucket serializes compute, compression and communication; more
     buckets pipeline their collectives with the backward pass
-    (:mod:`repro.simulator.pipeline`); ``overlap_fraction`` selects the
-    deprecated two-stage shim.  A round running past ``deadline_seconds``
-    is aborted there.  Returns the cost breakdown (summed over buckets) and
-    the simulated schedule.
+    (:mod:`repro.simulator.pipeline`).  A round running past
+    ``deadline_seconds`` is aborted there.  Returns the cost breakdown
+    (summed over buckets) and the simulated schedule.
     """
     from repro.simulator.pipeline import (
         bucketed_schedule,
-        legacy_overlap_schedule,
         serialized_schedule,
         simulate_schedule,
     )
 
-    if overlap_fraction is not None:
-        costs = scheme.estimate_costs(num_coordinates, ctx)
-        schedule = legacy_overlap_schedule(
-            compute_seconds,
-            costs.compression_seconds,
-            costs.communication_seconds,
-            overlap_fraction=overlap_fraction,
+    bucket_costs = scheme.estimate_bucket_costs(num_coordinates, num_buckets, ctx)
+    costs = CostEstimate(
+        compression_seconds=sum(b.compression_seconds for b in bucket_costs),
+        communication_seconds=sum(b.communication_seconds for b in bucket_costs),
+        bits_per_coordinate=bucket_costs[0].bits_per_coordinate,
+    )
+    if len(bucket_costs) == 1:
+        schedule = serialized_schedule(
+            compute_seconds, costs.compression_seconds, costs.communication_seconds
         )
     else:
-        bucket_costs = scheme.estimate_bucket_costs(num_coordinates, num_buckets, ctx)
-        costs = CostEstimate(
-            compression_seconds=sum(b.compression_seconds for b in bucket_costs),
-            communication_seconds=sum(b.communication_seconds for b in bucket_costs),
-            bits_per_coordinate=bucket_costs[0].bits_per_coordinate,
+        schedule = bucketed_schedule(
+            compute_seconds,
+            [(b.compression_seconds, b.communication_seconds) for b in bucket_costs],
         )
-        if len(bucket_costs) == 1:
-            schedule = serialized_schedule(
-                compute_seconds, costs.compression_seconds, costs.communication_seconds
-            )
-        else:
-            schedule = bucketed_schedule(
-                compute_seconds,
-                [(b.compression_seconds, b.communication_seconds) for b in bucket_costs],
-            )
     return costs, simulate_schedule(
         schedule, ctx.backend.cluster, deadline_seconds=deadline_seconds
     )

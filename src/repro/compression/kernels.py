@@ -1,6 +1,6 @@
 """Batched kernel primitives: the vectorized backend of the hot path.
 
-Every aggregation scheme prices and *executes* its compression math twice:
+Every aggregation scheme *executes* its compression math twice:
 
 * the **legacy** per-worker reference path -- one float64 NumPy pass per
   worker, bit-faithful to the original implementation and kept as the
@@ -41,8 +41,8 @@ class KernelBackend(enum.Enum):
 
     ``BATCHED`` (the default) stacks all workers into one matrix and runs
     fused float32 kernels; ``LEGACY`` keeps the original per-worker float64
-    loops as a reference oracle.  Both paths price rounds identically and
-    agree functionally to tight tolerance (see
+    loops as a reference oracle.  Both paths agree functionally to tight
+    tolerance (see
     ``tests/property/test_backend_equivalence.py``).
     """
 

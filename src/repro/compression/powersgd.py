@@ -33,11 +33,6 @@ from repro.compression.base import (
     SimContext,
 )
 from repro.compression.spec import Param, register
-from repro.simulator.timeline import (
-    PHASE_COMMUNICATION,
-    PHASE_COMPRESSION,
-    PHASE_DECOMPRESSION,
-)
 
 
 def default_layer_shapes(num_coordinates: int) -> list[tuple[int, int]]:
@@ -287,8 +282,6 @@ class PowerSGDCompressor(AggregationScheme):
         shapes = self._shapes_for(d)
         covered = sum(rows * cols for rows, cols in shapes)
 
-        compression_seconds = 0.0
-        communication_seconds = 0.0
         mean_estimate = np.zeros(d, dtype=np.float32)
 
         offset = 0
@@ -312,7 +305,6 @@ class PowerSGDCompressor(AggregationScheme):
                 wire_bits_per_value=float(self.factor_bits),
                 op=MeanOp(),
             )
-            communication_seconds += p_reduce.cost.seconds
             p_mean = np.asarray(p_reduce.aggregate).reshape(rows, self.rank)
 
             # Step 2: orthogonalize P.
@@ -325,7 +317,6 @@ class PowerSGDCompressor(AggregationScheme):
                 wire_bits_per_value=float(self.factor_bits),
                 op=MeanOp(),
             )
-            communication_seconds += q_reduce.cost.seconds
             q_mean = np.asarray(q_reduce.aggregate).reshape(cols, self.rank)
 
             if self.warm_start:
@@ -335,22 +326,7 @@ class PowerSGDCompressor(AggregationScheme):
             approx = (p_hat @ q_mean.T).reshape(-1)[:segment]
             mean_estimate[offset : offset + approx.size] = approx.astype(np.float32)
 
-            # Kernel costs: the two matmuls + orthogonalization.
-            layer_compute = ctx.kernels.powersgd_time(size, self.rank, rows=rows)
-            ortho_only = ctx.kernels.orthogonalization_time(size, self.rank, rows=rows)
-            compression_seconds += layer_compute
-            ctx.add_time(
-                PHASE_COMPRESSION, f"{self.name}:layer{layer_index}:matmuls",
-                layer_compute - ortho_only,
-            )
-            ctx.add_time(
-                PHASE_COMPRESSION, f"{self.name}:layer{layer_index}:orthogonalize", ortho_only
-            )
             offset += size
-
-        ctx.add_time(
-            PHASE_COMMUNICATION, f"{self.name}:factor_allreduce", communication_seconds
-        )
 
         # Uncompressed tail (coordinates not covered by any layer matrix).
         tail = d - covered
@@ -363,22 +339,12 @@ class PowerSGDCompressor(AggregationScheme):
             tail_reduce = ctx.backend.allreduce_matrix(
                 tail_matrix, wire_bits_per_value=16.0, op=MeanOp()
             )
-            communication_seconds += tail_reduce.cost.seconds
-            ctx.add_time(
-                PHASE_COMMUNICATION, f"{self.name}:tail_allreduce", tail_reduce.cost.seconds
-            )
             mean_estimate[covered:] = np.asarray(tail_reduce.aggregate, dtype=np.float32)
-
-        reconstruct_seconds = ctx.kernels.elementwise_sum_time(d)
-        ctx.add_time(PHASE_DECOMPRESSION, f"{self.name}:reconstruct", reconstruct_seconds)
-        compression_seconds += reconstruct_seconds
 
         return AggregationResult(
             mean_estimate=mean_estimate,
             bits_per_coordinate=self.expected_bits_per_coordinate(d, ctx.world_size),
             per_worker_transmitted=[np.array(mean_estimate, copy=True) for _ in range(n)],
-            communication_seconds=communication_seconds,
-            compression_seconds=compression_seconds,
         )
 
     def _aggregate_legacy(
@@ -387,8 +353,6 @@ class PowerSGDCompressor(AggregationScheme):
         shapes = self._shapes_for(d)
         covered = sum(rows * cols for rows, cols in shapes)
 
-        compression_seconds = 0.0
-        communication_seconds = 0.0
         mean_estimate = np.zeros(d, dtype=np.float32)
 
         offset = 0
@@ -409,7 +373,6 @@ class PowerSGDCompressor(AggregationScheme):
             p_reduce = ctx.backend.allreduce(
                 p_flat, wire_bits_per_value=float(self.factor_bits), op=MeanOp()
             )
-            communication_seconds += p_reduce.cost.seconds
             p_mean = np.asarray(p_reduce.aggregate).reshape(rows, self.rank)
 
             # Step 2: orthogonalize P.
@@ -421,7 +384,6 @@ class PowerSGDCompressor(AggregationScheme):
             q_reduce = ctx.backend.allreduce(
                 q_flat, wire_bits_per_value=float(self.factor_bits), op=MeanOp()
             )
-            communication_seconds += q_reduce.cost.seconds
             q_mean = np.asarray(q_reduce.aggregate).reshape(cols, self.rank)
 
             if self.warm_start:
@@ -431,22 +393,7 @@ class PowerSGDCompressor(AggregationScheme):
             approx = (p_hat @ q_mean.T).reshape(-1)[: min(size, d - offset)]
             mean_estimate[offset : offset + approx.size] = approx.astype(np.float32)
 
-            # Kernel costs: the two matmuls + orthogonalization.
-            layer_compute = ctx.kernels.powersgd_time(size, self.rank, rows=rows)
-            ortho_only = ctx.kernels.orthogonalization_time(size, self.rank, rows=rows)
-            compression_seconds += layer_compute
-            ctx.add_time(
-                PHASE_COMPRESSION, f"{self.name}:layer{layer_index}:matmuls",
-                layer_compute - ortho_only,
-            )
-            ctx.add_time(
-                PHASE_COMPRESSION, f"{self.name}:layer{layer_index}:orthogonalize", ortho_only
-            )
             offset += size
-
-        ctx.add_time(
-            PHASE_COMMUNICATION, f"{self.name}:factor_allreduce", communication_seconds
-        )
 
         # Uncompressed tail (coordinates not covered by any layer matrix).
         tail = d - covered
@@ -457,20 +404,10 @@ class PowerSGDCompressor(AggregationScheme):
             tail_reduce = ctx.backend.allreduce(
                 tail_vectors, wire_bits_per_value=16.0, op=MeanOp()
             )
-            communication_seconds += tail_reduce.cost.seconds
-            ctx.add_time(
-                PHASE_COMMUNICATION, f"{self.name}:tail_allreduce", tail_reduce.cost.seconds
-            )
             mean_estimate[covered:] = np.asarray(tail_reduce.aggregate, dtype=np.float32)
-
-        reconstruct_seconds = ctx.kernels.elementwise_sum_time(d)
-        ctx.add_time(PHASE_DECOMPRESSION, f"{self.name}:reconstruct", reconstruct_seconds)
-        compression_seconds += reconstruct_seconds
 
         return AggregationResult(
             mean_estimate=mean_estimate,
             bits_per_coordinate=self.expected_bits_per_coordinate(d, ctx.world_size),
             per_worker_transmitted=[np.array(mean_estimate, copy=True) for _ in worker_gradients],
-            communication_seconds=communication_seconds,
-            compression_seconds=compression_seconds,
         )

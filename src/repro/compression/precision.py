@@ -20,7 +20,6 @@ from repro.compression.base import (
 )
 from repro.compression.spec import Param, register
 from repro.simulator.gpu import Precision
-from repro.simulator.timeline import PHASE_COMMUNICATION, PHASE_COMPRESSION
 
 
 @register(
@@ -101,10 +100,6 @@ class PrecisionBaseline(AggregationScheme):
         self._gather_rows(rows, wire)
         if self.wire_precision is Precision.FP16:
             np.copyto(wire, wire.astype(np.float16), casting="unsafe")
-            cast_seconds = ctx.kernels.cast_time(d, 32, 16) + ctx.kernels.cast_time(d, 16, 32)
-        else:
-            cast_seconds = 0.0
-        ctx.add_time(PHASE_COMPRESSION, f"{self.name}:cast", cast_seconds)
 
         result = ctx.backend.allreduce_matrix(
             wire,
@@ -112,7 +107,6 @@ class PrecisionBaseline(AggregationScheme):
             op=MeanOp(),
             collective=self.collective,
         )
-        ctx.add_time(PHASE_COMMUNICATION, f"{self.name}:allreduce", result.cost.seconds)
 
         mean = np.asarray(result.aggregate, dtype=np.float32)
         transmitted = list(wire) if self.wire_precision is Precision.FP16 else None
@@ -120,8 +114,6 @@ class PrecisionBaseline(AggregationScheme):
             mean_estimate=mean,
             bits_per_coordinate=float(self.wire_precision.bits),
             per_worker_transmitted=transmitted,
-            communication_seconds=result.cost.seconds,
-            compression_seconds=cast_seconds,
         )
 
     def _aggregate_legacy(
@@ -129,11 +121,8 @@ class PrecisionBaseline(AggregationScheme):
     ) -> AggregationResult:
         if self.wire_precision is Precision.FP16:
             wire_vectors = [g.astype(np.float16).astype(np.float32) for g in worker_gradients]
-            cast_seconds = ctx.kernels.cast_time(d, 32, 16) + ctx.kernels.cast_time(d, 16, 32)
         else:
             wire_vectors = [np.asarray(g, dtype=np.float32) for g in worker_gradients]
-            cast_seconds = 0.0
-        ctx.add_time(PHASE_COMPRESSION, f"{self.name}:cast", cast_seconds)
 
         result = ctx.backend.allreduce(
             wire_vectors,
@@ -141,7 +130,6 @@ class PrecisionBaseline(AggregationScheme):
             op=MeanOp(),
             collective=self.collective,
         )
-        ctx.add_time(PHASE_COMMUNICATION, f"{self.name}:allreduce", result.cost.seconds)
 
         mean = np.asarray(result.aggregate, dtype=np.float32)
         transmitted = None
@@ -151,6 +139,4 @@ class PrecisionBaseline(AggregationScheme):
             mean_estimate=mean,
             bits_per_coordinate=float(self.wire_precision.bits),
             per_worker_transmitted=transmitted,
-            communication_seconds=result.cost.seconds,
-            compression_seconds=cast_seconds,
         )

@@ -28,11 +28,6 @@ from repro.compression.kernels import LazyTransmitted, smallest_int_dtype
 from repro.compression.quantization import StochasticQuantizer
 from repro.compression.spec import Param, register
 from repro.compression.thc import AggregationMode
-from repro.simulator.timeline import (
-    PHASE_COMMUNICATION,
-    PHASE_COMPRESSION,
-    PHASE_DECOMPRESSION,
-)
 
 
 @register(
@@ -135,7 +130,7 @@ class QSGDCompressor(AggregationScheme):
         workspace = ctx.workspace
         collective = self.aggregation.collective()
 
-        # Shared norm consensus (same exchange and pricing as the legacy path;
+        # Shared norm consensus (same exchange as the legacy path;
         # per-row norms are computed with the same BLAS reduction).
         per_worker_norms = np.array(
             [[float(np.linalg.norm(rows[i]))] for i in range(n)]
@@ -144,20 +139,13 @@ class QSGDCompressor(AggregationScheme):
             per_worker_norms, wire_bits_per_value=32.0, op=MaxOp(), collective=collective
         )
         shared_norm = float(np.asarray(norm_reduce.aggregate)[0])
-        ctx.add_time(
-            PHASE_COMMUNICATION, f"{self.name}:norm_allreduce", norm_reduce.cost.seconds
-        )
         if shared_norm == 0.0:
             zero = np.zeros(d, dtype=np.float32)
             return AggregationResult(
                 mean_estimate=zero,
                 bits_per_coordinate=self.expected_bits_per_coordinate(d, n),
                 per_worker_transmitted=[zero.copy() for _ in range(n)],
-                communication_seconds=norm_reduce.cost.seconds,
             )
-
-        quantize_seconds = ctx.kernels.quantize_time(d, self.quantization_bits)
-        ctx.add_time(PHASE_COMPRESSION, f"{self.name}:quantize", quantize_seconds)
 
         max_level = float(self.quantizer.max_level)
         scale = 1.0 / max_level  # value_range is exactly 1 after norm scaling
@@ -184,12 +172,7 @@ class QSGDCompressor(AggregationScheme):
             op=op,
             collective=collective,
         )
-        ctx.add_time(
-            PHASE_COMMUNICATION, f"{self.name}:level_allreduce", level_reduce.cost.seconds
-        )
 
-        dequantize_seconds = ctx.kernels.dequantize_time(d, self.quantization_bits)
-        ctx.add_time(PHASE_DECOMPRESSION, f"{self.name}:dequantize", dequantize_seconds)
         mean = np.asarray(level_reduce.aggregate).astype(np.float32)
         mean *= np.float32(scale * shared_norm / n)
 
@@ -204,8 +187,6 @@ class QSGDCompressor(AggregationScheme):
             mean_estimate=mean,
             bits_per_coordinate=self.expected_bits_per_coordinate(d, n),
             per_worker_transmitted=LazyTransmitted(n, materialize_transmitted),
-            communication_seconds=norm_reduce.cost.seconds + level_reduce.cost.seconds,
-            compression_seconds=quantize_seconds + dequantize_seconds,
         )
 
     def _aggregate_legacy(
@@ -225,23 +206,17 @@ class QSGDCompressor(AggregationScheme):
             per_worker_norms, wire_bits_per_value=32.0, op=MaxOp(), collective=collective
         )
         shared_norm = float(np.asarray(norm_reduce.aggregate)[0])
-        ctx.add_time(
-            PHASE_COMMUNICATION, f"{self.name}:norm_allreduce", norm_reduce.cost.seconds
-        )
         if shared_norm == 0.0:
             zero = np.zeros(d, dtype=np.float32)
             return AggregationResult(
                 mean_estimate=zero,
                 bits_per_coordinate=self.expected_bits_per_coordinate(d, n),
                 per_worker_transmitted=[zero.copy() for _ in range(n)],
-                communication_seconds=norm_reduce.cost.seconds,
             )
 
         # Norm-scaled coordinates have magnitude at most 1, so the shared
         # quantization range is exactly 1.
         scaled = [g / shared_norm for g in worker_gradients]
-        quantize_seconds = ctx.kernels.quantize_time(d, self.quantization_bits)
-        ctx.add_time(PHASE_COMPRESSION, f"{self.name}:quantize", quantize_seconds)
         quantized = [
             self.quantizer.quantize(np.asarray(s, dtype=np.float64), ctx.rng, value_range=1.0)
             for s in scaled
@@ -255,12 +230,7 @@ class QSGDCompressor(AggregationScheme):
             op=op,
             collective=collective,
         )
-        ctx.add_time(
-            PHASE_COMMUNICATION, f"{self.name}:level_allreduce", level_reduce.cost.seconds
-        )
 
-        dequantize_seconds = ctx.kernels.dequantize_time(d, self.quantization_bits)
-        ctx.add_time(PHASE_DECOMPRESSION, f"{self.name}:dequantize", dequantize_seconds)
         mean = (
             np.asarray(level_reduce.aggregate) * scale * shared_norm / n
         ).astype(np.float32)
@@ -273,6 +243,4 @@ class QSGDCompressor(AggregationScheme):
             mean_estimate=mean,
             bits_per_coordinate=self.expected_bits_per_coordinate(d, n),
             per_worker_transmitted=transmitted,
-            communication_seconds=norm_reduce.cost.seconds + level_reduce.cost.seconds,
-            compression_seconds=quantize_seconds + dequantize_seconds,
         )

@@ -26,11 +26,6 @@ from repro.compression.base import (
     SimContext,
 )
 from repro.compression.spec import Param, register
-from repro.simulator.timeline import (
-    PHASE_COMMUNICATION,
-    PHASE_COMPRESSION,
-    PHASE_DECOMPRESSION,
-)
 
 
 @register(
@@ -116,8 +111,6 @@ class SignSGDCompressor(AggregationScheme):
         bits = self.wire_bits_for(n)
         workspace = ctx.workspace
 
-        sign_seconds = ctx.kernels.quantize_time(d, 1)
-        ctx.add_time(PHASE_COMPRESSION, f"{self.name}:sign", sign_seconds)
         signs = np.empty((n, d), dtype=np.float32)
         self._gather_rows(rows, signs)
         np.sign(signs, out=signs)
@@ -125,12 +118,8 @@ class SignSGDCompressor(AggregationScheme):
         vote_reduce = ctx.backend.allreduce_matrix(
             signs, wire_bits_per_value=float(bits), op=SumOp()
         )
-        ctx.add_time(
-            PHASE_COMMUNICATION, f"{self.name}:vote_allreduce", vote_reduce.cost.seconds
-        )
         majority = np.sign(np.asarray(vote_reduce.aggregate))
 
-        communication_seconds = vote_reduce.cost.seconds
         magnitude = 1.0
         if self.scale_by_mean_magnitude:
             magnitudes = workspace.buf("signsgd.magnitude", (n, 1), np.float64)
@@ -140,15 +129,7 @@ class SignSGDCompressor(AggregationScheme):
                 magnitudes, wire_bits_per_value=32.0, op=MeanOp()
             )
             magnitude = float(np.asarray(magnitude_reduce.aggregate)[0])
-            communication_seconds += magnitude_reduce.cost.seconds
-            ctx.add_time(
-                PHASE_COMMUNICATION,
-                f"{self.name}:magnitude_allreduce",
-                magnitude_reduce.cost.seconds,
-            )
 
-        unsign_seconds = ctx.kernels.quantize_time(d, 1)
-        ctx.add_time(PHASE_DECOMPRESSION, f"{self.name}:apply_sign", unsign_seconds)
         mean = (majority * magnitude).astype(np.float32)
 
         signs *= np.float32(magnitude)
@@ -156,8 +137,6 @@ class SignSGDCompressor(AggregationScheme):
             mean_estimate=mean,
             bits_per_coordinate=float(bits),
             per_worker_transmitted=list(signs),
-            communication_seconds=communication_seconds,
-            compression_seconds=sign_seconds + unsign_seconds,
         )
 
     def _aggregate_legacy(
@@ -166,19 +145,13 @@ class SignSGDCompressor(AggregationScheme):
         n = ctx.world_size
         bits = self.wire_bits_for(n)
 
-        sign_seconds = ctx.kernels.quantize_time(d, 1)
-        ctx.add_time(PHASE_COMPRESSION, f"{self.name}:sign", sign_seconds)
         signs = [np.sign(g).astype(np.float64) for g in worker_gradients]
 
         vote_reduce = ctx.backend.allreduce(
             signs, wire_bits_per_value=float(bits), op=SumOp()
         )
-        ctx.add_time(
-            PHASE_COMMUNICATION, f"{self.name}:vote_allreduce", vote_reduce.cost.seconds
-        )
         majority = np.sign(np.asarray(vote_reduce.aggregate))
 
-        communication_seconds = vote_reduce.cost.seconds
         magnitude = 1.0
         if self.scale_by_mean_magnitude:
             per_worker_magnitude = [
@@ -188,15 +161,7 @@ class SignSGDCompressor(AggregationScheme):
                 per_worker_magnitude, wire_bits_per_value=32.0, op=MeanOp()
             )
             magnitude = float(np.asarray(magnitude_reduce.aggregate)[0])
-            communication_seconds += magnitude_reduce.cost.seconds
-            ctx.add_time(
-                PHASE_COMMUNICATION,
-                f"{self.name}:magnitude_allreduce",
-                magnitude_reduce.cost.seconds,
-            )
 
-        unsign_seconds = ctx.kernels.quantize_time(d, 1)
-        ctx.add_time(PHASE_DECOMPRESSION, f"{self.name}:apply_sign", unsign_seconds)
         mean = (majority * magnitude).astype(np.float32)
 
         transmitted = [(s * magnitude).astype(np.float32) for s in signs]
@@ -204,6 +169,4 @@ class SignSGDCompressor(AggregationScheme):
             mean_estimate=mean,
             bits_per_coordinate=float(bits),
             per_worker_transmitted=transmitted,
-            communication_seconds=communication_seconds,
-            compression_seconds=sign_seconds + unsign_seconds,
         )

@@ -45,11 +45,6 @@ from repro.compression.kernels import (
 )
 from repro.compression.quantization import StochasticQuantizer
 from repro.compression.spec import Param, register
-from repro.simulator.timeline import (
-    PHASE_COMMUNICATION,
-    PHASE_COMPRESSION,
-    PHASE_DECOMPRESSION,
-)
 
 
 class RotationMode(enum.Enum):
@@ -244,8 +239,7 @@ class THCCompressor(AggregationScheme):
     ) -> AggregationResult:
         """One fused float32 pass over the stacked ``(n, d)`` worker matrix.
 
-        Same protocol, timeline labels, and priced costs as the legacy path;
-        the rotation runs unnormalized (the ``2^(-depth/2)`` factors are
+        Same protocol as the legacy path; the rotation runs unnormalized (the ``2^(-depth/2)`` factors are
         folded into the quantization scales) and the integer payloads travel
         in the narrowest dtype that cannot overflow the fold.
         """
@@ -258,9 +252,6 @@ class THCCompressor(AggregationScheme):
         if padded_size > d:
             wire[:, d:] = 0.0
 
-        compression_seconds = 0.0
-        communication_seconds = 0.0
-
         # --- Rotation (unnormalized; one matmul chain for all workers) ----- #
         if rotation is None:
             depth = 0
@@ -271,9 +262,6 @@ class THCCompressor(AggregationScheme):
             chunk_elements = rotation.chunk_elements(padded_size)
             wire *= rotation.signs(padded_size, np.float32)
             work = fwht_rows(wire, depth, workspace=workspace, label="thc")
-            rotate_seconds = ctx.kernels.hadamard_time(d, depth)
-            compression_seconds += rotate_seconds
-            ctx.add_time(PHASE_COMPRESSION, f"{self.name}:rotate", rotate_seconds)
         normalization = np.float32(fwht_normalization(depth))
         num_chunks = padded_size // chunk_elements
         chunked = work.reshape(n, num_chunks, chunk_elements)
@@ -290,16 +278,8 @@ class THCCompressor(AggregationScheme):
             collective=self.aggregation.collective(),
         )
         shared_ranges = np.asarray(range_reduce.aggregate)
-        communication_seconds += range_reduce.cost.seconds
-        ctx.add_time(
-            PHASE_COMMUNICATION, f"{self.name}:range_allreduce", range_reduce.cost.seconds
-        )
 
         # --- Quantize (fused stochastic rounding over the whole matrix) --- #
-        quantize_seconds = ctx.kernels.quantize_time(d, self.quantization_bits)
-        compression_seconds += quantize_seconds
-        ctx.add_time(PHASE_COMPRESSION, f"{self.name}:quantize", quantize_seconds)
-
         max_level = float(self.quantizer.max_level)
         inverse_scale = np.zeros(num_chunks, dtype=np.float32)
         np.divide(
@@ -329,15 +309,9 @@ class THCCompressor(AggregationScheme):
             op=op,
             collective=self.aggregation.collective(),
         )
-        communication_seconds += reduce_result.cost.seconds
-        ctx.add_time(
-            PHASE_COMMUNICATION, f"{self.name}:int_allreduce", reduce_result.cost.seconds
-        )
         aggregated_levels = np.asarray(reduce_result.aggregate)
 
         # --- Dequantize and un-rotate -------------------------------------- #
-        dequantize_seconds = ctx.kernels.dequantize_time(d, self.quantization_bits)
-        ctx.add_time(PHASE_DECOMPRESSION, f"{self.name}:dequantize", dequantize_seconds)
         # True-unit quantization step per chunk (normalization folded back in).
         scales = (shared_ranges * (normalization / max_level)).astype(np.float32)
         mean_rotated = aggregated_levels.astype(np.float32)
@@ -347,9 +321,6 @@ class THCCompressor(AggregationScheme):
         if rotation is None:
             mean = np.array(mean_rotated[:d], copy=True)
         else:
-            unrotate_seconds = ctx.kernels.hadamard_time(d, depth)
-            ctx.add_time(PHASE_DECOMPRESSION, f"{self.name}:unrotate", unrotate_seconds)
-            dequantize_seconds += unrotate_seconds
             unrotated = fwht_rows(
                 mean_rotated.reshape(1, padded_size),
                 depth,
@@ -383,8 +354,6 @@ class THCCompressor(AggregationScheme):
             mean_estimate=mean,
             bits_per_coordinate=float(self.wire_bits),
             per_worker_transmitted=LazyTransmitted(n, materialize_transmitted),
-            communication_seconds=communication_seconds,
-            compression_seconds=compression_seconds + dequantize_seconds,
         )
 
     def _aggregate_legacy(
@@ -392,9 +361,6 @@ class THCCompressor(AggregationScheme):
     ) -> AggregationResult:
         n = ctx.world_size
         rotation = self._make_rotation(ctx)
-
-        compression_seconds = 0.0
-        communication_seconds = 0.0
 
         # --- Rotation ------------------------------------------------------ #
         if rotation is None:
@@ -408,10 +374,6 @@ class THCCompressor(AggregationScheme):
                 rotated_vectors.append(rotated)
             padded_size = rotated_vectors[0].size
             chunk_elements = rotation.chunk_elements(padded_size)
-            depth = rotation.effective_depth(padded_size)
-            rotate_seconds = ctx.kernels.hadamard_time(d, depth)
-            compression_seconds += rotate_seconds
-            ctx.add_time(PHASE_COMPRESSION, f"{self.name}:rotate", rotate_seconds)
 
         # --- Agree on a per-chunk quantization range ------------------------ #
         # Workers all-reduce (max) the per-chunk magnitude so everyone
@@ -427,16 +389,8 @@ class THCCompressor(AggregationScheme):
             collective=self.aggregation.collective(),
         )
         shared_ranges = np.asarray(range_reduce.aggregate)
-        communication_seconds += range_reduce.cost.seconds
-        ctx.add_time(
-            PHASE_COMMUNICATION, f"{self.name}:range_allreduce", range_reduce.cost.seconds
-        )
 
         # --- Quantize ------------------------------------------------------- #
-        quantize_seconds = ctx.kernels.quantize_time(d, self.quantization_bits)
-        compression_seconds += quantize_seconds
-        ctx.add_time(PHASE_COMPRESSION, f"{self.name}:quantize", quantize_seconds)
-
         scales = np.repeat(
             shared_ranges / self.quantizer.max_level, chunk_elements
         )
@@ -466,25 +420,14 @@ class THCCompressor(AggregationScheme):
             op=op,
             collective=self.aggregation.collective(),
         )
-        communication_seconds += reduce_result.cost.seconds
-        ctx.add_time(
-            PHASE_COMMUNICATION, f"{self.name}:int_allreduce", reduce_result.cost.seconds
-        )
         aggregated_levels = np.asarray(reduce_result.aggregate, dtype=np.float64)
 
         # --- Dequantize and un-rotate --------------------------------------- #
-        dequantize_seconds = ctx.kernels.dequantize_time(d, self.quantization_bits)
-        ctx.add_time(PHASE_DECOMPRESSION, f"{self.name}:dequantize", dequantize_seconds)
         rotated_mean = aggregated_levels * scales / n
 
         if rotation is None:
             mean = rotated_mean[:d].astype(np.float32)
         else:
-            unrotate_seconds = ctx.kernels.hadamard_time(
-                d, rotation.effective_depth(padded_size)
-            )
-            ctx.add_time(PHASE_DECOMPRESSION, f"{self.name}:unrotate", unrotate_seconds)
-            dequantize_seconds += unrotate_seconds
             mean = rotation.inverse(rotated_mean, d).astype(np.float32)
 
         # Per-worker transmitted contribution (for error feedback): each
@@ -501,8 +444,6 @@ class THCCompressor(AggregationScheme):
             mean_estimate=mean,
             bits_per_coordinate=float(self.wire_bits),
             per_worker_transmitted=transmitted,
-            communication_seconds=communication_seconds,
-            compression_seconds=compression_seconds + dequantize_seconds,
         )
 
     def saturation_probability(

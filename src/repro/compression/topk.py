@@ -23,11 +23,6 @@ from repro.compression.base import (
     SimContext,
 )
 from repro.compression.spec import Param, register
-from repro.simulator.timeline import (
-    PHASE_COMMUNICATION,
-    PHASE_COMPRESSION,
-    PHASE_DECOMPRESSION,
-)
 
 #: Wire width of one transmitted coordinate index.
 INDEX_BITS = 32.0
@@ -169,25 +164,8 @@ class TopKCompressor(AggregationScheme):
             indices = np.tile(np.arange(d, dtype=np.int64), (n, 1))
         values = np.take_along_axis(work, indices, axis=1).astype(self.value_dtype)
 
-        select_seconds = ctx.kernels.topk_select_time(d, k)
-        pack_seconds = ctx.kernels.rearrangement_time(k)
-        compression_seconds = select_seconds + pack_seconds
-        ctx.add_time(PHASE_COMPRESSION, f"{self.name}:select", select_seconds)
-        ctx.add_time(PHASE_COMPRESSION, f"{self.name}:pack", pack_seconds)
-
         # All-gather of the packed (index, value) payloads: every worker ends
-        # up with all rows, which the stacked matrix already is; the transfer
-        # is priced exactly as the legacy path's payload list.
-        payload_bits = 2 * k * (BITS_PER_SELECTED_COORDINATE / 2.0)
-        gather_cost = ctx.backend.cost_model.allgather(payload_bits)
-        ctx.add_time(PHASE_COMMUNICATION, f"{self.name}:allgather", gather_cost.seconds)
-
-        scatter_seconds = n * ctx.kernels.scatter_time(k)
-        sum_seconds = (n - 1) * ctx.kernels.elementwise_sum_time(d)
-        decompression_seconds = scatter_seconds + sum_seconds
-        ctx.add_time(PHASE_DECOMPRESSION, f"{self.name}:scatter", scatter_seconds)
-        ctx.add_time(PHASE_DECOMPRESSION, f"{self.name}:sum", sum_seconds)
-
+        # up with all rows, which the stacked matrix already is.
         dense = np.zeros((n, d), dtype=np.float32)
         np.put_along_axis(dense, indices, values.astype(np.float32), axis=1)
         total = np.array(dense[0], copy=True)
@@ -199,24 +177,13 @@ class TopKCompressor(AggregationScheme):
             mean_estimate=mean,
             bits_per_coordinate=self.expected_bits_per_coordinate(d, n),
             per_worker_transmitted=list(dense),
-            communication_seconds=gather_cost.seconds,
-            compression_seconds=compression_seconds + decompression_seconds,
         )
 
     def _aggregate_legacy(
         self, worker_gradients: list[np.ndarray], ctx: SimContext, d: int
     ) -> AggregationResult:
         n = ctx.world_size
-        k = self.select_k(d)
-
         compressed = [self.compress(g) for g in worker_gradients]
-
-        # Compression kernels: top-k selection + packing of (value, index) pairs.
-        select_seconds = ctx.kernels.topk_select_time(d, k)
-        pack_seconds = ctx.kernels.rearrangement_time(k)
-        compression_seconds = select_seconds + pack_seconds
-        ctx.add_time(PHASE_COMPRESSION, f"{self.name}:select", select_seconds)
-        ctx.add_time(PHASE_COMPRESSION, f"{self.name}:pack", pack_seconds)
 
         # All-gather of the packed payloads: indices and values travel as two
         # sections of one payload (32-bit indices next to FP16 values), priced
@@ -225,14 +192,6 @@ class TopKCompressor(AggregationScheme):
             [(idx, val.astype(np.float64)) for idx, val in compressed],
             wire_bits_per_section=(INDEX_BITS, VALUE_BITS),
         )
-        ctx.add_time(PHASE_COMMUNICATION, f"{self.name}:allgather", gather.cost.seconds)
-
-        # Every worker scatters all n payloads into dense vectors and sums.
-        scatter_seconds = n * ctx.kernels.scatter_time(k)
-        sum_seconds = (n - 1) * ctx.kernels.elementwise_sum_time(d)
-        decompression_seconds = scatter_seconds + sum_seconds
-        ctx.add_time(PHASE_DECOMPRESSION, f"{self.name}:scatter", scatter_seconds)
-        ctx.add_time(PHASE_DECOMPRESSION, f"{self.name}:sum", sum_seconds)
 
         # Aggregation consumes the *gathered* payloads -- what the collective
         # actually delivered -- not the local compression state, so the same
@@ -250,8 +209,6 @@ class TopKCompressor(AggregationScheme):
             mean_estimate=mean,
             bits_per_coordinate=self.expected_bits_per_coordinate(d, n),
             per_worker_transmitted=transmitted,
-            communication_seconds=gather.cost.seconds,
-            compression_seconds=compression_seconds + decompression_seconds,
         )
 
 

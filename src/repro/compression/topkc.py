@@ -34,11 +34,6 @@ from repro.compression.base import (
     SimContext,
 )
 from repro.compression.spec import Param, register
-from repro.simulator.timeline import (
-    PHASE_COMMUNICATION,
-    PHASE_COMPRESSION,
-    PHASE_DECOMPRESSION,
-)
 
 #: Wire width of the chunk-norm consensus stage and of the value stage (FP16).
 STAGE_BITS = 16.0
@@ -243,9 +238,6 @@ class TopKChunkedCompressor(AggregationScheme):
             inverse = None
 
         # --- Stage 1: chunk-norm consensus ------------------------------- #
-        norm_compute = ctx.kernels.chunk_norm_time(d, chunk)
-        ctx.add_time(PHASE_COMPRESSION, f"{self.name}:chunk_norms", norm_compute)
-
         padded = workspace.buf("topkc.padded", (n, num_chunks * chunk), np.float64)
         padded[:, :d] = work
         if padded.shape[1] > d:
@@ -256,13 +248,8 @@ class TopKChunkedCompressor(AggregationScheme):
         norm_reduce = ctx.backend.allreduce_matrix(
             per_worker_norms, wire_bits_per_value=STAGE_BITS, op=SumOp()
         )
-        ctx.add_time(
-            PHASE_COMMUNICATION, f"{self.name}:norm_allreduce", norm_reduce.cost.seconds
-        )
         summed_norms = np.asarray(norm_reduce.aggregate)
 
-        select_seconds = ctx.kernels.topk_select_time(num_chunks, j)
-        ctx.add_time(PHASE_COMPRESSION, f"{self.name}:chunk_select", select_seconds)
         if j < summed_norms.size:
             top_chunks = np.sort(np.argpartition(summed_norms, -j)[-j:])
         else:
@@ -275,19 +262,10 @@ class TopKChunkedCompressor(AggregationScheme):
         selected_mask = selected_mask[:d]
         selected_indices = np.flatnonzero(selected_mask)
 
-        gather_seconds = ctx.kernels.chunk_gather_time(selected_indices.size)
-        ctx.add_time(PHASE_COMPRESSION, f"{self.name}:chunk_gather", gather_seconds)
-
         payload = work[:, selected_indices].astype(np.float16).astype(np.float32)
         value_reduce = ctx.backend.allreduce_matrix(
             payload, wire_bits_per_value=STAGE_BITS, op=SumOp()
         )
-        ctx.add_time(
-            PHASE_COMMUNICATION, f"{self.name}:value_allreduce", value_reduce.cost.seconds
-        )
-
-        scatter_seconds = ctx.kernels.chunk_gather_time(selected_indices.size)
-        ctx.add_time(PHASE_DECOMPRESSION, f"{self.name}:scatter", scatter_seconds)
 
         mean_permuted = np.zeros(d, dtype=np.float32)
         mean_permuted[selected_indices] = np.asarray(value_reduce.aggregate) / n
@@ -302,16 +280,10 @@ class TopKChunkedCompressor(AggregationScheme):
             mean = mean_permuted
             transmitted = list(transmitted_permuted)
 
-        communication_seconds = norm_reduce.cost.seconds + value_reduce.cost.seconds
-        compression_seconds = (
-            norm_compute + select_seconds + gather_seconds + scatter_seconds
-        )
         return AggregationResult(
             mean_estimate=mean,
             bits_per_coordinate=self.expected_bits_per_coordinate(d, n),
             per_worker_transmitted=transmitted,
-            communication_seconds=communication_seconds,
-            compression_seconds=compression_seconds,
         )
 
     def _aggregate_legacy(
@@ -331,23 +303,15 @@ class TopKChunkedCompressor(AggregationScheme):
             work_vectors = worker_gradients
 
         # --- Stage 1: chunk-norm consensus ------------------------------- #
-        norm_compute = ctx.kernels.chunk_norm_time(d, chunk)
-        ctx.add_time(PHASE_COMPRESSION, f"{self.name}:chunk_norms", norm_compute)
-
         per_worker_norms = [
             _as_fp16(self._chunk_norms(v)).astype(np.float32) for v in work_vectors
         ]
         norm_reduce = ctx.backend.allreduce(
             per_worker_norms, wire_bits_per_value=STAGE_BITS, op=SumOp()
         )
-        ctx.add_time(
-            PHASE_COMMUNICATION, f"{self.name}:norm_allreduce", norm_reduce.cost.seconds
-        )
         summed_norms = np.asarray(norm_reduce.aggregate)
 
-        # Cheap top-k over d / C chunk norms (both select cost and consensus).
-        select_seconds = ctx.kernels.topk_select_time(num_chunks, j)
-        ctx.add_time(PHASE_COMPRESSION, f"{self.name}:chunk_select", select_seconds)
+        # Cheap top-k over the d / C summed chunk norms: the consensus.
         if j < summed_norms.size:
             top_chunks = np.sort(np.argpartition(summed_norms, -j)[-j:])
         else:
@@ -360,21 +324,12 @@ class TopKChunkedCompressor(AggregationScheme):
         selected_mask = selected_mask[:d]
         selected_indices = np.flatnonzero(selected_mask)
 
-        gather_seconds = ctx.kernels.chunk_gather_time(selected_indices.size)
-        ctx.add_time(PHASE_COMPRESSION, f"{self.name}:chunk_gather", gather_seconds)
-
         selected_payloads = [
             v[selected_indices].astype(np.float16).astype(np.float32) for v in work_vectors
         ]
         value_reduce = ctx.backend.allreduce(
             selected_payloads, wire_bits_per_value=STAGE_BITS, op=SumOp()
         )
-        ctx.add_time(
-            PHASE_COMMUNICATION, f"{self.name}:value_allreduce", value_reduce.cost.seconds
-        )
-
-        scatter_seconds = ctx.kernels.chunk_gather_time(selected_indices.size)
-        ctx.add_time(PHASE_DECOMPRESSION, f"{self.name}:scatter", scatter_seconds)
 
         mean_permuted = np.zeros(d, dtype=np.float32)
         mean_permuted[selected_indices] = np.asarray(value_reduce.aggregate) / n
@@ -392,16 +347,10 @@ class TopKChunkedCompressor(AggregationScheme):
             mean = mean_permuted
             transmitted = transmitted_permuted
 
-        communication_seconds = norm_reduce.cost.seconds + value_reduce.cost.seconds
-        compression_seconds = (
-            norm_compute + select_seconds + gather_seconds + scatter_seconds
-        )
         return AggregationResult(
             mean_estimate=mean,
             bits_per_coordinate=self.expected_bits_per_coordinate(d, n),
             per_worker_transmitted=transmitted,
-            communication_seconds=communication_seconds,
-            compression_seconds=compression_seconds,
         )
 
 

@@ -121,7 +121,7 @@ class AdvisorService:
     ):
         if session is not None and cluster is not None:
             raise ValueError("pass either a session or a cluster, not both")
-        self.session = session or ExperimentSession(cluster=cluster, record_timeline=False)
+        self.session = session or ExperimentSession(cluster=cluster)
         # `is not None`, not truthiness: an empty PricingCache has len() 0.
         self.cache = (
             cache

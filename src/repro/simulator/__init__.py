@@ -6,8 +6,7 @@ stand-in for that hardware: a GPU model with precision-dependent arithmetic
 rates and a shared/global memory hierarchy, a NIC model, per-kernel cost
 models for the computationally heavy components the paper profiles (top-k
 selection, randomized Hadamard transform, Gram-Schmidt orthogonalization,
-quantization), a per-round :class:`RoundTimeline` that adds everything up
-into simulated wall-clock time, and the bucketed pipeline simulator
+quantization), and the bucketed pipeline simulator
 (:mod:`repro.simulator.pipeline`) that schedules per-bucket
 compress/collective/decompress events on per-worker resources -- including
 heterogeneous clusters with stragglers and mixed NIC tiers.
@@ -26,13 +25,10 @@ from repro.simulator.pipeline import (
     BucketTrace,
     PipelineResult,
     bucketed_schedule,
-    legacy_overlap_makespan,
-    legacy_overlap_schedule,
     serialized_schedule,
     simulate_schedule,
     split_coordinates,
 )
-from repro.simulator.timeline import RoundTimeline, TimelineEntry
 from repro.simulator.cluster import (
     MATERIALIZATION_LIMIT,
     ClusterSpec,
@@ -96,12 +92,10 @@ __all__ = [
     "RecoveredRun",
     "RecoveryPolicy",
     "RoundResolution",
-    "RoundTimeline",
     "Scenario",
     "ScenarioEvent",
     "ScenarioMetrics",
     "ScenarioRun",
-    "TimelineEntry",
     "WorkerClass",
     "WorkerProfile",
     "available_events",
@@ -115,8 +109,6 @@ __all__ = [
     "fat_tree_cluster",
     "join",
     "leave",
-    "legacy_overlap_makespan",
-    "legacy_overlap_schedule",
     "link_flap",
     "multirack_cluster",
     "nic_degrade",

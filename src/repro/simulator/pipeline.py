@@ -21,10 +21,6 @@ Heterogeneity comes from :class:`~repro.simulator.cluster.ClusterSpec` worker
 profiles: a straggler's compute and kernel times are scaled by its slowdown
 factor (which delays every collective that waits on it), while mixed NIC
 tiers scale the priced collective times through the cost model.
-
-The legacy ``overlap_fraction`` scalar is kept as a deprecated shim:
-:func:`legacy_overlap_schedule` maps it onto a two-stage pipeline whose
-makespan reproduces the old closed-form total exactly.
 """
 
 from __future__ import annotations
@@ -280,66 +276,6 @@ def serialized_schedule(
             label="all",
         )
     ]
-
-
-def legacy_overlap_schedule(
-    compute_seconds: float,
-    compression_seconds: float,
-    communication_seconds: float,
-    decompression_seconds: float = 0.0,
-    *,
-    overlap_fraction: float,
-) -> list[BucketCost]:
-    """The deprecated ``overlap_fraction`` scalar as a two-stage pipeline.
-
-    Stage one puts ``overlap_fraction`` of the communication on the wire
-    while the backward pass runs; stage two carries the exposed remainder
-    after compute and compression finish.  On a homogeneous cluster the
-    makespan equals the legacy closed form exactly::
-
-        other + communication - min(overlap_fraction * communication, compute)
-    """
-    if not 0.0 <= overlap_fraction <= 1.0:
-        raise ValueError("overlap_fraction must be in [0, 1]")
-    hidden = communication_seconds * overlap_fraction
-    # Compression is encoded as ready time (not compress_seconds) so the
-    # serialized reference does not count it twice: the legacy model runs
-    # compression strictly before any communication starts.
-    return [
-        BucketCost(
-            ready_seconds=compression_seconds,
-            compress_seconds=0.0,
-            comm_seconds=hidden,
-            label="overlapped",
-        ),
-        BucketCost(
-            ready_seconds=compression_seconds + compute_seconds,
-            compress_seconds=0.0,
-            comm_seconds=communication_seconds - hidden,
-            decompress_seconds=decompression_seconds,
-            label="exposed",
-        ),
-    ]
-
-
-def legacy_overlap_makespan(
-    compute_seconds: float,
-    compression_seconds: float,
-    communication_seconds: float,
-    decompression_seconds: float = 0.0,
-    optimizer_seconds: float = 0.0,
-    *,
-    overlap_fraction: float,
-) -> float:
-    """Makespan of the :func:`legacy_overlap_schedule` shim on one worker."""
-    schedule = legacy_overlap_schedule(
-        compute_seconds,
-        compression_seconds,
-        communication_seconds,
-        decompression_seconds,
-        overlap_fraction=overlap_fraction,
-    )
-    return simulate_schedule(schedule, optimizer_seconds=optimizer_seconds).makespan_seconds
 
 
 def split_coordinates(num_coordinates: int, num_buckets: int) -> list[int]:

@@ -190,14 +190,6 @@ class DDPTrainer:
         kernel_backend: Compression hot-path implementation: ``"batched"``
             (default, fused vectorized kernels over the stacked worker
             matrix) or ``"legacy"`` (per-worker float64 reference loops).
-        overlap_fraction: Deprecated scalar shim -- fraction of communication
-            hidden behind compute (0 = fully exposed).  Evaluated through the
-            pipeline simulator's two-stage legacy schedule, which matches
-            :meth:`RoundTimeline.total_time`'s historical closed form: at
-            most the compute time can be hidden, so communication-bound
-            rounds no longer hide time that had nothing to hide behind (the
-            trainer's old unclamped ``comm * (1 - f)`` overstated overlap
-            there).  Cannot be combined with ``num_buckets > 1``.
         scenario: Optional dynamic-events scenario
             (:class:`~repro.simulator.scenario.Scenario` or a spec string).
             Each round is then priced on the scenario's effective cluster for
@@ -242,7 +234,6 @@ class DDPTrainer:
         eval_every: int = 10,
         seed: int = 0,
         num_buckets: int = 1,
-        overlap_fraction: float | None = None,
         kernel_backend: KernelBackend | str = KernelBackend.BATCHED,
         scenario: Scenario | str | None = None,
         policy: RecoveryPolicy | str | None = None,
@@ -256,12 +247,6 @@ class DDPTrainer:
             raise ValueError("eval_every must be positive")
         if num_buckets < 1:
             raise ValueError("num_buckets must be >= 1")
-        if overlap_fraction is not None and not 0.0 <= overlap_fraction <= 1.0:
-            raise ValueError("overlap_fraction must be in [0, 1]")
-        if overlap_fraction is not None and num_buckets > 1:
-            raise ValueError(
-                "overlap_fraction is a legacy shim; use num_buckets without it"
-            )
         self.model = model
         self.dataset = dataset
         self.scheme = scheme
@@ -272,7 +257,6 @@ class DDPTrainer:
         self.eval_every = eval_every
         self.seed = seed
         self.num_buckets = num_buckets
-        self.overlap_fraction = overlap_fraction
         self.scenario = as_scenario(scenario) if scenario is not None else None
         self.policy = as_policy(policy)
         if not self.policy.is_empty and self.scenario is None:
@@ -344,7 +328,6 @@ class DDPTrainer:
                 self._compute_seconds,
                 self._ctx.for_cluster(cluster),
                 num_buckets=self.num_buckets,
-                overlap_fraction=self.overlap_fraction,
                 deadline_seconds=deadline_seconds,
             )
             self._round_prices[key] = priced

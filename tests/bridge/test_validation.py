@@ -7,6 +7,9 @@ the monolithic simulator runs the identical trace, and two claims are held:
 * **Traffic is bit-exact.**  The payload bits each worker actually encoded
   onto the wire equal the simulator's per-scheme ``transmitted`` accounting
   exactly -- per round, per worker, no tolerance.
+* **Measured traffic matches the pricing ledger** where the ledger's
+  ``bits_per_coordinate`` prices every bit the protocol sends; the known
+  gaps are strict xfails that state the measured difference.
 * **VNMSE agrees within the documented per-class tolerance** (see
   :data:`repro.experiments.validation.TOLERANCES`): lossless schemes to
   float noise, consensus-scalar schemes to FP32 wire rounding, stochastic
@@ -20,7 +23,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.api.measures import paper_context
 from repro.bridge import run_harness, simulate_trace, synthetic_trace
+from repro.compression.registry import make_scheme
 from repro.experiments.validation import (
     REGISTRY_SPECS,
     TOLERANCES,
@@ -42,6 +47,32 @@ EF_SPECS = (
 )
 
 ALL_SPECS = REGISTRY_SPECS + EF_SPECS
+
+_THC_PADDING = (
+    "THC pads d = 5773 to 8192 coordinates and also sends its 16-bit range "
+    "values; estimate_costs prices d * b bits"
+)
+_TOPKC_CHUNKS = (
+    "TopKC's analytic b prices the norm stage plus J whole chunks; the wire "
+    "carries the chunks actually selected, and a selected tail chunk is short"
+)
+
+#: Measured uplink bits per worker per round minus the ledger's
+#: ``bits_per_coordinate * d`` on the fixture trace, where they differ.
+LEDGER_TRAFFIC_GAPS = {
+    "signsgd": "SignSGD sends 32 extra bits: its FP32 mean-magnitude scalar",
+    "ef(signsgd)": "SignSGD sends 32 extra bits: its FP32 mean-magnitude scalar",
+    "thc(q=2, rot=partial, agg=sat)": f"{_THC_PADDING}: 16400 sent vs 11546 priced",
+    "thc(q=4, b=8, rot=full, agg=widened)": f"{_THC_PADDING}: 65552 sent vs 46184 priced",
+    "thc(q=4, rot=full, agg=sat)": f"{_THC_PADDING}: 32784 sent vs 23092 priced",
+    "thc(q=4, rot=partial, agg=sat)": f"{_THC_PADDING}: 32784 sent vs 23092 priced",
+    "ef(thc(q=4, rot=partial, agg=sat))": f"{_THC_PADDING}: 32784 sent vs 23092 priced",
+    "topkc(b=0.5)": f"{_TOPKC_CHUNKS}: 2784 sent vs 2769.625 priced",
+    "topkc(b=2)": f"{_TOPKC_CHUNKS}: 9856 sent vs 10659.25 priced",
+    "topkc(b=2, perm=true)": f"{_TOPKC_CHUNKS}: 10672 sent vs 10659.25 priced",
+    "topkc(b=8)": f"{_TOPKC_CHUNKS}: 44672 sent vs 45475.25 priced",
+    "ef(topkc(b=2))": f"{_TOPKC_CHUNKS}: 9856 sent vs 10659.25 priced",
+}
 
 
 @pytest.fixture(scope="module")
@@ -77,6 +108,7 @@ def test_measured_traffic_equals_simulated_accounting(spec, runs):
             f"{meas.per_worker_bits} != simulated accounting {sim.per_worker_bits}"
         )
         assert meas.collective_calls == sim.collective_calls
+        assert meas.bits_per_coordinate == sim.bits_per_coordinate
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS)
@@ -91,15 +123,29 @@ def test_measured_vnmse_within_documented_tolerance(spec, runs, trace):
     )
 
 
-@pytest.mark.parametrize("spec", ALL_SPECS)
-def test_priced_costs_identical(spec, runs):
-    """The harness prices rounds with the same cost model the simulator
-    uses, so simulated seconds must match exactly."""
-    simulated, measured = runs(spec)
-    for sim, meas in zip(simulated.rounds, measured.rounds):
-        assert meas.communication_seconds == sim.communication_seconds
-        assert meas.compression_seconds == sim.compression_seconds
-        assert meas.bits_per_coordinate == sim.bits_per_coordinate
+@pytest.mark.parametrize(
+    "spec",
+    [
+        pytest.param(
+            spec,
+            marks=pytest.mark.xfail(strict=True, reason=LEDGER_TRAFFIC_GAPS[spec]),
+        )
+        if spec in LEDGER_TRAFFIC_GAPS
+        else spec
+        for spec in ALL_SPECS
+    ],
+)
+def test_measured_traffic_matches_ledger(spec, runs, trace):
+    """Per worker per round, the bits measured on the wire equal what the
+    pricing ledger charges: ``estimate_costs(d).bits_per_coordinate * d``."""
+    d = trace.num_coordinates
+    priced = make_scheme(spec).estimate_costs(d, paper_context()).bits_per_coordinate * d
+    _, measured = runs(spec)
+    for meas in measured.rounds:
+        for bits in meas.per_worker_bits:
+            assert bits == pytest.approx(priced, rel=1e-12, abs=0.0), (
+                f"{spec} round {meas.index}: {bits} bits sent, {priced} priced"
+            )
 
 
 class TestSchemeClassification:
@@ -161,6 +207,12 @@ class TestValidationReport:
         assert "wall_seconds" not in payload["rows"][0]
         timed = report.to_payload(include_timing=True)
         assert "wall_seconds" in timed["rows"][0]
+
+    def test_simulated_seconds_priced_by_the_ledger(self, trace):
+        spec = "topkc(b=2)"
+        report = run_validation((spec,), trace=trace)
+        cost = make_scheme(spec).estimate_costs(trace.num_coordinates, paper_context())
+        assert report.row(spec).simulated_seconds == trace.num_steps * cost.total_seconds
 
     def test_session_wiring(self, trace):
         from repro.api import ExperimentSession

@@ -39,8 +39,9 @@ class TestAggregation:
         assert len(result.per_worker_transmitted) == len(worker_gradients)
 
     def test_fp16_faster_than_fp32(self, worker_gradients, ctx):
-        fp16 = PrecisionBaseline(Precision.FP16).aggregate(worker_gradients, ctx)
-        fp32 = PrecisionBaseline(Precision.FP32).aggregate(worker_gradients, ctx)
+        d = worker_gradients[0].size
+        fp16 = PrecisionBaseline(Precision.FP16).estimate_costs(d, ctx)
+        fp32 = PrecisionBaseline(Precision.FP32).estimate_costs(d, ctx)
         assert fp16.communication_seconds < fp32.communication_seconds
 
     def test_inputs_unmodified(self, worker_gradients, ctx):
@@ -48,10 +49,6 @@ class TestAggregation:
         PrecisionBaseline(Precision.FP16).aggregate(worker_gradients, ctx)
         for original, copy in zip(worker_gradients, copies):
             np.testing.assert_array_equal(original, copy)
-
-    def test_timeline_records_phases(self, worker_gradients, ctx):
-        PrecisionBaseline(Precision.FP16).aggregate(worker_gradients, ctx)
-        assert ctx.timeline.phase_time("communication") > 0
 
     def test_wrong_worker_count_rejected(self, ctx):
         with pytest.raises(ValueError):

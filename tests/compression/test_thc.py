@@ -76,17 +76,6 @@ class TestAggregation:
         assert result.per_worker_transmitted is not None
         assert result.per_worker_transmitted[0].shape == worker_gradients[0].shape
 
-    def test_rotation_timeline_entries(self, worker_gradients, ctx):
-        THCCompressor(4, rotation=RotationMode.PARTIAL).aggregate(worker_gradients, ctx)
-        labels = [entry.label for entry in ctx.timeline.entries]
-        assert any("rotate" in label for label in labels)
-        assert any("int_allreduce" in label for label in labels)
-
-    def test_no_rotation_skips_rotate_kernel(self, worker_gradients, ctx):
-        THCCompressor(4, rotation=RotationMode.NONE).aggregate(worker_gradients, ctx)
-        labels = [entry.label for entry in ctx.timeline.entries]
-        assert not any("rotate" in label for label in labels)
-
     def test_inputs_unmodified(self, worker_gradients, ctx):
         copies = [g.copy() for g in worker_gradients]
         THCCompressor(4).aggregate(worker_gradients, ctx)

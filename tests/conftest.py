@@ -9,7 +9,6 @@ from repro.collectives.api import CollectiveBackend
 from repro.compression.base import SimContext
 from repro.simulator.cluster import ClusterSpec, paper_testbed
 from repro.simulator.kernel_cost import KernelCostModel
-from repro.simulator.timeline import RoundTimeline
 
 
 def pytest_addoption(parser: pytest.Parser) -> None:
@@ -46,12 +45,11 @@ def backend(cluster: ClusterSpec) -> CollectiveBackend:
 
 @pytest.fixture
 def ctx(backend: CollectiveBackend) -> SimContext:
-    """A simulation context with a fresh timeline and a fixed seed."""
+    """A simulation context with a fixed seed."""
     return SimContext(
         backend=backend,
         kernels=KernelCostModel(),
         rng=np.random.default_rng(1234),
-        timeline=RoundTimeline(),
     )
 
 

@@ -3,9 +3,9 @@
 The batched (vectorized float32) kernels and the legacy (per-worker float64)
 reference path must agree for every registered scheme spec:
 
-* **Pricing is identical** -- communication and compression seconds, and the
-  wire volume, match exactly: both paths call the same cost-model methods
-  with the same payload sizes.
+* **Wire volume is identical** -- both paths report the same bits per
+  coordinate.  (Seconds are priced once, by ``estimate_costs``, which no
+  kernel backend touches.)
 * **Deterministic schemes match tightly** -- baselines, TopK, TopKC,
   signSGD, and PowerSGD produce the same mean estimate up to float32
   rounding (the collective folds replay identical per-hop orders, so even
@@ -117,15 +117,9 @@ def _assert_equivalent(spec: str, cluster: ClusterSpec) -> None:
         result_b = scheme_b.aggregate(gradients, ctx_b)
         result_l = scheme_l.aggregate(gradients, ctx_l)
 
-        # Pricing parity is exact: same cost-model calls, same payload sizes.
+        # Wire-volume parity is exact: same protocol, same payload sizes.
         assert result_b.bits_per_coordinate == pytest.approx(
             result_l.bits_per_coordinate, rel=1e-12
-        )
-        assert result_b.communication_seconds == pytest.approx(
-            result_l.communication_seconds, rel=1e-12
-        )
-        assert result_b.compression_seconds == pytest.approx(
-            result_l.compression_seconds, rel=1e-12
         )
 
         mean_b = np.asarray(result_b.mean_estimate, dtype=np.float64)

@@ -8,8 +8,6 @@ from repro.simulator.cluster import ClusterSpec, paper_testbed
 from repro.simulator.pipeline import (
     BucketCost,
     bucketed_schedule,
-    legacy_overlap_makespan,
-    legacy_overlap_schedule,
     serialized_schedule,
     simulate_schedule,
     split_coordinates,
@@ -19,7 +17,6 @@ seconds = st.floats(min_value=0.0, max_value=10.0, allow_nan=False, allow_infini
 positive_seconds = st.floats(
     min_value=1e-6, max_value=10.0, allow_nan=False, allow_infinity=False
 )
-fractions = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
 
 def bucket_lists(max_buckets=8):
@@ -123,50 +120,6 @@ class TestSimulateSchedule:
         base = simulate_schedule(buckets, paper_testbed())
         slowed = simulate_schedule(buckets, paper_testbed().with_straggler(0, slowdown))
         assert slowed.makespan_seconds >= base.makespan_seconds - 1e-12
-
-
-class TestLegacyOverlapShim:
-    @staticmethod
-    def legacy_closed_form(compute, compression, communication, decompression, optimizer, f):
-        other = compute + compression + decompression + optimizer
-        return other + communication - min(communication * f, compute)
-
-    def test_zero_overlap_matches_serialized(self):
-        assert legacy_overlap_makespan(
-            0.16, 0.02, 0.14, overlap_fraction=0.0
-        ) == pytest.approx(0.16 + 0.02 + 0.14)
-
-    def test_full_overlap_hides_at_most_compute(self):
-        # Communication larger than compute: only compute's worth is hidden.
-        assert legacy_overlap_makespan(
-            0.05, 0.0, 0.2, overlap_fraction=1.0
-        ) == pytest.approx(0.2)
-        # Communication smaller than compute: fully hidden.
-        assert legacy_overlap_makespan(
-            0.2, 0.0, 0.1, overlap_fraction=1.0
-        ) == pytest.approx(0.2)
-
-    def test_rejects_out_of_range_fraction(self):
-        with pytest.raises(ValueError):
-            legacy_overlap_schedule(1.0, 0.0, 1.0, overlap_fraction=1.5)
-
-    @given(seconds, seconds, seconds, seconds, seconds, fractions)
-    @settings(max_examples=120, deadline=None)
-    def test_shim_reproduces_legacy_totals(
-        self, compute, compression, communication, decompression, optimizer, f
-    ):
-        shim = legacy_overlap_makespan(
-            compute,
-            compression,
-            communication,
-            decompression,
-            optimizer,
-            overlap_fraction=f,
-        )
-        legacy = self.legacy_closed_form(
-            compute, compression, communication, decompression, optimizer, f
-        )
-        assert shim == pytest.approx(legacy, rel=1e-12, abs=1e-12)
 
 
 class TestSplitCoordinates:

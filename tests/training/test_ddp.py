@@ -120,23 +120,6 @@ class TestDDPTrainer:
         topkc = make_trainer(model_b, dataset, workload, "topkc_b2")
         assert topkc.round_seconds < fp16.round_seconds
 
-    def test_overlap_reduces_round_time(self, dataset, workload):
-        model_a = MLPClassifier(workload.sim_input_dim, (32,), workload.sim_num_classes)
-        model_b = MLPClassifier(workload.sim_input_dim, (32,), workload.sim_num_classes)
-        exposed = make_trainer(model_a, dataset, workload, overlap_fraction=0.0)
-        overlapped = make_trainer(model_b, dataset, workload, overlap_fraction=0.8)
-        assert overlapped.round_seconds < exposed.round_seconds
-
-    def test_overlap_shim_matches_legacy_formula(self, dataset, workload):
-        model = MLPClassifier(workload.sim_input_dim, (32,), workload.sim_num_classes)
-        fraction = 0.8
-        trainer = make_trainer(model, dataset, workload, overlap_fraction=fraction)
-        compute = workload.compute_seconds_for(Precision.TF32)
-        costs = trainer.round_cost_estimate
-        hidden = min(costs.communication_seconds * fraction, compute)
-        legacy = compute + costs.compression_seconds + costs.communication_seconds - hidden
-        assert trainer.round_seconds == pytest.approx(legacy, rel=1e-12)
-
     def test_default_round_is_fully_serialized(self, dataset, workload):
         model = MLPClassifier(workload.sim_input_dim, (32,), workload.sim_num_classes)
         trainer = make_trainer(model, dataset, workload)
@@ -174,9 +157,7 @@ class TestDDPTrainer:
         compute = workload.compute_seconds_for(Precision.TF32)
         assert straggler.round_seconds >= compute * slowdown
 
-    def test_bucketing_and_shim_are_mutually_exclusive(self, model, dataset, workload):
-        with pytest.raises(ValueError):
-            make_trainer(model, dataset, workload, num_buckets=4, overlap_fraction=0.5)
+    def test_rejects_zero_buckets(self, model, dataset, workload):
         with pytest.raises(ValueError):
             make_trainer(model, dataset, workload, num_buckets=0)
 
