@@ -9,6 +9,7 @@ backwards compatibility with the original driver-oriented layout.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -239,6 +240,47 @@ def bert_like_gradients(
     return SyntheticGradientModel(num_coordinates, seed=seed, **BERT_GRADIENT_PRESET)
 
 
+#: One vNMSE gradient round: the per-worker rows and their exact mean.
+GradientRound = tuple[list[np.ndarray], np.ndarray]
+
+
+def check_vnmse_call(
+    num_coordinates: int, num_rounds: int, num_workers: int, ctx: SimContext
+) -> None:
+    """Reject a vNMSE call before any gradient round is drawn for it."""
+    if num_coordinates <= 0:
+        raise ValueError("num_coordinates must be positive")
+    if num_rounds <= 0:
+        raise ValueError("num_rounds must be positive")
+    if num_workers != ctx.world_size:
+        raise ValueError(
+            f"num_workers={num_workers} does not match the cluster's world size "
+            f"{ctx.world_size}; pass num_workers={ctx.world_size} or a cluster "
+            f"of {num_workers} workers"
+        )
+
+
+def draw_round(generator: SyntheticGradientModel, num_workers: int) -> GradientRound:
+    """The generator's next round of worker rows, with its true mean."""
+    rows = generator.next_round(num_workers)
+    return rows, generator.true_mean(rows)
+
+
+def vnmse_over_rounds(
+    scheme: AggregationScheme, rounds: Iterable[GradientRound], ctx: SimContext
+) -> float:
+    """Average vNMSE of a scheme's aggregate over the given rounds.
+
+    Only each round's mean estimate outlives its ``aggregate`` call: the
+    rest of the result is dropped before the next round is aggregated.
+    """
+    errors = [
+        vnmse(scheme.aggregate(rows, ctx).mean_estimate, true_mean)
+        for rows, true_mean in rounds
+    ]
+    return float(np.mean(errors))
+
+
 def mean_vnmse(
     scheme: AggregationScheme,
     generator: SyntheticGradientModel,
@@ -247,14 +289,8 @@ def mean_vnmse(
     num_workers: int = 4,
     ctx: SimContext | None = None,
 ) -> float:
-    """Average vNMSE of a scheme's aggregate over several gradient rounds."""
-    if num_rounds <= 0:
-        raise ValueError("num_rounds must be positive")
+    """Average vNMSE of a scheme's aggregate over the generator's next rounds."""
     ctx = ctx or paper_context()
-    errors = []
-    for _ in range(num_rounds):
-        gradients = generator.next_round(num_workers)
-        true_mean = generator.true_mean(gradients)
-        result = scheme.aggregate(gradients, ctx)
-        errors.append(vnmse(result.mean_estimate, true_mean))
-    return float(np.mean(errors))
+    check_vnmse_call(generator.num_coordinates, num_rounds, num_workers, ctx)
+    rounds = (draw_round(generator, num_workers) for _ in range(num_rounds))
+    return vnmse_over_rounds(scheme, rounds, ctx)

@@ -40,10 +40,13 @@ import numpy as np
 
 from repro.api.executors import resolve_executor, run_tasks, validate_executor
 from repro.api.measures import (
+    GradientRound,
     ThroughputEstimate,
     bert_like_gradients,
+    check_vnmse_call,
+    draw_round,
     estimate_throughput,
-    mean_vnmse,
+    vnmse_over_rounds,
 )
 from repro.api.sweep import SweepPoint, SweepResult, cluster_label, expand_grid
 from repro.collectives.api import CollectiveBackend
@@ -59,6 +62,7 @@ from repro.simulator.kernel_cost import KernelCostModel
 from repro.simulator.recovery import RecoveryPolicy
 from repro.simulator.scenario import Scenario, scenario as as_scenario
 from repro.topology.fabric import FabricSpec
+from repro.training.gradients import SyntheticGradientModel
 from repro.training.workloads import WorkloadSpec
 
 #: The spec of the baseline the paper measures utility against.
@@ -87,6 +91,27 @@ class _SweepTask:
     metric: str
     kwargs: dict = field(default_factory=dict)
     scenario: Scenario | None = None
+
+
+@dataclass
+class _GradientRounds:
+    """The session's vNMSE rounds of one ``(d, gradient_seed, n)`` key.
+
+    Holds the generator (so a longer call continues its stream) and every
+    round drawn so far, read-only: the rows and true means are shared by
+    every scheme the session measures.
+    """
+
+    key: tuple[int, int, int]
+    generator: SyntheticGradientModel
+    rounds: list[GradientRound] = field(default_factory=list)
+
+
+def _read_only(round_: GradientRound) -> GradientRound:
+    rows, true_mean = round_
+    for array in (*rows, true_mean):
+        array.flags.writeable = False
+    return rows, true_mean
 
 
 def _run_sweep_task(task: _SweepTask) -> tuple[float, object]:
@@ -130,6 +155,13 @@ class ExperimentSession:
         executor: Default sweep execution strategy: ``"auto"`` (processes for
             CPU-heavy metrics on multi-core machines, threads otherwise),
             ``"process"``, ``"thread"``, or ``"serial"``.
+
+    Besides memoized sweep points, a session keeps the vNMSE gradient rounds
+    of its most recent ``(num_coordinates, gradient_seed, num_workers)``:
+    ``num_workers * num_coordinates * 4 * num_rounds`` bytes, so that
+    :meth:`vnmse` and serial or thread ``vnmse`` sweeps draw each round once.
+    :meth:`clear_cache` frees them.  Process sweeps still draw rounds per
+    point: each child builds a fresh session.
     """
 
     def __init__(
@@ -163,6 +195,10 @@ class ExperimentSession:
         # sharing one session (the advisor service does) evaluate each
         # distinct point exactly once.
         self._inflight: dict[tuple, Future] = {}
+        # The vNMSE rounds of the most recent (d, gradient_seed, n): every
+        # scheme measured on them draws no gradients of its own.
+        self._rounds: _GradientRounds | None = None
+        self._rounds_lock = threading.Lock()
 
     # ------------------------------------------------------------------ #
     # Construction helpers
@@ -266,16 +302,39 @@ class ExperimentSession:
         entirely by ``gradient_seed`` (it seeds both the gradient model and
         the compression rng), so a scheme's vNMSE is comparable across
         sessions; vary ``gradient_seed`` to draw independent replicates.
+
+        The session keeps the gradient rounds of the most recent
+        ``(num_coordinates, gradient_seed, num_workers)``, so measuring
+        several schemes on them draws each round once.  That costs
+        ``num_workers * num_coordinates * 4 * num_rounds`` bytes for the
+        largest ``num_rounds`` asked (192 MiB at 16 x 2^20 x 3) until a call
+        with another key replaces it or :meth:`clear_cache` frees it.
+        ``num_workers`` must equal the cluster's world size.
         """
         scheme = self.scheme(spec, error_feedback=error_feedback)
-        generator = bert_like_gradients(num_coordinates, seed=gradient_seed)
-        return mean_vnmse(
-            scheme,
-            generator,
-            num_rounds=num_rounds,
-            num_workers=num_workers,
-            ctx=self.context(seed=gradient_seed, cluster=cluster),
+        ctx = self.context(seed=gradient_seed, cluster=cluster)
+        check_vnmse_call(num_coordinates, num_rounds, num_workers, ctx)
+        rounds = self._gradient_rounds(
+            num_coordinates, gradient_seed, num_workers, num_rounds
         )
+        return vnmse_over_rounds(scheme, rounds, ctx)
+
+    def _gradient_rounds(
+        self, num_coordinates: int, gradient_seed: int, num_workers: int, num_rounds: int
+    ) -> list[GradientRound]:
+        """The first ``num_rounds`` vNMSE rounds of a key, drawn at most once."""
+        key = (num_coordinates, gradient_seed, num_workers)
+        with self._rounds_lock:
+            if self._rounds is None or self._rounds.key != key:
+                # Free the old round set before drawing the new one.
+                self._rounds = None
+                self._rounds = _GradientRounds(
+                    key, bert_like_gradients(num_coordinates, seed=gradient_seed)
+                )
+            memo = self._rounds
+            while len(memo.rounds) < num_rounds:
+                memo.rounds.append(_read_only(draw_round(memo.generator, num_workers)))
+            return memo.rounds[:num_rounds]
 
     def tta(
         self,
@@ -664,9 +723,11 @@ class ExperimentSession:
         return run_tasks(entries, evaluate, executor=strategy, max_workers=max_workers)
 
     def clear_cache(self) -> None:
-        """Forget every memoized sweep point."""
+        """Forget every memoized sweep point and the kept vNMSE rounds."""
         with self._memo_lock:
             self._memo.clear()
+        with self._rounds_lock:
+            self._rounds = None
 
     @property
     def cached_points(self) -> int:

@@ -46,6 +46,9 @@ from repro.compression.kernels import (
 from repro.compression.quantization import StochasticQuantizer
 from repro.compression.spec import Param, register
 
+#: Elements per tile of the batched path's stochastic rounding pass.
+ROUNDING_TILE = 1 << 16
+
 
 class RotationMode(enum.Enum):
     """How much of the randomized Hadamard transform to apply."""
@@ -279,7 +282,7 @@ class THCCompressor(AggregationScheme):
         )
         shared_ranges = np.asarray(range_reduce.aggregate)
 
-        # --- Quantize (fused stochastic rounding over the whole matrix) --- #
+        # --- Quantize (stochastic rounding in tiles of the matrix) -------- #
         max_level = float(self.quantizer.max_level)
         inverse_scale = np.zeros(num_chunks, dtype=np.float32)
         np.divide(
@@ -287,19 +290,9 @@ class THCCompressor(AggregationScheme):
         )
         chunked *= inverse_scale[None, :, None]
         np.clip(work, -max_level, max_level, out=work)
-        floors = workspace.buf("thc.floor", (n, padded_size), np.float32)
-        np.floor(work, out=floors)
-        work -= floors  # `work` now holds the fractional parts
-        uniforms = workspace.buf("thc.uniform", (n, padded_size), np.float32)
-        ctx.rng.random(out=uniforms, dtype=np.float32)
-        round_up = workspace.buf("thc.round_up", (n, padded_size), np.bool_)
-        np.less(uniforms, work, out=round_up)
-        np.add(floors, round_up, out=floors)
-        np.clip(floors, -max_level, max_level, out=floors)
-
         wire_dtype = smallest_int_dtype(self._wire_headroom(n))
         levels = workspace.buf("thc.levels", (n, padded_size), wire_dtype)
-        np.copyto(levels, floors, casting="unsafe")
+        self._round_stochastically(work, levels, ctx, max_level)
 
         # --- Integer all-reduce (host rings or in-network switches) -------- #
         op = self.aggregation.reduce_op(self.wire_bits)
@@ -355,6 +348,37 @@ class THCCompressor(AggregationScheme):
             bits_per_coordinate=float(self.wire_bits),
             per_worker_transmitted=LazyTransmitted(n, materialize_transmitted),
         )
+
+    @staticmethod
+    def _round_stochastically(
+        scaled: np.ndarray, levels: np.ndarray, ctx: SimContext, max_level: float
+    ) -> None:
+        """Round ``scaled`` (clipped levels, in place) into ``levels``.
+
+        Walks the flattened matrix in fixed tiles of :data:`ROUNDING_TILE`
+        elements, so the floor / uniform / round-up scratch is a few tile
+        buffers, not three more copies of the worker matrix.  The uniforms
+        are drawn tile after tile in C order -- the same stream, and the
+        same rng state afterwards, as one draw over the whole matrix.
+        ``scaled`` is left holding the fractional parts.
+        """
+        flat_scaled = scaled.reshape(-1)
+        flat_levels = levels.reshape(-1)
+        tile = min(ROUNDING_TILE, flat_scaled.size)
+        floors = ctx.workspace.buf("thc.floor", (tile,), np.float32)
+        uniforms = ctx.workspace.buf("thc.uniform", (tile,), np.float32)
+        round_up = ctx.workspace.buf("thc.round_up", (tile,), np.bool_)
+        for start in range(0, flat_scaled.size, tile):
+            fraction = flat_scaled[start : start + tile]
+            width = fraction.size
+            floor, uniform, up = floors[:width], uniforms[:width], round_up[:width]
+            np.floor(fraction, out=floor)
+            fraction -= floor
+            ctx.rng.random(out=uniform, dtype=np.float32)
+            np.less(uniform, fraction, out=up)
+            np.add(floor, up, out=floor)
+            np.clip(floor, -max_level, max_level, out=floor)
+            np.copyto(flat_levels[start : start + tile], floor, casting="unsafe")
 
     def _aggregate_legacy(
         self, worker_gradients: list[np.ndarray], ctx: SimContext, d: int
