@@ -326,8 +326,6 @@ class ExperimentSession:
         key = (num_coordinates, gradient_seed, num_workers)
         with self._rounds_lock:
             if self._rounds is None or self._rounds.key != key:
-                # Free the old round set before drawing the new one.
-                self._rounds = None
                 self._rounds = _GradientRounds(
                     key, bert_like_gradients(num_coordinates, seed=gradient_seed)
                 )

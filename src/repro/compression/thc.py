@@ -240,11 +240,12 @@ class THCCompressor(AggregationScheme):
     def _aggregate_batched(
         self, rows, ctx: SimContext, d: int
     ) -> AggregationResult:
-        """One fused float32 pass over the stacked ``(n, d)`` worker matrix.
+        """Vectorized float32 passes over the stacked ``(n, d)`` worker matrix.
 
-        Same protocol as the legacy path; the rotation runs unnormalized (the ``2^(-depth/2)`` factors are
-        folded into the quantization scales) and the integer payloads travel
-        in the narrowest dtype that cannot overflow the fold.
+        Same protocol as the legacy path; the rotation runs unnormalized
+        (the ``2^(-depth/2)`` factors are folded into the quantization
+        scales), stochastic rounding runs in tiles, and the integer payloads
+        travel in the narrowest dtype that cannot overflow the fold.
         """
         n = ctx.world_size
         workspace = ctx.workspace
@@ -353,10 +354,10 @@ class THCCompressor(AggregationScheme):
     def _round_stochastically(
         scaled: np.ndarray, levels: np.ndarray, ctx: SimContext, max_level: float
     ) -> None:
-        """Round ``scaled`` (clipped levels, in place) into ``levels``.
+        """Stochastically round the clipped, scaled matrix into ``levels``.
 
         Walks the flattened matrix in fixed tiles of :data:`ROUNDING_TILE`
-        elements, so the floor / uniform / round-up scratch is a few tile
+        elements, so the floor / uniform / round-up scratch is three tile
         buffers, not three more copies of the worker matrix.  The uniforms
         are drawn tile after tile in C order -- the same stream, and the
         same rng state afterwards, as one draw over the whole matrix.
