@@ -9,12 +9,13 @@ Two families of checks:
   slowest machine the check runs on; faster CI runners pass trivially, and
   only genuine slowdowns of the code exceed the 2x band.
 * **Floors** -- entries in the baseline's ``floors`` table are minimums the
-  current snapshot must stay above.  A bare benchmark name
-  (``"sweep": 1.3``) checks that benchmark's ``speedup`` field; a dotted
-  name (``"service_load.warm_qps": 1000.0``) checks the named field
-  directly.  Speedup floors are same-machine ratios (batched vs legacy), so
-  they transfer across hardware far better than absolute times; throughput
-  floors like ``warm_qps`` guard absolute service-level objectives.
+  current snapshot must stay above, each named ``benchmark.field``
+  (``"service_load.warm_qps": 1000.0``).  Kernel and sweep floors are
+  absolute throughputs of the batched side alone
+  (``thc_microbench.batched_mcoords_per_s``): a legacy/batched ratio would
+  fail whenever the legacy reference got faster, with no batched
+  regression.  Throughput floors like ``warm_qps`` guard service-level
+  objectives.
 
 ``--only PREFIX`` restricts both check families to benchmarks whose name
 starts with ``PREFIX`` (the CI service-smoke job checks just
@@ -71,10 +72,7 @@ def check(
             )
 
     for entry, floor in baseline.get("floors", {}).items():
-        # "sweep" checks sweep.speedup; "service_load.warm_qps" checks the
-        # named field of the named benchmark.
         name, _, field = entry.partition(".")
-        field = field or "speedup"
         if not in_scope(name):
             continue
         measured = current_benches.get(name, {}).get(field)

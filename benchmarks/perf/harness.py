@@ -132,6 +132,7 @@ def bench_thc_microbench(
         "batched_seconds": _median(batched),
         "legacy_seconds": _median(legacy),
         "speedup": _median(legacy) / _median(batched),
+        "batched_mcoords_per_s": num_workers * num_coordinates / _median(batched) / 1e6,
     }
 
 
@@ -161,6 +162,7 @@ def bench_thc_partial(
         "batched_seconds": _median(batched),
         "legacy_seconds": _median(legacy),
         "speedup": _median(legacy) / _median(batched),
+        "batched_mcoords_per_s": num_workers * num_coordinates / _median(batched) / 1e6,
     }
 
 
@@ -191,6 +193,7 @@ def bench_rotation_kernel(
         "batched_seconds": _median(batched),
         "legacy_seconds": _median(legacy),
         "speedup": _median(legacy) / _median(batched),
+        "batched_mcoords_per_s": num_workers * num_coordinates / _median(batched) / 1e6,
     }
 
 
@@ -261,6 +264,7 @@ def bench_sweep(*, num_coordinates: int, repeats: int) -> dict:
         "before_seconds": _median(before),
         "after_seconds": _median(after),
         "speedup": _median(before) / _median(after),
+        "after_mcoords_per_s": len(specs) * num_coordinates / _median(after) / 1e6,
     }
 
 
