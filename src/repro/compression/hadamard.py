@@ -60,22 +60,45 @@ def full_depth(padded_size: int) -> int:
     return int(math.log2(padded_size))
 
 
+#: Butterfly strides below this run one strided 1-D column at a time: the
+#: ``(blocks, 2, stride)`` view's inner loop would be only ``stride`` long.
+COLUMN_STRIDE_LIMIT = 8
+
+_SQRT2 = math.sqrt(2.0)
+
+
 def _butterfly_passes(vector: np.ndarray, depth: int) -> np.ndarray:
     """Apply ``depth`` normalised Walsh-Hadamard butterfly passes in place.
 
     Pass ``i`` combines elements at stride ``2^i``; stopping after ``depth``
     passes is exactly the per-chunk transform of chunk size ``2^depth``.
+    Each pass writes the sums and differences into two half-size scratch
+    buffers and divides them back in place, so no pass allocates.  The
+    division by ``sqrt(2)`` is kept (a multiply by its reciprocal rounds
+    differently).
     """
     data = vector.reshape(-1)
     size = data.size
+    if depth == 0:
+        return data
+    sums = np.empty(size // 2, dtype=data.dtype)
+    differences = np.empty(size // 2, dtype=data.dtype)
     stride = 1
     for _ in range(depth):
-        shaped = data.reshape(size // (2 * stride), 2, stride)
-        upper = shaped[:, 0, :].copy()
-        lower = shaped[:, 1, :].copy()
-        shaped[:, 0, :] = (upper + lower) / math.sqrt(2.0)
-        shaped[:, 1, :] = (upper - lower) / math.sqrt(2.0)
-        data = shaped.reshape(size)
+        blocks = size // (2 * stride)
+        shaped = data.reshape(blocks, 2, stride)
+        if stride < COLUMN_STRIDE_LIMIT:
+            pairs = [(shaped[:, 0, column], shaped[:, 1, column]) for column in range(stride)]
+            total, difference = sums[:blocks], differences[:blocks]
+        else:
+            pairs = [(shaped[:, 0, :], shaped[:, 1, :])]
+            total = sums.reshape(blocks, stride)
+            difference = differences.reshape(blocks, stride)
+        for upper, lower in pairs:
+            np.add(upper, lower, out=total)
+            np.subtract(upper, lower, out=difference)
+            np.divide(total, _SQRT2, out=upper)
+            np.divide(difference, _SQRT2, out=lower)
         stride *= 2
     return data
 

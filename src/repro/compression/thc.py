@@ -416,26 +416,27 @@ class THCCompressor(AggregationScheme):
         shared_ranges = np.asarray(range_reduce.aggregate)
 
         # --- Quantize ------------------------------------------------------- #
-        scales = np.repeat(
-            shared_ranges / self.quantizer.max_level, chunk_elements
-        )
+        max_level = self.quantizer.max_level
+        scales = np.repeat(shared_ranges / max_level, chunk_elements)
         # Avoid division by zero for all-zero chunks.
         safe_scales = np.where(scales > 0, scales, 1.0)
 
+        # Divide / clip / floor / fraction / round-up run in two reused
+        # float64 buffers, never in a worker's row: with ``rot=none`` at a
+        # power-of-two ``d`` the padded row *is* the caller's array.
+        level_dtype = smallest_int_dtype(max_level)
+        scaled = np.empty(padded_size)
+        lower = np.empty(padded_size)
         level_vectors = []
         for rotated in rotated_vectors:
-            scaled = np.clip(
-                rotated / safe_scales, -self.quantizer.max_level, self.quantizer.max_level
-            )
-            lower = np.floor(scaled)
-            fraction = scaled - lower
-            round_up = ctx.rng.random(padded_size) < fraction
-            levels = np.clip(
-                (lower + round_up).astype(np.int64),
-                -self.quantizer.max_level,
-                self.quantizer.max_level,
-            )
-            level_vectors.append(levels)
+            np.divide(rotated, safe_scales, out=scaled)
+            np.clip(scaled, -max_level, max_level, out=scaled)
+            np.floor(scaled, out=lower)
+            scaled -= lower
+            lower += ctx.rng.random(padded_size) < scaled
+            np.clip(lower, -max_level, max_level, out=lower)
+            level_vectors.append(lower.astype(level_dtype))
+        del rotated_vectors, scaled, lower
 
         # --- Integer all-reduce (host rings or in-network switches) --------- #
         op = self.aggregation.reduce_op(self.wire_bits)
@@ -455,20 +456,27 @@ class THCCompressor(AggregationScheme):
         else:
             mean = rotation.inverse(rotated_mean, d).astype(np.float32)
 
-        # Per-worker transmitted contribution (for error feedback): each
-        # worker's own dequantized, un-rotated payload.
-        transmitted = []
-        for levels in level_vectors:
-            own_rotated = levels.astype(np.float64) * scales
-            if rotation is None:
-                transmitted.append(own_rotated[:d].astype(np.float32))
-            else:
-                transmitted.append(rotation.inverse(own_rotated, d).astype(np.float32))
+        # Per-worker transmitted contributions (for error feedback), deferred
+        # as on the batched path: plain rounds -- the bridge's workers and
+        # ``simulate_trace`` -- never pay the n extra inverse rotations.  The
+        # closure keeps only the narrow levels and the per-chunk ranges; the
+        # float64 scales are rebuilt when the report is read, so a result
+        # kept alive into the next round holds little memory.
+        def materialize_transmitted() -> np.ndarray:
+            own_scales = np.repeat(shared_ranges / max_level, chunk_elements)
+            transmitted = np.empty((n, d), dtype=np.float32)
+            for row, levels in zip(transmitted, level_vectors):
+                own_rotated = levels.astype(np.float64) * own_scales
+                if rotation is None:
+                    row[:] = own_rotated[:d]
+                else:
+                    row[:] = rotation.inverse(own_rotated, d)
+            return transmitted
 
         return AggregationResult(
             mean_estimate=mean,
             bits_per_coordinate=float(self.wire_bits),
-            per_worker_transmitted=transmitted,
+            per_worker_transmitted=LazyTransmitted(n, materialize_transmitted),
         )
 
     def saturation_probability(
