@@ -436,6 +436,7 @@ class THCCompressor(AggregationScheme):
             lower += ctx.rng.random(padded_size) < scaled
             np.clip(lower, -max_level, max_level, out=lower)
             level_vectors.append(lower.astype(level_dtype))
+        # The float64 rows are dead; free them before the all-reduce copies.
         del rotated_vectors, scaled, lower
 
         # --- Integer all-reduce (host rings or in-network switches) --------- #
@@ -456,8 +457,8 @@ class THCCompressor(AggregationScheme):
         else:
             mean = rotation.inverse(rotated_mean, d).astype(np.float32)
 
-        # Per-worker transmitted contributions (for error feedback), deferred
-        # as on the batched path: plain rounds -- the bridge's workers and
+        # Per-worker transmitted contributions (for error feedback) are
+        # deferred on both backends: plain rounds -- the bridge's workers and
         # ``simulate_trace`` -- never pay the n extra inverse rotations.  The
         # closure keeps only the narrow levels and the per-chunk ranges; the
         # float64 scales are rebuilt when the report is read, so a result
