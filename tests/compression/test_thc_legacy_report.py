@@ -23,8 +23,9 @@ from repro.compression.kernels import LazyTransmitted
 from repro.compression.registry import make_scheme
 from repro.simulator.cluster import ClusterSpec
 
-#: The bridge benchmark's layer schema: d = 148,097 coordinates.
-BRIDGE_LAYERS = (
+#: This test's 2-worker trace shape: d = 148,097 coordinates in odd-sized
+#: layers, the size the memory bound below is stated at.
+TRACE_LAYERS = (
     ("embed.weight", (512, 128)),
     ("attn.qkv.weight", (384, 128)),
     ("attn.out.bias", (128,)),
@@ -46,8 +47,8 @@ def worker_rows(num_workers: int, num_coordinates: int) -> list[np.ndarray]:
 
 
 @pytest.fixture(scope="module")
-def bridge_trace():
-    return synthetic_trace(num_steps=4, num_workers=2, layers=BRIDGE_LAYERS, seed=0)
+def two_worker_trace():
+    return synthetic_trace(num_steps=4, num_workers=2, layers=TRACE_LAYERS, seed=0)
 
 
 @pytest.fixture
@@ -91,9 +92,9 @@ def test_report_is_deferred_until_read(rotation):
     assert report.materialized
 
 
-def test_plain_rounds_skip_the_per_worker_inverse_rotations(rotation_calls, bridge_trace):
+def test_plain_rounds_skip_the_per_worker_inverse_rotations(rotation_calls, two_worker_trace):
     cluster = ClusterSpec(num_nodes=1, gpus_per_node=2)
-    simulate_trace("thc(q=4, rot=full, agg=sat)", bridge_trace, cluster=cluster)
+    simulate_trace("thc(q=4, rot=full, agg=sat)", two_worker_trace, cluster=cluster)
     # Per step: one forward per worker and one inverse on the mean.
     assert rotation_calls == {"forward": 2 * 4, "inverse": 4}
 
@@ -106,11 +107,11 @@ def test_error_feedback_still_reads_every_report(rotation_calls):
     assert rotation_calls == {"forward": 2 * 3, "inverse": 3 * 3}
 
 
-def test_simulate_trace_memory_peak(bridge_trace):
+def test_simulate_trace_memory_peak(two_worker_trace):
     cluster = ClusterSpec(num_nodes=1, gpus_per_node=2)
     tracemalloc.start()
     try:
-        simulate_trace("thc(q=4, rot=full, agg=sat)", bridge_trace, cluster=cluster)
+        simulate_trace("thc(q=4, rot=full, agg=sat)", two_worker_trace, cluster=cluster)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
