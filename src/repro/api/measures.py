@@ -240,8 +240,8 @@ def bert_like_gradients(
     return SyntheticGradientModel(num_coordinates, seed=seed, **BERT_GRADIENT_PRESET)
 
 
-#: One vNMSE gradient round: the per-worker rows and their exact mean.
-GradientRound = tuple[list[np.ndarray], np.ndarray]
+#: One vNMSE gradient round: the ``(n, d)`` worker rows and their exact mean.
+GradientRound = tuple[np.ndarray, np.ndarray]
 
 
 def check_vnmse_call(

@@ -109,7 +109,7 @@ class _GradientRounds:
 
 def _read_only(round_: GradientRound) -> GradientRound:
     rows, true_mean = round_
-    for array in (*rows, true_mean):
+    for array in (rows, true_mean):
         array.flags.writeable = False
     return rows, true_mean
 

@@ -3,10 +3,10 @@
 The legacy collectives take one vector per worker and, for a ring, split each
 vector into ``n`` blocks combined hop by hop -- ``n * (n - 1)`` small NumPy
 calls per all-reduce.  The batched backend stacks the workers into one
-``(n, d)`` matrix and performs the *same per-element fold order* with
-``n - 1`` full-width in-place combines, so non-associative operators (the
-paper's saturating sum) produce bit-identical aggregates while the Python
-overhead collapses.
+``(n, d)`` matrix and performs the *same per-element fold order* with in-place combines
+over row views (block-wide for the ring, full-width for the tree and the
+racks), so non-associative operators (the paper's saturating sum) produce
+bit-identical aggregates while the Python overhead collapses.
 
 The fold orders mirror the legacy implementations exactly:
 
@@ -45,10 +45,11 @@ def ring_allreduce_matrix(matrix: np.ndarray, op: ReduceOp | None = None) -> np.
     """Ring all-reduce over the rows of ``matrix`` (one row per worker).
 
     Applies the exact per-hop, per-block order of the legacy
-    :func:`~repro.collectives.ring.ring_allreduce`, vectorized: the matrix is
-    re-rolled so that, within block ``j``, row ``k`` holds the contribution
-    of the worker that reaches the accumulator at hop ``k``; the fold is then
-    ``n - 1`` full-width in-place combines.  ``matrix`` is not modified.
+    :func:`~repro.collectives.ring.ring_allreduce`: block ``j`` of one
+    accumulator starts as worker ``(j + 1) % n``'s block and folds in worker
+    ``(j + 1 + hop) % n``'s block at hop ``hop``, straight from the rows of
+    ``matrix`` -- ``n - 1`` in-place combines per block, and no rolled copy
+    of the matrix.  ``matrix`` is not modified.
     """
     op = op or SumOp()
     if matrix.ndim != 2:
@@ -57,17 +58,15 @@ def ring_allreduce_matrix(matrix: np.ndarray, op: ReduceOp | None = None) -> np.
     if n == 1:
         return op.finalize(np.array(matrix[0], copy=True), 1)
     bounds = ring_block_bounds(d, n)
-    rolled = np.empty_like(matrix)
-    ranks = np.arange(n)
+    accumulator = np.empty(d, dtype=matrix.dtype)
     for j in range(n):
         lo, hi = bounds[j], bounds[j + 1]
         if lo == hi:
             continue
-        order = (j + 1 + ranks) % n
-        rolled[:, lo:hi] = matrix[order, lo:hi]
-    accumulator = np.array(rolled[0], copy=True)
-    for hop in range(1, n):
-        op.combine_into(accumulator, rolled[hop])
+        block = accumulator[lo:hi]
+        np.copyto(block, matrix[(j + 1) % n, lo:hi])
+        for hop in range(1, n):
+            op.combine_into(block, matrix[(j + 1 + hop) % n, lo:hi])
     return op.finalize(accumulator, n)
 
 

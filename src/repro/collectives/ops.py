@@ -11,9 +11,24 @@ saturation-based aggregation.
 from __future__ import annotations
 
 import abc
+import functools
 from dataclasses import dataclass
 
 import numpy as np
+
+
+@functools.lru_cache(maxsize=None)
+def _clip_limits(limit: int, dtype: np.dtype) -> tuple[np.ndarray, np.ndarray]:
+    """``-limit`` and ``limit`` as 0-d arrays of the accumulator's dtype.
+
+    ``np.clip`` with Python-int bounds resolves their dtype on every call,
+    which costs more than clipping a ring block of a few thousand elements;
+    bounds already in the accumulator's dtype clip to the same values.
+    """
+    bounds = np.array(-limit, dtype=dtype), np.array(limit, dtype=dtype)
+    for bound in bounds:
+        bound.flags.writeable = False
+    return bounds
 
 
 class ReduceOp(abc.ABC):
@@ -128,9 +143,9 @@ class SaturatingSumOp(ReduceOp):
         # Exact as long as the accumulator dtype holds 2 * max_value (both
         # operands are already clipped); the batched backend sizes its integer
         # wire buffers accordingly.
-        limit = self.max_value
+        lower, upper = _clip_limits(self.max_value, accumulator.dtype)
         np.add(accumulator, incoming, out=accumulator)
-        np.clip(accumulator, -limit, limit, out=accumulator)
+        np.clip(accumulator, lower, upper, out=accumulator)
         return accumulator
 
     def saturation_fraction(self, aggregate: np.ndarray) -> float:

@@ -19,12 +19,21 @@ This module holds the shared building blocks of the batched path:
 * :func:`fwht_rows` -- the randomized-Hadamard butterfly network expressed
   as a chain of small dense Hadamard matmuls (a Kronecker factorization of
   ``H_{2^depth}``), which runs at BLAS speed instead of ``depth`` strided
-  element passes;
+  element passes, one row at a time through row-sized scratch;
+* :func:`round_stochastically` -- the one stochastic-rounding kernel of the
+  integer quantizers (THC, QSGD), walking the worker matrix in cache-sized
+  tiles instead of streaming whole-matrix temporaries;
 * :func:`cached_signs` -- the shared random sign diagonals, generated once
   per (seed, size) instead of once per worker per round;
 * :class:`LazyTransmitted` -- a deferred ``per_worker_transmitted`` report
   that skips the per-worker decompression entirely unless someone (error
   feedback, the property suite) actually reads it.
+
+A batched kernel touches each ``(n, d)`` worker matrix as few times as its
+arithmetic needs: per-element work that follows a gather or precedes a cast
+runs tile by tile on cache-resident scratch, so the only full-size buffers
+are the ones a scheme's protocol actually holds (its wire matrix, its
+integer levels).
 """
 
 from __future__ import annotations
@@ -212,56 +221,120 @@ def fwht_rows(
 
     The transform is computed as a chain of dense Hadamard matmuls over a
     Kronecker factorization of ``H_{2^depth}``, which runs at BLAS speed.
-    Returns the transformed array (one of the ping-pong buffers when a
-    workspace is given; ``matrix`` itself is never aliased by the result
-    unless ``depth == 0``).
+    The chain runs one row at a time: its intermediate stages ping-pong
+    between two row-sized scratch buffers that stay in cache, and only the
+    last stage writes into the full-size output, so the transform streams
+    the matrix once in and once out.  Returns the output (a workspace buffer
+    when a workspace is given); ``matrix`` is never modified, and never
+    aliased by the result unless ``depth == 0``.
     """
     if matrix.ndim != 2:
         raise ValueError("matrix must be 2-D (rows of chunks)")
     if depth == 0:
         return matrix
     chunk = 1 << depth
-    if matrix.shape[1] % chunk:
+    num_rows, row_length = matrix.shape
+    if row_length % chunk:
         raise ValueError(
-            f"row length {matrix.shape[1]} is not a multiple of the chunk size {chunk}"
+            f"row length {row_length} is not a multiple of the chunk size {chunk}"
         )
     factors = factorize_depth(depth)
 
-    def scratch(index: int) -> np.ndarray:
+    def scratch(name: str, shape: tuple[int, ...]) -> np.ndarray:
         if workspace is None:
-            return np.empty(matrix.size, dtype=np.float32)
-        return workspace.buf(f"{label}.pingpong{index}", (matrix.size,), np.float32)
+            return np.empty(shape, dtype=np.float32)
+        return workspace.buf(f"{label}.{name}", shape, np.float32)
 
-    source = matrix.reshape(-1)
-    out_index = 0
-    trailing = chunk
-    for bits in factors:
-        factor = 1 << bits
-        trailing //= factor
-        h = hadamard_matrix(bits)
-        destination = scratch(out_index)
-        if trailing == 1:
-            # Contract the last axis: (blocks*lead, factor) @ H.
-            np.matmul(
-                source.reshape(-1, factor),
-                h,
-                out=destination.reshape(-1, factor),
-            )
-        else:
-            # Contract a middle axis: H @ (lead, factor, trailing).
-            np.matmul(
-                h,
-                source.reshape(-1, factor, trailing),
-                out=destination.reshape(-1, factor, trailing),
-            )
-        source = destination
-        out_index ^= 1
-    return source.reshape(matrix.shape)
+    out = scratch("out", matrix.shape)
+    rows = [scratch("row0", (row_length,)), scratch("row1", (row_length,))]
+    for index in range(num_rows):
+        source = matrix[index]
+        trailing = chunk
+        for stage, bits in enumerate(factors):
+            factor = 1 << bits
+            trailing //= factor
+            h = hadamard_matrix(bits)
+            last = stage == len(factors) - 1
+            destination = out[index] if last else rows[stage & 1]
+            if trailing == 1:
+                # Contract the last axis: (blocks*lead, factor) @ H.
+                np.matmul(
+                    source.reshape(-1, factor),
+                    h,
+                    out=destination.reshape(-1, factor),
+                )
+            else:
+                # Contract a middle axis: H @ (lead, factor, trailing).
+                np.matmul(
+                    h,
+                    source.reshape(-1, factor, trailing),
+                    out=destination.reshape(-1, factor, trailing),
+                )
+            source = destination
+    return out
 
 
 def fwht_normalization(depth: int) -> float:
     """The ``2^(-depth/2)`` factor turning :func:`fwht_rows` orthonormal."""
     return float(2.0 ** (-depth / 2.0))
+
+
+# --------------------------------------------------------------------------- #
+# Tiled stochastic rounding
+# --------------------------------------------------------------------------- #
+#: Elements per tile of :func:`round_stochastically`.
+ROUNDING_TILE = 1 << 16
+
+
+def round_stochastically(
+    rows: "np.ndarray | Sequence[np.ndarray]",
+    levels: np.ndarray,
+    rng: np.random.Generator,
+    max_level: float,
+    *,
+    scale: np.float32 | None = None,
+    workspace: RoundWorkspace,
+    label: str,
+) -> None:
+    """Stochastically round ``clip(rows * scale)`` onto integer ``levels``.
+
+    Each value ``v`` (scaled by ``scale`` when given, then clipped to
+    ``[-max_level, max_level]``) becomes ``floor(v) + (u < v - floor(v))``
+    for a float32 uniform ``u``.  The copy, scale, clip and rounding run in
+    float32 on tiles of at most :data:`ROUNDING_TILE` elements of each row,
+    so the scratch is four tile buffers rather than whole-matrix
+    temporaries, and ``rows`` (a matrix or a sequence of equal-length rows)
+    is only read.  The uniforms are drawn tile after tile in C order -- the
+    same stream, and the same rng state afterwards, as one draw over the
+    whole matrix.
+
+    No clip follows the rounding: ``floor(v)`` of a clipped ``v`` already
+    lies in range, and ``v`` rounds up only when it is not an integer, so
+    below ``max_level``.
+    """
+    num_rows, width = levels.shape
+    tile = min(ROUNDING_TILE, width)
+    values = workspace.buf(f"{label}.values", (tile,), np.float32)
+    floors = workspace.buf(f"{label}.floor", (tile,), np.float32)
+    uniforms = workspace.buf(f"{label}.uniform", (tile,), np.float32)
+    round_up = workspace.buf(f"{label}.round_up", (tile,), np.bool_)
+    for index in range(num_rows):
+        row, out = rows[index], levels[index]
+        for start in range(0, width, tile):
+            stop = min(start + tile, width)
+            size = stop - start
+            value, floor = values[:size], floors[:size]
+            uniform, up = uniforms[:size], round_up[:size]
+            np.copyto(value, row[start:stop], casting="unsafe")
+            if scale is not None:
+                value *= scale
+            np.clip(value, -max_level, max_level, out=value)
+            np.floor(value, out=floor)
+            value -= floor
+            rng.random(out=uniform, dtype=np.float32)
+            np.less(uniform, value, out=up)
+            np.add(floor, up, out=floor)
+            np.copyto(out[start:stop], floor, casting="unsafe")
 
 
 # --------------------------------------------------------------------------- #

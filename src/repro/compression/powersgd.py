@@ -32,6 +32,7 @@ from repro.compression.base import (
     CostEstimate,
     SimContext,
 )
+from repro.compression.kernels import LazyTransmitted
 from repro.compression.spec import Param, register
 
 
@@ -274,26 +275,33 @@ class PowerSGDCompressor(AggregationScheme):
         """Per-layer power iteration with the workers stacked on a batch axis.
 
         ``P_i = M_i Q`` and ``Q_i = M_i^T P`` become single batched float64
-        matmuls over an ``(n, rows, cols)`` tensor instead of per-worker
-        GEMM calls, and the factor all-reduces fold the stacked factors with
-        the exact legacy ring order.
+        matmuls over an ``(n, rows, cols)`` tensor (a workspace block reused
+        across rounds) instead of per-worker GEMM calls, and the factor
+        all-reduces fold the stacked factors with the exact legacy ring
+        order.  The per-worker report is deferred.
         """
         n = ctx.world_size
         shapes = self._shapes_for(d)
         covered = sum(rows * cols for rows, cols in shapes)
 
         mean_estimate = np.zeros(d, dtype=np.float32)
+        largest = max(rows * cols for rows, cols in shapes)
+        block = ctx.workspace.buf("powersgd.block", (n * largest,), np.float64)
 
         offset = 0
         for layer_index, (rows, cols) in enumerate(shapes):
             size = rows * cols
             segment = min(size, d - offset)
-            stacked = np.zeros((n, size), dtype=np.float64)
+            # One float64 block, sized for the largest layer, is reused by
+            # every layer and round; only the part no gradient coordinate
+            # covers is zeroed.
+            stacked = block[: n * size].reshape(n, size)
             self._gather_rows(
                 [np.asarray(rows_in[i])[offset : offset + segment] for i in range(n)],
                 stacked,
                 columns=segment,
             )
+            stacked[:, segment:] = 0.0
             tensor = stacked.reshape(n, rows, cols)
 
             q = self._initial_q(layer_index, cols, ctx.rng)
@@ -341,10 +349,15 @@ class PowerSGDCompressor(AggregationScheme):
             )
             mean_estimate[covered:] = np.asarray(tail_reduce.aggregate, dtype=np.float32)
 
+        # Every worker transmits the shared low-rank mean; the report is
+        # deferred and holds one copy of it, not n.
+        mean_copy = np.array(mean_estimate, copy=True)
         return AggregationResult(
             mean_estimate=mean_estimate,
             bits_per_coordinate=self.expected_bits_per_coordinate(d, ctx.world_size),
-            per_worker_transmitted=[np.array(mean_estimate, copy=True) for _ in range(n)],
+            per_worker_transmitted=LazyTransmitted(
+                n, lambda: np.repeat(mean_copy[None, :], n, axis=0)
+            ),
         )
 
     def _aggregate_legacy(

@@ -24,7 +24,11 @@ from repro.compression.base import (
     CostEstimate,
     SimContext,
 )
-from repro.compression.kernels import LazyTransmitted, smallest_int_dtype
+from repro.compression.kernels import (
+    LazyTransmitted,
+    round_stochastically,
+    smallest_int_dtype,
+)
 from repro.compression.quantization import StochasticQuantizer
 from repro.compression.spec import Param, register
 from repro.compression.thc import AggregationMode
@@ -125,7 +129,7 @@ class QSGDCompressor(AggregationScheme):
         return 2 * ((1 << (self.wire_bits - 1)) - 1)
 
     def _aggregate_batched(self, rows, ctx: SimContext, d: int) -> AggregationResult:
-        """Fused float32 quantization over the stacked worker matrix."""
+        """Tiled float32 quantization over the stacked worker matrix."""
         n = ctx.world_size
         workspace = ctx.workspace
         collective = self.aggregation.collective()
@@ -149,21 +153,18 @@ class QSGDCompressor(AggregationScheme):
 
         max_level = float(self.quantizer.max_level)
         scale = 1.0 / max_level  # value_range is exactly 1 after norm scaling
-        work = workspace.buf("qsgd.work", (n, d), np.float32)
-        self._gather_rows(rows, work)
-        work *= np.float32(max_level / shared_norm)
-        np.clip(work, -max_level, max_level, out=work)
-        floors = workspace.buf("qsgd.floor", (n, d), np.float32)
-        np.floor(work, out=floors)
-        work -= floors  # fractional parts
-        uniforms = workspace.buf("qsgd.uniform", (n, d), np.float32)
-        ctx.rng.random(out=uniforms, dtype=np.float32)
-        round_up = workspace.buf("qsgd.round_up", (n, d), np.bool_)
-        np.less(uniforms, work, out=round_up)
-        np.add(floors, round_up, out=floors)
-        np.clip(floors, -max_level, max_level, out=floors)
+        # Copy, scale, clip and rounding run tile by tile straight from the
+        # worker rows: the only (n, d) buffer is the integer levels.
         levels = workspace.buf("qsgd.levels", (n, d), smallest_int_dtype(self._wire_headroom(n)))
-        np.copyto(levels, floors, casting="unsafe")
+        round_stochastically(
+            rows,
+            levels,
+            ctx.rng,
+            max_level,
+            scale=np.float32(max_level / shared_norm),
+            workspace=workspace,
+            label="qsgd",
+        )
 
         op = self.aggregation.reduce_op(self.wire_bits)
         level_reduce = ctx.backend.allreduce_matrix(

@@ -41,13 +41,11 @@ from repro.compression.kernels import (
     LazyTransmitted,
     fwht_normalization,
     fwht_rows,
+    round_stochastically,
     smallest_int_dtype,
 )
 from repro.compression.quantization import StochasticQuantizer
 from repro.compression.spec import Param, register
-
-#: Elements per tile of the batched path's stochastic rounding pass.
-ROUNDING_TILE = 1 << 16
 
 
 class RotationMode(enum.Enum):
@@ -252,19 +250,30 @@ class THCCompressor(AggregationScheme):
         rotation = self._make_rotation(ctx)
         padded_size = padded_size_for(d)
         wire = workspace.buf("thc.wire", (n, padded_size), np.float32)
-        self._gather_rows(rows, wire, columns=d)
-        if padded_size > d:
-            wire[:, d:] = 0.0
 
         # --- Rotation (unnormalized; one matmul chain for all workers) ----- #
         if rotation is None:
             depth = 0
             chunk_elements = padded_size
+            self._gather_rows(rows, wire, columns=d)
+            wire[:, d:] = 0.0
             work = wire
         else:
             depth = rotation.effective_depth(padded_size)
             chunk_elements = rotation.chunk_elements(padded_size)
-            wire *= rotation.signs(padded_size, np.float32)
+            # The sign diagonal is applied while the rows are gathered (cast
+            # to float32 first, as a gather-then-multiply would); the padded
+            # tail holds 0 * signs.
+            signs = rotation.signs(padded_size, np.float32)
+            for index in range(n):
+                np.multiply(
+                    rows[index],
+                    signs[:d],
+                    out=wire[index, :d],
+                    dtype=np.float32,
+                    casting="unsafe",
+                )
+            np.multiply(0.0, signs[d:], out=wire[:, d:])
             work = fwht_rows(wire, depth, workspace=workspace, label="thc")
         normalization = np.float32(fwht_normalization(depth))
         num_chunks = padded_size // chunk_elements
@@ -283,17 +292,18 @@ class THCCompressor(AggregationScheme):
         )
         shared_ranges = np.asarray(range_reduce.aggregate)
 
-        # --- Quantize (stochastic rounding in tiles of the matrix) -------- #
+        # --- Quantize (clip and stochastic rounding in tiles) -------------- #
         max_level = float(self.quantizer.max_level)
         inverse_scale = np.zeros(num_chunks, dtype=np.float32)
         np.divide(
             max_level, shared_ranges, out=inverse_scale, where=shared_ranges > 0
         )
         chunked *= inverse_scale[None, :, None]
-        np.clip(work, -max_level, max_level, out=work)
         wire_dtype = smallest_int_dtype(self._wire_headroom(n))
         levels = workspace.buf("thc.levels", (n, padded_size), wire_dtype)
-        self._round_stochastically(work, levels, ctx, max_level)
+        round_stochastically(
+            work, levels, ctx.rng, max_level, workspace=workspace, label="thc"
+        )
 
         # --- Integer all-reduce (host rings or in-network switches) -------- #
         op = self.aggregation.reduce_op(self.wire_bits)
@@ -349,37 +359,6 @@ class THCCompressor(AggregationScheme):
             bits_per_coordinate=float(self.wire_bits),
             per_worker_transmitted=LazyTransmitted(n, materialize_transmitted),
         )
-
-    @staticmethod
-    def _round_stochastically(
-        scaled: np.ndarray, levels: np.ndarray, ctx: SimContext, max_level: float
-    ) -> None:
-        """Stochastically round the clipped, scaled matrix into ``levels``.
-
-        Walks the flattened matrix in fixed tiles of :data:`ROUNDING_TILE`
-        elements, so the floor / uniform / round-up scratch is three tile
-        buffers, not three more copies of the worker matrix.  The uniforms
-        are drawn tile after tile in C order -- the same stream, and the
-        same rng state afterwards, as one draw over the whole matrix.
-        ``scaled`` is left holding the fractional parts.
-        """
-        flat_scaled = scaled.reshape(-1)
-        flat_levels = levels.reshape(-1)
-        tile = min(ROUNDING_TILE, flat_scaled.size)
-        floors = ctx.workspace.buf("thc.floor", (tile,), np.float32)
-        uniforms = ctx.workspace.buf("thc.uniform", (tile,), np.float32)
-        round_up = ctx.workspace.buf("thc.round_up", (tile,), np.bool_)
-        for start in range(0, flat_scaled.size, tile):
-            fraction = flat_scaled[start : start + tile]
-            width = fraction.size
-            floor, uniform, up = floors[:width], uniforms[:width], round_up[:width]
-            np.floor(fraction, out=floor)
-            fraction -= floor
-            ctx.rng.random(out=uniform, dtype=np.float32)
-            np.less(uniform, fraction, out=up)
-            np.add(floor, up, out=floor)
-            np.clip(floor, -max_level, max_level, out=floor)
-            np.copyto(flat_levels[start : start + tile], floor, casting="unsafe")
 
     def _aggregate_legacy(
         self, worker_gradients: list[np.ndarray], ctx: SimContext, d: int

@@ -33,6 +33,7 @@ from repro.compression.base import (
     CostEstimate,
     SimContext,
 )
+from repro.compression.kernels import ROUNDING_TILE, LazyTransmitted
 from repro.compression.spec import Param, register
 
 #: Wire width of the chunk-norm consensus stage and of the value stage (FP16).
@@ -219,8 +220,10 @@ class TopKChunkedCompressor(AggregationScheme):
 
         Chunk norms are computed in float64 (as the legacy path does) so the
         FP16-rounded consensus -- and therefore the selected chunk set -- is
-        bit-identical to the per-worker path; the heavy value stage runs in
-        float32.
+        bit-identical to the per-worker path; they run over tiles of whole
+        chunks, so the float64 scratch is one tile, not a copy of the
+        matrix.  The heavy value stage runs in float32, and the per-worker
+        report is deferred.
         """
         n = ctx.world_size
         chunk = self.chunk_size
@@ -229,21 +232,17 @@ class TopKChunkedCompressor(AggregationScheme):
         workspace = ctx.workspace
 
         work = workspace.buf("topkc.work", (n, d), np.float32)
-        self._gather_rows(rows, work)
         if self.permute:
             permutation = self._permutation(d)
             inverse = np.argsort(permutation)
-            work = work[:, permutation]
+            for index in range(n):
+                np.take(np.asarray(rows[index], dtype=np.float32), permutation, out=work[index])
         else:
             inverse = None
+            self._gather_rows(rows, work)
 
         # --- Stage 1: chunk-norm consensus ------------------------------- #
-        padded = workspace.buf("topkc.padded", (n, num_chunks * chunk), np.float64)
-        padded[:, :d] = work
-        if padded.shape[1] > d:
-            padded[:, d:] = 0.0
-        np.square(padded, out=padded)
-        norms = padded.reshape(n, num_chunks, chunk).sum(axis=2)
+        norms = self._chunk_norms_rows(work, workspace)
         per_worker_norms = _as_fp16(norms).astype(np.float32)
         norm_reduce = ctx.backend.allreduce_matrix(
             per_worker_norms, wire_bits_per_value=STAGE_BITS, op=SumOp()
@@ -269,22 +268,46 @@ class TopKChunkedCompressor(AggregationScheme):
 
         mean_permuted = np.zeros(d, dtype=np.float32)
         mean_permuted[selected_indices] = np.asarray(value_reduce.aggregate) / n
+        mean = mean_permuted[inverse] if inverse is not None else mean_permuted
 
-        transmitted_permuted = np.zeros((n, d), dtype=np.float32)
-        transmitted_permuted[:, selected_indices] = payload
-
-        if inverse is not None:
-            mean = mean_permuted[inverse]
-            transmitted = list(transmitted_permuted[:, inverse])
-        else:
-            mean = mean_permuted
-            transmitted = list(transmitted_permuted)
+        # Per-worker transmitted contributions, deferred: the closure holds
+        # only the payload and the indices it scatters back to.
+        def materialize_transmitted() -> np.ndarray:
+            transmitted = np.zeros((n, d), dtype=np.float32)
+            transmitted[:, selected_indices] = payload
+            if inverse is not None:
+                transmitted = transmitted[:, inverse]
+            return transmitted
 
         return AggregationResult(
             mean_estimate=mean,
             bits_per_coordinate=self.expected_bits_per_coordinate(d, n),
-            per_worker_transmitted=transmitted,
+            per_worker_transmitted=LazyTransmitted(n, materialize_transmitted),
         )
+
+    def _chunk_norms_rows(self, work: np.ndarray, workspace) -> np.ndarray:
+        """Float64 squared L2 norm of every chunk of every row of ``work``.
+
+        Walks each row in tiles of whole chunks (the last chunk zero-padded,
+        as :meth:`_chunk_norms` pads it), so every chunk is still one
+        contiguous float64 reduction of ``C`` values.
+        """
+        n, d = work.shape
+        chunk = self.chunk_size
+        num_chunks = self.num_chunks(d)
+        tile_chunks = min(num_chunks, max(1, ROUNDING_TILE // chunk))
+        squares = workspace.buf("topkc.squares", (tile_chunks * chunk,), np.float64)
+        norms = np.empty((n, num_chunks), dtype=np.float64)
+        for index in range(n):
+            for first in range(0, num_chunks, tile_chunks):
+                last = min(first + tile_chunks, num_chunks)
+                lo, hi = first * chunk, min(last * chunk, d)
+                block = squares[: (last - first) * chunk]
+                block[: hi - lo] = work[index, lo:hi]
+                block[hi - lo :] = 0.0
+                np.square(block, out=block)
+                block.reshape(-1, chunk).sum(axis=1, out=norms[index, first:last])
+        return norms
 
     def _aggregate_legacy(
         self, worker_gradients: list[np.ndarray], ctx: SimContext, d: int

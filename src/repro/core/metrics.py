@@ -22,15 +22,19 @@ def vnmse(estimate: np.ndarray, true_mean: np.ndarray) -> float:
     Raises:
         ValueError: If shapes differ or the true mean has zero norm.
     """
-    estimate = np.asarray(estimate, dtype=np.float64)
-    true_mean = np.asarray(true_mean, dtype=np.float64)
+    estimate = np.asarray(estimate)
+    true_mean = np.asarray(true_mean)
     if estimate.shape != true_mean.shape:
         raise ValueError("estimate and true_mean must have the same shape")
-    denominator = float(np.sum(true_mean * true_mean))
+    # One float64 scratch vector serves both sums: the inputs are widened
+    # element by element inside the ufuncs, as a float64 copy would be.
+    scratch = np.square(true_mean, dtype=np.float64)
+    denominator = float(np.sum(scratch))
     if denominator == 0.0:
         raise ValueError("true_mean has zero norm; vNMSE is undefined")
-    difference = estimate - true_mean
-    return float(np.sum(difference * difference)) / denominator
+    np.subtract(estimate, true_mean, dtype=np.float64, out=scratch)
+    np.square(scratch, out=scratch)
+    return float(np.sum(scratch)) / denominator
 
 
 def normalized_mean_squared_error(estimate: np.ndarray, reference: np.ndarray) -> float:

@@ -110,12 +110,13 @@ class SyntheticGradientModel:
         matrix = self._basis_left @ mixing @ self._basis_right
         return matrix.reshape(rows * cols)[: self.num_coordinates]
 
-    def next_round(self, num_workers: int) -> list[np.ndarray]:
+    def next_round(self, num_workers: int) -> np.ndarray:
         """Generate the per-worker gradients of the next round.
 
         Returns:
-            A list of ``num_workers`` float32 vectors of length ``d`` (the
-            rows of one ``(num_workers, d)`` array).
+            One ``(num_workers, d)`` float32 array, a row per worker.  Index
+            or iterate it for the per-worker vectors; the batched kernels
+            read the block as it is, without stacking rows back together.
         """
         if num_workers <= 0:
             raise ValueError("num_workers must be positive")
@@ -149,10 +150,14 @@ class SyntheticGradientModel:
             noise *= self.worker_noise
             noise *= self._normalized_envelope
             np.add(true_gradient, noise, out=row)
-        return list(rows)
+        return rows
 
-    def true_mean(self, worker_gradients: list[np.ndarray]) -> np.ndarray:
-        """The exact mean the schemes are trying to estimate."""
-        if not worker_gradients:
+    def true_mean(self, worker_gradients: "np.ndarray | list[np.ndarray]") -> np.ndarray:
+        """The exact mean the schemes are trying to estimate.
+
+        Takes a round's ``(n, d)`` block as it is (a list of rows is stacked
+        first); the mean folds the rows in order, as over the stacked rows.
+        """
+        if len(worker_gradients) == 0:
             raise ValueError("need at least one worker gradient")
-        return np.mean(np.stack(worker_gradients), axis=0)
+        return np.mean(np.asarray(worker_gradients), axis=0)
