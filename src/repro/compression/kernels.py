@@ -117,6 +117,12 @@ class RoundWorkspace:
         return sum(buffer.nbytes for buffer in self._buffers.values())
 
 
+#: Elements per tile of the batched kernels' cache-blocked passes: the
+#: stochastic rounding tiles, the row blocks of :func:`fwht_rows` and the
+#: chunk-norm tiles of TopKC (256 KiB of float32, a few L2-resident buffers).
+TILE_ELEMENTS = 1 << 16
+
+
 # --------------------------------------------------------------------------- #
 # Shared random sign diagonals
 # --------------------------------------------------------------------------- #
@@ -221,12 +227,14 @@ def fwht_rows(
 
     The transform is computed as a chain of dense Hadamard matmuls over a
     Kronecker factorization of ``H_{2^depth}``, which runs at BLAS speed.
-    The chain runs one row at a time: its intermediate stages ping-pong
-    between two row-sized scratch buffers that stay in cache, and only the
-    last stage writes into the full-size output, so the transform streams
-    the matrix once in and once out.  Returns the output (a workspace buffer
-    when a workspace is given); ``matrix`` is never modified, and never
-    aliased by the result unless ``depth == 0``.
+    The chain runs one block of rows at a time -- one row when a row holds
+    :data:`TILE_ELEMENTS` or more, else as many rows as fit in that many
+    elements: its intermediate stages ping-pong between two block-sized
+    scratch buffers that stay in cache, and only the last stage writes into
+    the full-size output, so the transform streams the matrix once in and
+    once out.  Returns the output (a workspace buffer when a workspace is
+    given); ``matrix`` is never modified, and never aliased by the result
+    unless ``depth == 0``.
     """
     if matrix.ndim != 2:
         raise ValueError("matrix must be 2-D (rows of chunks)")
@@ -246,16 +254,19 @@ def fwht_rows(
         return workspace.buf(f"{label}.{name}", shape, np.float32)
 
     out = scratch("out", matrix.shape)
-    rows = [scratch("row0", (row_length,)), scratch("row1", (row_length,))]
-    for index in range(num_rows):
-        source = matrix[index]
+    block_rows = min(num_rows, max(1, TILE_ELEMENTS // row_length))
+    blocks = [scratch(f"block{i}", (block_rows * row_length,)) for i in range(2)]
+    for first in range(0, num_rows, block_rows):
+        rows = slice(first, min(first + block_rows, num_rows))
+        source = matrix[rows]
+        size = source.size
         trailing = chunk
         for stage, bits in enumerate(factors):
             factor = 1 << bits
             trailing //= factor
             h = hadamard_matrix(bits)
             last = stage == len(factors) - 1
-            destination = out[index] if last else rows[stage & 1]
+            destination = out[rows] if last else blocks[stage & 1][:size]
             if trailing == 1:
                 # Contract the last axis: (blocks*lead, factor) @ H.
                 np.matmul(
@@ -282,10 +293,6 @@ def fwht_normalization(depth: int) -> float:
 # --------------------------------------------------------------------------- #
 # Tiled stochastic rounding
 # --------------------------------------------------------------------------- #
-#: Elements per tile of :func:`round_stochastically`.
-ROUNDING_TILE = 1 << 16
-
-
 def round_stochastically(
     rows: "np.ndarray | Sequence[np.ndarray]",
     levels: np.ndarray,
@@ -301,40 +308,48 @@ def round_stochastically(
     Each value ``v`` (scaled by ``scale`` when given, then clipped to
     ``[-max_level, max_level]``) becomes ``floor(v) + (u < v - floor(v))``
     for a float32 uniform ``u``.  The copy, scale, clip and rounding run in
-    float32 on tiles of at most :data:`ROUNDING_TILE` elements of each row,
-    so the scratch is four tile buffers rather than whole-matrix
-    temporaries, and ``rows`` (a matrix or a sequence of equal-length rows)
-    is only read.  The uniforms are drawn tile after tile in C order -- the
-    same stream, and the same rng state afterwards, as one draw over the
-    whole matrix.
+    float32 on tiles of :data:`TILE_ELEMENTS` consecutive elements of the
+    C-order ``(n, d)`` matrix (a tile of short rows spans several), so the
+    scratch is four tile buffers rather than whole-matrix temporaries, and
+    ``rows`` (a matrix or a sequence of equal-length rows) is only read.
+    The uniforms are drawn tile after tile -- the same stream, and the same
+    rng state afterwards, as one draw over the whole matrix.
 
     No clip follows the rounding: ``floor(v)`` of a clipped ``v`` already
     lies in range, and ``v`` rounds up only when it is not an integer, so
     below ``max_level``.
     """
-    num_rows, width = levels.shape
-    tile = min(ROUNDING_TILE, width)
+    width = levels.shape[1]
+    flat_levels = levels.reshape(-1)
+    tile = min(TILE_ELEMENTS, flat_levels.size)
     values = workspace.buf(f"{label}.values", (tile,), np.float32)
     floors = workspace.buf(f"{label}.floor", (tile,), np.float32)
     uniforms = workspace.buf(f"{label}.uniform", (tile,), np.float32)
     round_up = workspace.buf(f"{label}.round_up", (tile,), np.bool_)
-    for index in range(num_rows):
-        row, out = rows[index], levels[index]
-        for start in range(0, width, tile):
-            stop = min(start + tile, width)
-            size = stop - start
-            value, floor = values[:size], floors[:size]
-            uniform, up = uniforms[:size], round_up[:size]
-            np.copyto(value, row[start:stop], casting="unsafe")
-            if scale is not None:
-                value *= scale
-            np.clip(value, -max_level, max_level, out=value)
-            np.floor(value, out=floor)
-            value -= floor
-            rng.random(out=uniform, dtype=np.float32)
-            np.less(uniform, value, out=up)
-            np.add(floor, up, out=floor)
-            np.copyto(out[start:stop], floor, casting="unsafe")
+    for start in range(0, flat_levels.size, tile):
+        size = min(tile, flat_levels.size - start)
+        value, floor = values[:size], floors[:size]
+        uniform, up = uniforms[:size], round_up[:size]
+        filled = 0
+        row, column = divmod(start, width)
+        while filled < size:
+            take = min(width - column, size - filled)
+            np.copyto(
+                value[filled : filled + take],
+                rows[row][column : column + take],
+                casting="unsafe",
+            )
+            filled += take
+            row, column = row + 1, 0
+        if scale is not None:
+            value *= scale
+        np.clip(value, -max_level, max_level, out=value)
+        np.floor(value, out=floor)
+        value -= floor
+        rng.random(out=uniform, dtype=np.float32)
+        np.less(uniform, value, out=up)
+        np.add(floor, up, out=floor)
+        np.copyto(flat_levels[start : start + size], floor, casting="unsafe")
 
 
 # --------------------------------------------------------------------------- #

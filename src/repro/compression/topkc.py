@@ -33,7 +33,7 @@ from repro.compression.base import (
     CostEstimate,
     SimContext,
 )
-from repro.compression.kernels import ROUNDING_TILE, LazyTransmitted
+from repro.compression.kernels import TILE_ELEMENTS, LazyTransmitted
 from repro.compression.spec import Param, register
 
 #: Wire width of the chunk-norm consensus stage and of the value stage (FP16).
@@ -295,7 +295,7 @@ class TopKChunkedCompressor(AggregationScheme):
         n, d = work.shape
         chunk = self.chunk_size
         num_chunks = self.num_chunks(d)
-        tile_chunks = min(num_chunks, max(1, ROUNDING_TILE // chunk))
+        tile_chunks = min(num_chunks, max(1, TILE_ELEMENTS // chunk))
         squares = workspace.buf("topkc.squares", (tile_chunks * chunk,), np.float64)
         norms = np.empty((n, num_chunks), dtype=np.float64)
         for index in range(n):
