@@ -21,7 +21,7 @@ import numpy as np
 def _clip_limits(limit: int, dtype: np.dtype) -> tuple[np.ndarray, np.ndarray]:
     """``-limit`` and ``limit`` as 0-d arrays of the accumulator's dtype.
 
-    ``np.clip`` with Python-int bounds resolves their dtype on every call,
+    Clipping with Python-int bounds resolves their dtype on every call,
     which costs more than clipping a ring block of a few thousand elements;
     bounds already in the accumulator's dtype clip to the same values.
     """
@@ -145,7 +145,7 @@ class SaturatingSumOp(ReduceOp):
         # wire buffers accordingly.
         lower, upper = _clip_limits(self.max_value, accumulator.dtype)
         np.add(accumulator, incoming, out=accumulator)
-        np.clip(accumulator, lower, upper, out=accumulator)
+        accumulator.clip(lower, upper, out=accumulator)
         return accumulator
 
     def saturation_fraction(self, aggregate: np.ndarray) -> float:
