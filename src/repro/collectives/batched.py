@@ -1,12 +1,13 @@
 """Vectorized (matrix) variants of the functional collectives.
 
 The legacy collectives take one vector per worker and, for a ring, split each
-vector into ``n`` blocks combined hop by hop -- ``n * (n - 1)`` small NumPy
-calls per all-reduce.  The batched backend stacks the workers into one
-``(n, d)`` matrix and performs the *same per-element fold order* with in-place combines
-over row views (block-wide for the ring, full-width for the tree and the
-racks), so non-associative operators (the paper's saturating sum) produce
-bit-identical aggregates while the Python overhead collapses.
+vector into ``n`` blocks combined hop by hop into fresh arrays.  The batched
+backend stacks the workers into one ``(n, d)`` matrix and performs the *same
+per-element fold order* with in-place combines on views of its rows (block
+by block for the ring, so each accumulator block stays in cache across its
+``n - 1`` hops; full width for the tree and the racks), so non-associative
+operators (the paper's saturating sum) produce bit-identical aggregates
+without a reordered copy of the matrix.
 
 The fold orders mirror the legacy implementations exactly:
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=64)
 def _clip_limits(limit: int, dtype: np.dtype) -> tuple[np.ndarray, np.ndarray]:
     """``-limit`` and ``limit`` as 0-d arrays of the accumulator's dtype.
 

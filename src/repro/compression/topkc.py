@@ -33,7 +33,7 @@ from repro.compression.base import (
     CostEstimate,
     SimContext,
 )
-from repro.compression.kernels import TILE_ELEMENTS, LazyTransmitted
+from repro.compression.kernels import TILE_ELEMENTS, LazyTransmitted, RoundWorkspace
 from repro.compression.spec import Param, register
 
 #: Wire width of the chunk-norm consensus stage and of the value stage (FP16).
@@ -236,7 +236,8 @@ class TopKChunkedCompressor(AggregationScheme):
             permutation = self._permutation(d)
             inverse = np.argsort(permutation)
             for index in range(n):
-                np.take(np.asarray(rows[index], dtype=np.float32), permutation, out=work[index])
+                row = np.asarray(rows[index], dtype=np.float32)
+                np.take(row, permutation, out=work[index])
         else:
             inverse = None
             self._gather_rows(rows, work)
@@ -285,7 +286,9 @@ class TopKChunkedCompressor(AggregationScheme):
             per_worker_transmitted=LazyTransmitted(n, materialize_transmitted),
         )
 
-    def _chunk_norms_rows(self, work: np.ndarray, workspace) -> np.ndarray:
+    def _chunk_norms_rows(
+        self, work: np.ndarray, workspace: RoundWorkspace
+    ) -> np.ndarray:
         """Float64 squared L2 norm of every chunk of every row of ``work``.
 
         Walks each row in tiles of whole chunks (the last chunk zero-padded,

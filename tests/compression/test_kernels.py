@@ -15,6 +15,7 @@ from repro.compression.kernels import (
     fwht_normalization,
     fwht_rows,
     hadamard_matrix,
+    round_stochastically,
     smallest_int_dtype,
 )
 
@@ -156,6 +157,57 @@ class TestFwhtRows:
     def test_depth_zero_is_identity(self):
         matrix = np.ones((2, 8), dtype=np.float32)
         assert fwht_rows(matrix, 0) is matrix
+
+
+def _whole_matrix_rounding(rows, rng, max_level, scale):
+    """The untiled reference: whole-matrix scratch, one uniform draw."""
+    values = np.array(rows, dtype=np.float32)
+    if scale is not None:
+        values *= scale
+    np.clip(values, -max_level, max_level, out=values)
+    floors = np.floor(values)
+    values -= floors
+    uniforms = rng.random(values.shape, dtype=np.float32)
+    floors += uniforms < values
+    np.clip(floors, -max_level, max_level, out=floors)
+    return floors.astype(np.int8)
+
+
+class TestRoundStochastically:
+    # (3, 30000): the first 2^16-element tile ends inside the third row.
+    @pytest.mark.parametrize("shape", [(3, 30000), (2, 1 << 16), (4, 7)])
+    @pytest.mark.parametrize("as_list", [False, True])
+    @pytest.mark.parametrize("scale", [None, np.float32(2.5)])
+    def test_matches_whole_matrix_rounding(self, shape, as_list, scale):
+        rows = np.random.default_rng(0).standard_normal(shape).astype(np.float32) * 4
+        rng, reference_rng = np.random.default_rng(1), np.random.default_rng(1)
+        levels = np.empty(shape, dtype=np.int8)
+        round_stochastically(
+            list(rows) if as_list else rows,
+            levels,
+            rng,
+            7.0,
+            scale=scale,
+            workspace=RoundWorkspace(),
+            label="test",
+        )
+        expected = _whole_matrix_rounding(rows, reference_rng, 7.0, scale)
+        np.testing.assert_array_equal(levels, expected)
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+    def test_reads_rows_only(self):
+        rows = np.random.default_rng(2).standard_normal((2, 100)).astype(np.float32)
+        rows.flags.writeable = False
+        levels = np.empty((2, 100), dtype=np.int8)
+        round_stochastically(
+            rows,
+            levels,
+            np.random.default_rng(3),
+            7.0,
+            workspace=RoundWorkspace(),
+            label="test",
+        )
+        assert np.all(np.abs(levels) <= 7)
 
 
 class TestHadamardMatrix:
