@@ -19,7 +19,7 @@ This module holds the shared building blocks of the batched path:
 * :func:`fwht_rows` -- the randomized-Hadamard butterfly network expressed
   as a chain of small dense Hadamard matmuls (a Kronecker factorization of
   ``H_{2^depth}``), which runs at BLAS speed instead of ``depth`` strided
-  element passes, one row at a time through row-sized scratch;
+  element passes, one block of rows at a time through block-sized scratch;
 * :func:`round_stochastically` -- the one stochastic-rounding kernel of the
   integer quantizers (THC, QSGD), walking the worker matrix in cache-sized
   tiles instead of streaming whole-matrix temporaries;
@@ -32,8 +32,8 @@ This module holds the shared building blocks of the batched path:
 A batched kernel touches each ``(n, d)`` worker matrix as few times as its
 arithmetic needs: per-element work that follows a gather or precedes a cast
 runs tile by tile on cache-resident scratch, so the only full-size buffers
-are the ones a scheme's protocol actually holds (its wire matrix, its
-integer levels).
+are the ones a scheme's arithmetic needs whole (a wire matrix, a transform's
+output, integer levels).
 """
 
 from __future__ import annotations
