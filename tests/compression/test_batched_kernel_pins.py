@@ -9,7 +9,7 @@ record, per spec and shape:
   of two consecutive rounds (both reports are read only after the second
   round ran, so a deferred report that aliased reused scratch would show);
 * the rng state afterwards, which fixes how many uniforms were drawn;
-* for ``ef(...)`` of each spec, three rounds of means and the residuals left
+* for ``ef(...)`` of each spec (TopK at ``b=2`` only), three rounds of means and the residuals left
   behind (the wrapper reads the report every round).
 
 They also pin :func:`~repro.collectives.batched.ring_allreduce_matrix` for
@@ -50,7 +50,13 @@ SPECS = [
     "topkc(b=2)",
     "topkc(b=2, perm=true)",
     "powersgd(r=4)",
+    "topk(b=0.5)",
+    "topk(b=2)",
+    "topk(b=8)",
 ]
+
+#: The ``ef(...)`` pins: every spec above except the extra TopK budgets.
+EF_SPECS = [spec for spec in SPECS if spec not in ("topk(b=0.5)", "topk(b=8)")]
 
 EF_SHAPE = (4, 5773)
 EF_ROUNDS = 3
@@ -171,7 +177,7 @@ def all_cases():
 
 
 def ef_cases():
-    return [(spec, *EF_SHAPE) for spec in SPECS]
+    return [(spec, *EF_SHAPE) for spec in EF_SPECS]
 
 
 def ring_cases():
