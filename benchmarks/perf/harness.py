@@ -5,16 +5,14 @@ Times the three layers of the simulator's hot path and emits a
 ``BENCH_results.json`` snapshot so future changes have a trajectory to
 compare against:
 
-* **Compression kernels** -- the batched (vectorized) backend against the
-  legacy per-worker reference on the paper's THC configuration, both at the
-  scheme level (compress + aggregate, 16 workers, d = 2^20) and for the raw
-  Hadamard rotation kernel;
+* **Compression kernels** -- the paper's THC configuration at the scheme
+  level (compress + aggregate, 16 workers, d = 2^20) and the raw Hadamard
+  rotation kernel, as throughputs;
 * **Pipeline pricing** -- analytic per-round makespan pricing
   (:func:`repro.api.measures.estimate_throughput`) across the whole scheme
   registry and both paper workloads, serialized and bucketed;
-* **Sweep wall-clock** -- a vNMSE sweep grid under the historical
-  configuration (legacy kernels, thread executor) versus the current default
-  (batched kernels, auto executor: processes on multi-core machines);
+* **Sweep wall-clock** -- a vNMSE sweep grid under the default auto executor
+  (processes on multi-core machines);
 * **Fleet-scale pricing** -- one full throughput pricing of a 1M-worker
   distributional fat-tree (three heterogeneity classes, 8192 racks),
   guarding the O(#classes) population representation against the return of
@@ -58,12 +56,7 @@ from service_load import run_service_bench  # noqa: E402
 from repro.api.executors import available_cpus  # noqa: E402
 from repro.api.measures import estimate_throughput, paper_context  # noqa: E402
 from repro.api.session import ExperimentSession  # noqa: E402
-from repro.compression.hadamard import _butterfly_passes  # noqa: E402
-from repro.compression.kernels import (  # noqa: E402
-    KernelBackend,
-    RoundWorkspace,
-    fwht_rows,
-)
+from repro.compression.kernels import RoundWorkspace, fwht_rows  # noqa: E402
 from repro.compression.registry import ALIASES, make_scheme  # noqa: E402
 from repro.simulator.cluster import (  # noqa: E402
     ClusterSpec,
@@ -107,93 +100,72 @@ def _median(samples: list[float]) -> float:
 # --------------------------------------------------------------------------- #
 # 1. Compression kernels
 # --------------------------------------------------------------------------- #
-def bench_thc_microbench(
-    *, num_workers: int, num_coordinates: int, repeats: int
+def _bench_thc(
+    spec: str, *, seed: int, num_workers: int, num_coordinates: int, repeats: int
 ) -> dict:
-    """Scheme-level compress + aggregate: batched vs legacy backend."""
+    """Scheme-level compress + aggregate of one THC spec."""
     cluster = _cluster(num_workers)
-    rng = np.random.default_rng(0)
+    rng = np.random.default_rng(seed)
     gradients = [
         rng.standard_normal(num_coordinates).astype(np.float32)
         for _ in range(num_workers)
     ]
-
-    def run_backend(backend: KernelBackend) -> list[float]:
-        scheme = make_scheme(MICROBENCH_SPEC)
-        ctx = paper_context(cluster, seed=0, kernel_backend=backend)
-        return _timed(lambda: scheme.aggregate(gradients, ctx), repeats=repeats)
-
-    batched = run_backend(KernelBackend.BATCHED)
-    legacy = run_backend(KernelBackend.LEGACY)
+    scheme = make_scheme(spec)
+    ctx = paper_context(cluster, seed=0)
+    seconds = _median(_timed(lambda: scheme.aggregate(gradients, ctx), repeats=repeats))
     return {
-        "spec": MICROBENCH_SPEC,
+        "spec": spec,
         "num_workers": num_workers,
         "num_coordinates": num_coordinates,
-        "batched_seconds": _median(batched),
-        "legacy_seconds": _median(legacy),
-        "speedup": _median(legacy) / _median(batched),
-        "batched_mcoords_per_s": num_workers * num_coordinates / _median(batched) / 1e6,
+        "batched_seconds": seconds,
+        "batched_mcoords_per_s": num_workers * num_coordinates / seconds / 1e6,
     }
+
+
+def bench_thc_microbench(
+    *, num_workers: int, num_coordinates: int, repeats: int
+) -> dict:
+    """Scheme-level compress + aggregate on the paper's full-rotation THC."""
+    return _bench_thc(
+        MICROBENCH_SPEC,
+        seed=0,
+        num_workers=num_workers,
+        num_coordinates=num_coordinates,
+        repeats=repeats,
+    )
 
 
 def bench_thc_partial(
     *, num_workers: int, num_coordinates: int, repeats: int
 ) -> dict:
     """Same microbenchmark on the partial-rotation (shared-memory) variant."""
-    cluster = _cluster(num_workers)
-    rng = np.random.default_rng(1)
-    gradients = [
-        rng.standard_normal(num_coordinates).astype(np.float32)
-        for _ in range(num_workers)
-    ]
-    spec = "thc(q=4, rot=partial, agg=sat)"
-
-    def run_backend(backend: KernelBackend) -> list[float]:
-        scheme = make_scheme(spec)
-        ctx = paper_context(cluster, seed=0, kernel_backend=backend)
-        return _timed(lambda: scheme.aggregate(gradients, ctx), repeats=repeats)
-
-    batched = run_backend(KernelBackend.BATCHED)
-    legacy = run_backend(KernelBackend.LEGACY)
-    return {
-        "spec": spec,
-        "num_workers": num_workers,
-        "num_coordinates": num_coordinates,
-        "batched_seconds": _median(batched),
-        "legacy_seconds": _median(legacy),
-        "speedup": _median(legacy) / _median(batched),
-        "batched_mcoords_per_s": num_workers * num_coordinates / _median(batched) / 1e6,
-    }
+    return _bench_thc(
+        "thc(q=4, rot=partial, agg=sat)",
+        seed=1,
+        num_workers=num_workers,
+        num_coordinates=num_coordinates,
+        repeats=repeats,
+    )
 
 
 def bench_rotation_kernel(
     *, num_workers: int, num_coordinates: int, repeats: int
 ) -> dict:
-    """Raw rotation kernel: batched Kronecker matmuls vs per-worker butterflies."""
+    """Raw rotation kernel: Kronecker matmuls over the worker matrix."""
     depth = int(np.log2(num_coordinates))
     rng = np.random.default_rng(2)
     matrix = rng.standard_normal((num_workers, num_coordinates)).astype(np.float32)
     workspace = RoundWorkspace()
 
-    batched = _timed(
-        lambda: fwht_rows(matrix, depth, workspace=workspace), repeats=repeats
+    seconds = _median(
+        _timed(lambda: fwht_rows(matrix, depth, workspace=workspace), repeats=repeats)
     )
-
-    rows64 = [row.astype(np.float64) for row in matrix]
-
-    def legacy_pass():
-        for row in rows64:
-            _butterfly_passes(np.array(row, copy=True), depth)
-
-    legacy = _timed(legacy_pass, repeats=max(1, repeats // 2))
     return {
         "depth": depth,
         "num_workers": num_workers,
         "num_coordinates": num_coordinates,
-        "batched_seconds": _median(batched),
-        "legacy_seconds": _median(legacy),
-        "speedup": _median(legacy) / _median(batched),
-        "batched_mcoords_per_s": num_workers * num_coordinates / _median(batched) / 1e6,
+        "batched_seconds": seconds,
+        "batched_mcoords_per_s": num_workers * num_coordinates / seconds / 1e6,
     }
 
 
@@ -225,12 +197,10 @@ def bench_pricing(*, repeats: int) -> dict:
 # 3. Sweep wall-clock
 # --------------------------------------------------------------------------- #
 def bench_sweep(*, num_coordinates: int, repeats: int) -> dict:
-    """vNMSE sweep: historical configuration vs the current default.
+    """vNMSE sweep wall-clock under the default (auto) executor.
 
-    The "before" session runs the legacy per-worker kernels on the historical
-    GIL-bound thread pool; the "after" session runs the batched kernels with
-    the auto executor (process pool on multi-core machines).  Fresh sessions
-    per run keep the memo out of the measurement.
+    The auto executor runs a process pool on multi-core machines.  Fresh
+    sessions per run keep the memo out of the measurement.
     """
     # A THC-centric grid (the paper's scheme space: quantization width,
     # rotation depth, and overflow handling), plus the QSGD generalization
@@ -248,22 +218,19 @@ def bench_sweep(*, num_coordinates: int, repeats: int) -> dict:
     # gradient size -- the same measurement the experiment drivers sweep.
     kwargs = dict(num_coordinates=num_coordinates, num_rounds=3)
 
-    def run_with(backend: str, executor: str) -> float:
-        session = ExperimentSession(backend=backend, executor=executor)
+    def run_once() -> float:
+        session = ExperimentSession(executor="auto")
         start = time.perf_counter()
         session.sweep(specs, metric="vnmse", **kwargs)
         return time.perf_counter() - start
 
-    before = [run_with("legacy", "thread") for _ in range(repeats)]
-    after = [run_with("batched", "auto") for _ in range(repeats)]
+    after = [run_once() for _ in range(repeats)]
     return {
         "metric": "vnmse",
         "num_points": len(specs),
         "num_coordinates": num_coordinates,
         "cpus": available_cpus(),
-        "before_seconds": _median(before),
         "after_seconds": _median(after),
-        "speedup": _median(before) / _median(after),
         "after_mcoords_per_s": len(specs) * num_coordinates / _median(after) / 1e6,
     }
 
@@ -386,33 +353,42 @@ def run_harness(*, quick: bool) -> dict:
         num_workers=scale["workers"], num_coordinates=scale["d"], repeats=scale["repeats"]
     )
     print(
-        "[perf]   batched {batched_seconds:.3f}s  legacy {legacy_seconds:.3f}s  "
-        "speedup {speedup:.1f}x".format(**benches["thc_microbench"])
+        "[perf]   {batched_seconds:.4f}s  ({batched_mcoords_per_s:.1f} Mcoord/s)".format(
+            **benches["thc_microbench"]
+        )
     )
 
     benches["thc_partial"] = bench_thc_partial(
         num_workers=scale["workers"], num_coordinates=scale["d"], repeats=scale["repeats"]
     )
-    print("[perf]   partial-rotation speedup {speedup:.1f}x".format(**benches["thc_partial"]))
+    print(
+        "[perf]   partial rotation {batched_mcoords_per_s:.1f} Mcoord/s".format(
+            **benches["thc_partial"]
+        )
+    )
 
     benches["rotation_kernel"] = bench_rotation_kernel(
         num_workers=scale["workers"],
         num_coordinates=min(scale["d"], 1 << 18),
         repeats=scale["repeats"],
     )
-    print("[perf]   rotation-kernel speedup {speedup:.1f}x".format(**benches["rotation_kernel"]))
+    print(
+        "[perf]   rotation kernel {batched_mcoords_per_s:.1f} Mcoord/s".format(
+            **benches["rotation_kernel"]
+        )
+    )
 
     print("[perf] pipeline pricing across the registry...")
     benches["pricing"] = bench_pricing(repeats=scale["repeats"])
     print("[perf]   registry grid priced in {grid_seconds:.3f}s".format(**benches["pricing"]))
 
-    print("[perf] sweep wall-clock (legacy+threads vs batched+auto)...")
+    print("[perf] sweep wall-clock (auto executor)...")
     benches["sweep"] = bench_sweep(
         num_coordinates=scale["sweep_d"], repeats=max(1, scale["repeats"] - 1)
     )
     print(
-        "[perf]   before {before_seconds:.3f}s  after {after_seconds:.3f}s  "
-        "speedup {speedup:.1f}x on {cpus} cpu(s)".format(**benches["sweep"])
+        "[perf]   {after_seconds:.3f}s ({after_mcoords_per_s:.2f} Mcoord/s) "
+        "on {cpus} cpu(s)".format(**benches["sweep"])
     )
 
     print("[perf] fleet-scale pricing (1M-worker distributional fat-tree)...")

@@ -10,6 +10,7 @@ import numpy as np
 
 from repro.collectives.ops import SaturatingSumOp
 from repro.compression.hadamard import HadamardRotation
+from repro.compression.kernels import RoundWorkspace, round_stochastically
 from repro.compression.quantization import StochasticQuantizer
 
 WORKER_COUNTS = (2, 4, 8, 16, 32)
@@ -25,12 +26,20 @@ def run_saturation_sweep():
     results = {}
     for num_workers in WORKER_COUNTS:
         gradients = [rng.standard_normal(d).astype(np.float32) for _ in range(num_workers)]
-        rotated = [rotation.forward(g)[0] for g in gradients]
-        shared_range = max(float(np.max(np.abs(r))) for r in rotated)
-        levels = [
-            quantizer.quantize(r, rng, value_range=shared_range).levels for r in rotated
-        ]
-        exact_sum = np.sum(np.stack(levels), axis=0)
+        rotated = np.stack([rotation.forward(g)[0] for g in gradients])
+        shared_range = float(np.max(np.abs(rotated)))
+        max_level = quantizer.max_level
+        levels = np.empty(rotated.shape, dtype=np.int8)
+        round_stochastically(
+            rotated,
+            levels,
+            rng,
+            float(max_level),
+            scale=np.float32(max_level / shared_range),
+            workspace=RoundWorkspace(),
+            label="ablation",
+        )
+        exact_sum = np.sum(levels, axis=0, dtype=np.int64)
         for bits in WIRE_BITS:
             op = SaturatingSumOp(bits=bits)
             saturated = float(np.mean(np.abs(exact_sum) > op.max_value))

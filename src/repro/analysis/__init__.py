@@ -6,7 +6,7 @@ see, each protecting a property the test and benchmark suites rely on:
 * **RPL001 determinism** -- no wall-clock or global-RNG reads in pricing
   paths; randomness flows through seeded ``np.random.default_rng(seed)``.
 * **RPL002 dtype discipline** -- designated hot-path modules and every
-  ``aggregate_matrix`` stay float32: no ``np.float64``, no dtype-less
+  ``aggregate_rows`` body stay float32: no ``np.float64``, no dtype-less
   array constructors, no ``.astype(float64)`` round-trips.
 * **RPL003 cache-key purity** -- ``cache_key``/``canonical*`` functions
   never read display names, ``id()``, ``hash()``, or unsorted dict/set
@@ -18,8 +18,8 @@ see, each protecting a property the test and benchmark suites rely on:
   synchronous sqlite, ``subprocess``) inside ``async def`` in the service
   layer without executor offload.
 * **RPL006 registry contract** -- every ``@register``-ed scheme defines
-  ``aggregate_matrix`` and ``estimate_bucket_costs`` or explicitly
-  inherits them.
+  ``aggregate_rows`` and ``estimate_bucket_costs`` or explicitly inherits
+  them.
 
 Run it with ``python -m repro.analysis [paths...]``; configuration lives in
 ``pyproject.toml`` under ``[tool.reprolint]``; suppress a deliberate

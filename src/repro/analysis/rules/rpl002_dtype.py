@@ -1,12 +1,12 @@
-"""RPL002: float32 discipline in the batched hot path.
+"""RPL002: float32 discipline in the kernel hot path.
 
-PR 4's 13.9-22.5x speedups rest on the stacked ``(n, d)`` worker matrix
+The kernels' speed rests on the stacked ``(n, d)`` worker matrix
 staying float32 end to end.  One accidental float64 round-trip -- a
 dtype-less ``np.zeros``, an ``.astype(np.float64)``, a ``dtype=float`` --
 doubles memory traffic and silently halves BLAS throughput, and the perf
 harness only catches it after the fact.  This rule checks, inside the
 designated hot-path modules and inside every function named in
-``hot_functions`` (``aggregate_matrix`` implementations by default):
+``hot_functions`` (the families' ``aggregate_rows`` bodies by default):
 
 * any read of ``np.float64`` / ``np.double`` (or the literal strings
   ``"float64"`` / ``"double"`` used as a dtype);
@@ -16,8 +16,9 @@ designated hot-path modules and inside every function named in
   dtype-preserving by construction;
 * ``.astype`` casts to float64 (including the builtin ``float``).
 
-The documented legacy-oracle reference paths keep their float64 on purpose
-and carry ``# reprolint: disable=RPL002`` with a justification.
+Deliberate float64 -- a handful of per-worker scalars, PowerSGD's power
+iteration, the per-vector reference transform's dtype -- carries
+``# reprolint: disable=RPL002`` with a justification.
 """
 
 from __future__ import annotations
@@ -136,8 +137,8 @@ class _HotScope(ast.NodeVisitor):
                 (
                     node,
                     ".astype to float64 round-trips the hot path out of "
-                    "float32; keep the matrix float32 (legacy-oracle "
-                    "reference paths suppress with a justification)",
+                    "float32; keep the matrix float32 (deliberate float64 "
+                    "suppresses with a justification)",
                 )
             )
 
@@ -146,7 +147,7 @@ class _HotScope(ast.NodeVisitor):
     "RPL002",
     name="dtype-discipline",
     invariant=(
-        "designated hot-path modules and aggregate_matrix implementations stay "
+        "designated hot-path modules and aggregate_rows bodies stay "
         "float32: no np.float64, no dtype-less array constructors, no float64 "
         "astype round-trips"
     ),
@@ -156,13 +157,13 @@ class _HotScope(ast.NodeVisitor):
             "src/repro/compression/kernels.py",
             "src/repro/collectives/batched.py",
         ),
-        "hot_functions": ("aggregate_matrix",),
+        "hot_functions": ("aggregate_rows",),
     },
 )
 class DtypeDisciplineRule:
     def check(self, tree: ast.AST, ctx) -> Iterator[Finding]:
         modules = tuple(ctx.options.get("modules", ()))
-        hot_functions = set(ctx.options.get("hot_functions", ("aggregate_matrix",)))
+        hot_functions = set(ctx.options.get("hot_functions", ("aggregate_rows",)))
         whole_module = ctx.relpath in modules
         scope = _HotScope(hot_functions, whole_module)
         scope.aliases = import_aliases(tree)

@@ -1,13 +1,14 @@
 """RPL006: the scheme-registry hot-path contract.
 
-Every ``@register``-ed scheme family is priced through two entry points the
-rest of the system assumes exist *deliberately*: ``aggregate_matrix`` (the
-PR 4 batched backend -- falling back to the base implementation silently
-costs the 13.9-22.5x speedup) and ``estimate_bucket_costs`` (the PR 2
-pipeline simulator's layer-aware pricing -- the base default is a uniform
-split that is wrong for layer-aware schemes like PowerSGD).  A newly
-registered family that merely *forgets* one of them still runs, just slower
-or subtly mispriced.
+Every ``@register``-ed scheme family runs and is priced through two entry
+points the rest of the system assumes exist *deliberately*:
+``aggregate_rows`` (the family's one aggregation body, which the simulator,
+error feedback and the bridge's ranks all run -- the base implementation
+only adapts a scheme written against the per-worker list interface) and
+``estimate_bucket_costs`` (the pipeline simulator's layer-aware pricing --
+the base default is a uniform split that is wrong for layer-aware schemes
+like PowerSGD).  A newly registered family that merely *forgets* one of
+them fails late or is subtly mispriced.
 
 This semantic pass over class bodies requires each ``@register``-ed class
 to either define both methods or state the inheritance explicitly::
@@ -28,7 +29,7 @@ from repro.analysis.findings import Finding
 from repro.analysis.registry import rule
 from repro.analysis.rules.base import decorator_base_name
 
-_REQUIRED = ("aggregate_matrix", "estimate_bucket_costs")
+_REQUIRED = ("aggregate_rows", "estimate_bucket_costs")
 
 
 def _register_decorator(node: ast.ClassDef) -> bool:
@@ -60,7 +61,7 @@ def _defined_names(node: ast.ClassDef) -> set[str]:
     "RPL006",
     name="registry-contract",
     invariant=(
-        "every @register-ed scheme defines aggregate_matrix and "
+        "every @register-ed scheme defines aggregate_rows and "
         "estimate_bucket_costs, or explicitly inherits them "
         "(`name = Base.name`) so the default is a reviewed decision"
     ),

@@ -9,8 +9,8 @@ Two forms, both parsed from real comment tokens (string literals that merely
   list (conventionally a justification, e.g. ``- wall-clock latency
   histogram``) is ignored by the parser but expected by reviewers.
 * file suppressions -- ``# reprolint: disable-file=RPL002`` anywhere in the
-  file suppresses the rules for the whole file (used by the documented
-  legacy-oracle allowlist).
+  file suppresses the rules for the whole file (for a module whose
+  deliberate exceptions are the rule, not the exception).
 """
 
 from __future__ import annotations

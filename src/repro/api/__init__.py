@@ -36,7 +36,6 @@ from repro.api.measures import (
     mean_vnmse,
     paper_context,
 )
-from repro.compression.kernels import KernelBackend
 from repro.api.session import (
     DEFAULT_BASELINE_SPEC,
     SWEEP_METRICS,
@@ -51,7 +50,6 @@ __all__ = [
     "DEFAULT_BASELINE_SPEC",
     "EXECUTORS",
     "ExperimentSession",
-    "KernelBackend",
     "SWEEP_METRICS",
     "Scenario",
     "ScenarioMetrics",

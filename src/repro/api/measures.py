@@ -15,7 +15,6 @@ import numpy as np
 
 from repro.collectives.api import CollectiveBackend
 from repro.compression.base import AggregationScheme, CostEstimate, SimContext, price_round
-from repro.compression.kernels import KernelBackend
 from repro.compression.registry import configure_scheme_for_shapes
 from repro.core.metrics import vnmse
 from repro.simulator.cluster import ClusterSpec, paper_testbed
@@ -36,21 +35,13 @@ def paper_context(
     cluster: ClusterSpec | None = None,
     *,
     seed: int = 0,
-    kernel_backend: "KernelBackend | str" = None,
 ) -> SimContext:
-    """A simulation context on the paper's testbed (or a custom cluster).
-
-    ``kernel_backend`` selects the compression hot path (``"batched"`` by
-    default, ``"legacy"`` for the per-worker reference loops).
-    """
+    """A simulation context on the paper's testbed (or a custom cluster)."""
     cluster = cluster or paper_testbed()
     return SimContext(
         backend=CollectiveBackend(cluster),
         kernels=KernelCostModel(gpu=cluster.gpu),
         rng=np.random.default_rng(seed),
-        kernel_backend=(
-            KernelBackend.BATCHED if kernel_backend is None else kernel_backend
-        ),
     )
 
 

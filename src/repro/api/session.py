@@ -52,7 +52,6 @@ from repro.api.sweep import SweepPoint, SweepResult, cluster_label, expand_grid
 from repro.collectives.api import CollectiveBackend
 from repro.compression.base import AggregationResult, AggregationScheme, SimContext
 from repro.compression.error_feedback import ErrorFeedback
-from repro.compression.kernels import KernelBackend
 from repro.compression.registry import make_scheme
 from repro.core.evaluation import EndToEndResult, run_end_to_end
 from repro.core.utility import UtilityReport, compute_utility
@@ -77,8 +76,7 @@ class _SweepTask:
     """One picklable sweep point shipped to a worker process.
 
     Carries everything a fresh child-side session needs to reproduce the
-    point exactly: the base cluster, the session seed, the kernel backend,
-    and the metric call.  Results are deterministic, so parent- and
+    point exactly: the base cluster, the session seed, and the metric call.  Results are deterministic, so parent- and
     child-side execution agree.
     """
 
@@ -87,7 +85,6 @@ class _SweepTask:
     cluster: ClusterSpec | None
     base_cluster: ClusterSpec
     seed: int
-    backend: str
     metric: str
     kwargs: dict = field(default_factory=dict)
     scenario: Scenario | None = None
@@ -119,7 +116,6 @@ def _run_sweep_task(task: _SweepTask) -> tuple[float, object]:
     session = ExperimentSession(
         cluster=task.base_cluster,
         seed=task.seed,
-        backend=task.backend,
         executor="serial",
     )
     return session._evaluate_metric(
@@ -148,10 +144,6 @@ class ExperimentSession:
         record_timeline: Accepted only as ``False``, for old callers.
             Sessions record no time: a round's simulated seconds come from
             ``scheme.estimate_costs(d, session.context())``.
-        backend: Kernel backend every measurement of this session runs --
-            ``"batched"`` (default; fused vectorized kernels over the stacked
-            worker matrix) or ``"legacy"`` (the per-worker float64 reference
-            path).  Pricing is identical on both.
         executor: Default sweep execution strategy: ``"auto"`` (processes for
             CPU-heavy metrics on multi-core machines, threads otherwise),
             ``"process"``, ``"thread"``, or ``"serial"``.
@@ -171,7 +163,6 @@ class ExperimentSession:
         seed: int = 0,
         max_workers: int | None = None,
         record_timeline: bool = False,
-        backend: KernelBackend | str = KernelBackend.BATCHED,
         executor: str = "auto",
     ):
         if record_timeline is not False:
@@ -182,7 +173,6 @@ class ExperimentSession:
             )
         self.cluster = cluster or paper_testbed()
         self.seed = seed
-        self.backend = KernelBackend.coerce(backend)
         self.executor = validate_executor(executor)
         self.kernels = KernelCostModel(gpu=self.cluster.gpu)
         self.max_workers = max_workers
@@ -225,7 +215,6 @@ class ExperimentSession:
             backend=CollectiveBackend(cluster),
             kernels=self.kernels if cluster is self.cluster else KernelCostModel(gpu=cluster.gpu),
             rng=np.random.default_rng(self.seed if seed is None else seed),
-            kernel_backend=self.backend,
         )
 
     # ------------------------------------------------------------------ #
@@ -369,7 +358,6 @@ class ExperimentSession:
             error_feedback=error_feedback,
             rolling_window=rolling_window,
             num_buckets=num_buckets,
-            kernel_backend=self.backend,
             scenario=scenario,
             policy=policy,
         )
@@ -700,7 +688,6 @@ class ExperimentSession:
                     cluster=cluster,
                     base_cluster=self.cluster,
                     seed=self.seed,
-                    backend=self.backend.value,
                     metric=metric_name,
                     kwargs=dict(metric_kwargs),
                     scenario=scenario,

@@ -1,22 +1,24 @@
 """The execution harness: GradientWorker / AggregationServer actors.
 
 This is where a registered scheme stops being simulated and actually *runs*.
-Every worker executes the scheme's own legacy aggregation code unmodified --
-compress, hand payloads to the collective, decompress what comes back -- but
-the collective backend underneath it is a :class:`TransportBackend` that
-wire-encodes the worker's contribution into real bytes, ships it to an
-:class:`AggregationServer` over a transport channel, and returns the reduced
-payload the server sends back.  The server replays the exact per-hop fold
-order of the simulated collectives (ring / tree / hierarchical), so the only
-differences between a harness run and a monolithic simulation are the ones a
-real deployment has: wire-precision rounding and actual bytes on a channel.
+Every worker executes the scheme's one implementation -- the same kernels
+``session.vnmse`` and ``tta`` run -- but the collective backend underneath it
+is a :class:`TransportBackend` that wire-encodes the worker's own row of each
+collective payload into real bytes, ships it to an :class:`AggregationServer`
+over a transport channel, and returns the reduced payload the server sends
+back.  The server stacks the decoded rows and folds them with the
+simulator's own matrix fold (:meth:`CollectiveBackend.allreduce_matrix` on
+the same cluster), so the only differences between a harness run and a
+monolithic simulation are the ones a real deployment has: wire-precision
+rounding and actual bytes on a channel.
 
 Execution is SPMD: worker ``i`` calls ``scheme.aggregate`` on a gradient
 list that is zero everywhere except its own rank.  Registered schemes derive
 their mean estimate exclusively from collective results (enforced by the
-differential suite in ``tests/bridge/``), so the placeholder rows never leak
+exactness tests in ``tests/bridge/``), so the placeholder rows never leak
 into any output -- and every worker must finish the round holding the
-bit-identical mean estimate, which the harness asserts.
+bit-identical mean estimate, which the harness asserts.  Workers share the
+seed, so every rank draws the same rng stream as the monolithic simulator.
 
 Measured per round, per worker: real uplink payload bits/bytes (compared
 *exactly* against the simulator's traffic accounting), the scheme's VNMSE on
@@ -50,7 +52,6 @@ from repro.collectives.api import (
 )
 from repro.collectives.ops import ReduceOp, SumOp
 from repro.compression.base import SimContext
-from repro.compression.kernels import KernelBackend
 from repro.compression.registry import make_scheme
 from repro.core.metrics import vnmse
 from repro.simulator.cluster import ClusterSpec, paper_testbed
@@ -141,17 +142,21 @@ class TransportBackend(CollectiveBackend):
     # -------------------------------------------------------------- #
     # Collectives
     # -------------------------------------------------------------- #
-    def allreduce(
+    def allreduce_matrix(
         self,
-        worker_vectors: list[np.ndarray],
+        matrix: np.ndarray,
         *,
         wire_bits_per_value: float,
         op: ReduceOp | None = None,
         collective: Collective = Collective.RING_ALLREDUCE,
     ) -> CollectiveResult:
-        self._check_world(worker_vectors)
+        """Send this rank's row; the server folds every rank's and replies.
+
+        The other rows are the rank's local placeholders and never leave it.
+        """
+        self._check_matrix(matrix)
         op = op or SumOp()
-        own = np.asarray(worker_vectors[self.rank])
+        own = np.asarray(matrix[self.rank])
         section = encode_section(own, wire_bits_per_value)
         self._record("allreduce", [section])
         reply = self._exchange(
@@ -165,23 +170,6 @@ class TransportBackend(CollectiveBackend):
         aggregate = decode_section(reply["section"])
         cost = self.allreduce_cost(own.size * wire_bits_per_value, collective)
         return CollectiveResult(aggregate=aggregate, gathered=None, cost=cost)
-
-    def allreduce_matrix(
-        self,
-        matrix: np.ndarray,
-        *,
-        wire_bits_per_value: float,
-        op: ReduceOp | None = None,
-        collective: Collective = Collective.RING_ALLREDUCE,
-    ) -> CollectiveResult:
-        # The batched entry point exists only for API parity; harness
-        # contexts run the legacy kernels, which call allreduce().
-        return self.allreduce(
-            [np.asarray(row) for row in matrix],
-            wire_bits_per_value=wire_bits_per_value,
-            op=op,
-            collective=collective,
-        )
 
     def allgather(
         self,
@@ -242,9 +230,9 @@ class AggregationServer:
     The server owns one channel endpoint per worker.  Workers run the same
     deterministic scheme, so they issue identical sequences of collective
     calls; the server collects message ``k`` from every worker, validates
-    that kinds/operators/collectives agree, decodes the payload bytes, folds
-    them with the exact per-hop order of the simulated collective
-    (:meth:`CollectiveBackend.reduce_vectors` on the same cluster), and
+    that kinds/operators/collectives agree, decodes the payload bytes, stacks
+    them into one matrix and folds it with the simulator's own fold
+    (:meth:`CollectiveBackend.allreduce_matrix` on the same cluster), and
     replies.  Gathers are forwarded verbatim: every worker receives every
     worker's encoded sections.
     """
@@ -311,11 +299,14 @@ class AggregationServer:
                     f"workers disagree on the reduction: ops={sorted(ops)} "
                     f"collectives={sorted(collectives)}"
                 )
-            vectors = [decode_section(message["section"]) for message in by_rank]
-            aggregate = self.backend.reduce_vectors(
-                vectors, by_rank[0]["op"], Collective(by_rank[0]["collective"])
+            first = by_rank[0]["section"]
+            reduced = self.backend.allreduce_matrix(
+                np.stack([decode_section(message["section"]) for message in by_rank]),
+                wire_bits_per_value=first.wire_bits,
+                op=by_rank[0]["op"],
+                collective=Collective(by_rank[0]["collective"]),
             )
-            section = encode_section(np.asarray(aggregate), 64.0)
+            section = encode_section(np.asarray(reduced.aggregate), 64.0)
             reply = {"kind": "reduced", "seq": seq, "section": section}
             for endpoint in self.endpoints:
                 endpoint.send(reply)
@@ -367,7 +358,6 @@ class GradientWorker:
             backend=backend,
             kernels=KernelCostModel(gpu=self.cluster.gpu),
             rng=np.random.default_rng(self.seed),
-            kernel_backend=KernelBackend.LEGACY,
         )
         scheme = make_scheme(self.spec)
         world = self.cluster.world_size

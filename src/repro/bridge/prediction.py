@@ -8,12 +8,12 @@ worker (``size * wire_bits_per_value``, the quantity every cost-model call
 prices).  The harness's measured uplink must equal this accounting bit for
 bit; the validation family and ``tests/bridge`` enforce it.
 
-The simulated run uses the legacy kernel backend: that is the per-worker
-reference path whose collective calls carry real per-worker payloads, i.e.
-the same protocol the harness distributes.  (The batched backend computes
-identical results -- held by ``tests/property/test_backend_equivalence.py``
--- but fuses the workers into one matrix, so it has no per-worker wire
-traffic to record.)  The run's simulated seconds come from the scheme's
+The simulated run executes the same code as the harness and as
+``session.vnmse``/``tta``: one kernel pass over all workers' rows, whose
+collective calls carry one row per worker -- exactly what each harness rank
+puts on its wire.  With the same seed every harness rank draws the same rng
+stream, so the two sides differ only by the wire's rounding (FP16 and FP32
+payloads).  The run's simulated seconds come from the scheme's
 ``estimate_costs``, the one cost ledger, not from the aggregation.
 """
 
@@ -27,7 +27,6 @@ from repro.bridge.trace import GradientTrace
 from repro.collectives.api import Collective, CollectiveBackend
 from repro.collectives.ops import ReduceOp
 from repro.compression.base import SimContext
-from repro.compression.kernels import KernelBackend
 from repro.compression.registry import make_scheme
 from repro.core.metrics import vnmse
 from repro.simulator.cluster import ClusterSpec, paper_testbed
@@ -67,24 +66,21 @@ class RecordingBackend(CollectiveBackend):
             bits.append(rounded)
         self.calls.append(RecordedCall(kind=kind, per_worker_bits=tuple(bits)))
 
-    def allreduce(
+    def allreduce_matrix(
         self,
-        worker_vectors: list[np.ndarray],
+        matrix: np.ndarray,
         *,
         wire_bits_per_value: float,
         op: ReduceOp | None = None,
         collective: Collective = Collective.RING_ALLREDUCE,
     ):
-        result = super().allreduce(
-            worker_vectors,
+        result = super().allreduce_matrix(
+            matrix,
             wire_bits_per_value=wire_bits_per_value,
             op=op,
             collective=collective,
         )
-        self._log(
-            "allreduce",
-            [vector.size * wire_bits_per_value for vector in worker_vectors],
-        )
+        self._log("allreduce", [matrix.shape[1] * wire_bits_per_value] * matrix.shape[0])
         return result
 
     def allgather(
@@ -166,9 +162,9 @@ def simulate_trace(
 ) -> SimulatedRun:
     """Simulate ``spec`` over ``trace`` and record its traffic accounting.
 
-    Same trace, same seed, same (legacy) kernel path as the harness -- the
-    only things the harness adds are the transport and the wire encodings,
-    which is precisely the gap the validation report quantifies.
+    Same trace, same seed, same kernels as the harness -- the only things
+    the harness adds are the transport and the wire encodings, which is
+    precisely the gap the validation report quantifies.
     """
     cluster = cluster or paper_testbed()
     if cluster.world_size != trace.num_workers:
@@ -181,7 +177,6 @@ def simulate_trace(
         backend=backend,
         kernels=KernelCostModel(gpu=cluster.gpu),
         rng=np.random.default_rng(seed),
-        kernel_backend=KernelBackend.LEGACY,
     )
     scheme = make_scheme(spec)
     world = cluster.world_size

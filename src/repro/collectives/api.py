@@ -22,10 +22,7 @@ from repro.collectives.batched import (
 from repro.collectives.cost_model import CollectiveCost, CollectiveCostModel
 from repro.collectives.ops import ReduceOp, SumOp
 from repro.collectives.parameter_server import ParameterServer
-from repro.collectives.ring import ring_allreduce
-from repro.collectives.tree import tree_allreduce
 from repro.simulator.cluster import ClusterSpec, paper_testbed
-from repro.topology.hierarchical import hierarchical_aggregate
 
 
 class Collective(enum.Enum):
@@ -102,6 +99,9 @@ class CollectiveBackend:
     ) -> CollectiveResult:
         """All-reduce the per-worker vectors and price the transfer.
 
+        The vectors are stacked into one ``(n_workers, d)`` matrix and
+        reduced by :meth:`allreduce_matrix`, the one fold.
+
         Args:
             worker_vectors: One equally shaped vector per worker.
             wire_bits_per_value: How many bits one vector element occupies on
@@ -110,47 +110,17 @@ class CollectiveBackend:
             collective: Ring (default), tree, or in-network switch schedule.
         """
         self._check_world(worker_vectors)
-        op = op or SumOp()
-        payload_bits = worker_vectors[0].size * wire_bits_per_value
-        aggregate = self.reduce_vectors(worker_vectors, op, collective)
-        cost = self.allreduce_cost(payload_bits, collective)
-        return CollectiveResult(aggregate=aggregate, gathered=None, cost=cost)
-
-    def reduce_vectors(
-        self,
-        worker_vectors: list[np.ndarray],
-        op: ReduceOp,
-        collective: Collective,
-    ) -> np.ndarray:
-        """The functional fold of :meth:`allreduce`, without the pricing.
-
-        Exposed so an execution engine that moves the payloads over a real
-        transport (``repro.bridge``) can replay the exact per-hop reduction
-        order of the simulated collective -- which matters for non-associative
-        (saturating) operators.
-        """
-        if collective is Collective.RING_ALLREDUCE:
-            if self.cluster.has_active_fabric:
-                # A topology-aware engine runs the hierarchical schedule on a
-                # multi-rack fabric: fold rack-locally, then across racks.
-                # The hop order matters for non-associative (saturating) ops,
-                # and the cost model prices the same schedule.
-                return hierarchical_aggregate(
-                    worker_vectors, op, self.cluster.rack_assignment()
-                )
-            return ring_allreduce(worker_vectors, op)
-        if collective is Collective.TREE_ALLREDUCE:
-            return tree_allreduce(worker_vectors, op)
-        if collective is Collective.SWITCH_AGGREGATION:
-            return hierarchical_aggregate(
-                worker_vectors, op, self.cluster.rack_assignment()
-            )
-        raise ValueError(f"{collective} is not an all-reduce collective")
+        return self.allreduce_matrix(
+            np.stack([np.asarray(vector) for vector in worker_vectors]),
+            wire_bits_per_value=wire_bits_per_value,
+            op=op,
+            collective=collective,
+        )
 
     def allreduce_cost(
         self, payload_bits: float, collective: Collective
     ) -> CollectiveCost:
-        """The priced cost of :meth:`allreduce`, without the functional fold."""
+        """The priced cost of :meth:`allreduce_matrix`, without the fold."""
         if collective is Collective.RING_ALLREDUCE:
             return self.cost_model.ring_allreduce(payload_bits)
         if collective is Collective.TREE_ALLREDUCE:
@@ -167,40 +137,25 @@ class CollectiveBackend:
         op: ReduceOp | None = None,
         collective: Collective = Collective.RING_ALLREDUCE,
     ) -> CollectiveResult:
-        """All-reduce a stacked ``(n_workers, d)`` matrix (batched backend).
+        """All-reduce a stacked ``(n_workers, d)`` matrix, one row per worker.
 
-        Functionally identical to :meth:`allreduce` on the matrix's rows --
-        the vectorized folds replay the exact per-hop order of the legacy
-        collectives, so even non-associative (saturating) operators agree bit
-        for bit -- and priced by the same cost-model calls.  The input matrix
-        is not modified.
+        The folds of :mod:`repro.collectives.batched` apply the operator in
+        the collective's per-hop order, which matters for non-associative
+        (saturating) operators.  On a ring over an active multi-rack fabric
+        the hierarchical schedule runs: fold rack-locally, then across racks,
+        as the cost model prices it.  The input matrix is not modified.
         """
-        if matrix.ndim != 2:
-            raise ValueError("matrix must be 2-D (one row per worker)")
-        if matrix.shape[0] != self.world_size:
-            raise ValueError(
-                f"expected {self.world_size} worker rows, got {matrix.shape[0]}"
-            )
+        self._check_matrix(matrix)
         op = op or SumOp()
-        payload_bits = matrix.shape[1] * wire_bits_per_value
-        if collective is Collective.RING_ALLREDUCE:
-            if self.cluster.has_active_fabric:
-                aggregate = hierarchical_aggregate_matrix(
-                    matrix, op, self.cluster.rack_assignment()
-                )
-            else:
-                aggregate = ring_allreduce_matrix(matrix, op)
-            cost = self.cost_model.ring_allreduce(payload_bits)
-        elif collective is Collective.TREE_ALLREDUCE:
+        cost = self.allreduce_cost(matrix.shape[1] * wire_bits_per_value, collective)
+        if collective is Collective.TREE_ALLREDUCE:
             aggregate = tree_allreduce_matrix(matrix, op)
-            cost = self.cost_model.tree_allreduce(payload_bits)
-        elif collective is Collective.SWITCH_AGGREGATION:
+        elif collective is Collective.RING_ALLREDUCE and not self.cluster.has_active_fabric:
+            aggregate = ring_allreduce_matrix(matrix, op)
+        else:
             aggregate = hierarchical_aggregate_matrix(
                 matrix, op, self.cluster.rack_assignment()
             )
-            cost = self.cost_model.switch_aggregation(payload_bits)
-        else:
-            raise ValueError(f"{collective} is not an all-reduce collective")
         return CollectiveResult(aggregate=aggregate, gathered=None, cost=cost)
 
     def allgather(
@@ -286,4 +241,12 @@ class CollectiveBackend:
         if len(worker_vectors) != self.world_size:
             raise ValueError(
                 f"expected {self.world_size} worker vectors, got {len(worker_vectors)}"
+            )
+
+    def _check_matrix(self, matrix: np.ndarray) -> None:
+        if matrix.ndim != 2:
+            raise ValueError("matrix must be 2-D (one row per worker)")
+        if matrix.shape[0] != self.world_size:
+            raise ValueError(
+                f"expected {self.world_size} worker rows, got {matrix.shape[0]}"
             )

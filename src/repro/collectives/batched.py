@@ -1,24 +1,25 @@
-"""Vectorized (matrix) variants of the functional collectives.
+"""The functional collectives: matrix folds, one row per worker.
 
-The legacy collectives take one vector per worker and, for a ring, split each
-vector into ``n`` blocks combined hop by hop into fresh arrays.  The batched
-backend stacks the workers into one ``(n, d)`` matrix and performs the *same
-per-element fold order* with in-place combines on views of its rows (block
-by block for the ring, so each accumulator block stays in cache across its
-``n - 1`` hops; full width for the tree and the racks), so non-associative
-operators (the paper's saturating sum) produce bit-identical aggregates
-without a reordered copy of the matrix.
+Every all-reduce folds a stacked ``(n, d)`` matrix with in-place combines on
+views of its rows (block by block for the ring, so each accumulator block
+stays in cache across its ``n - 1`` hops; full width for the tree and the
+racks).  The fold order is the collective's per-hop order, so a
+non-associative operator (the paper's saturating sum) is applied exactly as
+a real collective would apply it, without a reordered copy of the matrix:
 
-The fold orders mirror the legacy implementations exactly:
-
-* :func:`ring_allreduce_matrix` -- block ``j`` starts at worker
-  ``(j + 1) % n`` and accumulates around the ring (the
-  :func:`~repro.collectives.ring.ring_reduce_scatter` schedule);
-* :func:`tree_allreduce_matrix` -- post-order over the same
+* :func:`ring_allreduce_matrix` -- ``d`` is split into ``n`` contiguous
+  blocks; block ``j`` starts at worker ``(j + 1) % n`` and accumulates
+  around the ring (the reduce-scatter schedule; the all-gather phase only
+  copies reduced blocks);
+* :func:`tree_allreduce_matrix` -- post-order over a binary
   :class:`~repro.collectives.topology.TreeTopology`;
 * :func:`hierarchical_aggregate_matrix` -- rack-local rank-order folds, then
-  rack-order across the spine (the
-  :func:`~repro.topology.hierarchical.hierarchical_aggregate` schedule).
+  rack-order across the spine (the order packets reach the ToR, then the
+  spine).
+
+The simulator and the bridge's aggregation server both fold through
+:meth:`repro.collectives.api.CollectiveBackend.allreduce_matrix`, so the two
+sides agree by construction.
 """
 
 from __future__ import annotations
@@ -45,8 +46,7 @@ def ring_block_bounds(num_coordinates: int, num_workers: int) -> list[int]:
 def ring_allreduce_matrix(matrix: np.ndarray, op: ReduceOp | None = None) -> np.ndarray:
     """Ring all-reduce over the rows of ``matrix`` (one row per worker).
 
-    Applies the exact per-hop, per-block order of the legacy
-    :func:`~repro.collectives.ring.ring_allreduce`: block ``j`` of one
+    Applies the ring's per-hop, per-block order: block ``j`` of one
     accumulator starts as worker ``(j + 1) % n``'s block and folds in worker
     ``(j + 1 + hop) % n``'s block at hop ``hop``, straight from the rows of
     ``matrix`` -- ``n - 1`` in-place combines per block, and no rolled copy
@@ -74,8 +74,8 @@ def ring_allreduce_matrix(matrix: np.ndarray, op: ReduceOp | None = None) -> np.
 def tree_allreduce_matrix(matrix: np.ndarray, op: ReduceOp | None = None) -> np.ndarray:
     """Tree all-reduce over the rows of ``matrix``.
 
-    The legacy tree already combines full-width vectors (no blocking), so the
-    batched variant runs the identical post-order fold over row views.
+    A tree combines full-width rows (no blocking): the post-order fold runs
+    over row views.
     """
     op = op or SumOp()
     if matrix.ndim != 2:
@@ -99,10 +99,10 @@ def hierarchical_aggregate_matrix(
 ) -> np.ndarray:
     """Rack-local then cross-rack fold over the rows of ``matrix``.
 
-    Mirrors :func:`repro.topology.hierarchical.hierarchical_aggregate` hop
-    for hop (rank order within each rack, rack order across the spine), so
-    saturating in-network aggregation produces bit-identical results on both
-    backends.  ``matrix`` is not modified.
+    Each rack folds its members' rows in rank order, then the per-rack
+    partials fold in rack order.  For associative operators the result equals
+    a flat sum; for saturating operators it is exactly what switch-resident
+    aggregation produces.  ``matrix`` is not modified.
     """
     if matrix.ndim != 2:
         raise ValueError("matrix must be 2-D (one row per worker)")

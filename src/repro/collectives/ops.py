@@ -43,12 +43,12 @@ class ReduceOp(abc.ABC):
         """Combine a partial aggregate with one worker's contribution."""
 
     def combine_into(self, accumulator: np.ndarray, incoming: np.ndarray) -> np.ndarray:
-        """In-place combine used by the batched backend's vectorized folds.
+        """In-place combine used by the matrix folds.
 
         Semantically identical to :meth:`combine` but writes the result into
         ``accumulator`` without allocating.  The caller guarantees the
-        accumulator dtype can represent every intermediate value (the batched
-        integer folds pick their wire dtype with headroom via
+        accumulator dtype can represent every intermediate value (the integer
+        quantizers pick their wire dtype with headroom via
         :func:`repro.compression.kernels.smallest_int_dtype`).
         """
         result = self.combine(accumulator, incoming)
@@ -141,7 +141,7 @@ class SaturatingSumOp(ReduceOp):
 
     def combine_into(self, accumulator: np.ndarray, incoming: np.ndarray) -> np.ndarray:
         # Exact as long as the accumulator dtype holds 2 * max_value (both
-        # operands are already clipped); the batched backend sizes its integer
+        # operands are already clipped); the quantizers size their integer
         # wire buffers accordingly.
         lower, upper = _clip_limits(self.max_value, accumulator.dtype)
         np.add(accumulator, incoming, out=accumulator)

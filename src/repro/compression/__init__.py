@@ -31,7 +31,6 @@ from repro.compression.base import (
     SimContext,
 )
 from repro.compression.kernels import (
-    KernelBackend,
     LazyTransmitted,
     RoundWorkspace,
 )
@@ -70,7 +69,6 @@ from repro.compression.spec import (
 __all__ = [
     "AggregationResult",
     "AggregationScheme",
-    "KernelBackend",
     "LazyTransmitted",
     "RoundWorkspace",
     "SimContext",

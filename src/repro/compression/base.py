@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from repro.collectives.api import CollectiveBackend
-from repro.compression.kernels import KernelBackend, RoundWorkspace
+from repro.compression.kernels import RoundWorkspace
 from repro.simulator.kernel_cost import KernelCostModel
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -42,14 +42,8 @@ class SimContext:
         backend: The collective communication backend (functional + priced).
         kernels: Per-kernel GPU cost model used to price compression work.
         rng: Source of randomness (stochastic rounding, rotation seeds...).
-        kernel_backend: Which compression hot path to run --
-            :attr:`~repro.compression.kernels.KernelBackend.BATCHED` (default,
-            one fused float32 pass over the stacked worker matrix) or
-            :attr:`~repro.compression.kernels.KernelBackend.LEGACY` (the
-            original per-worker float64 reference loops).  Pricing does not
-            depend on it.
         workspace: Preallocated scratch buffers reused across rounds by the
-            batched kernels; a long-lived context (e.g. inside
+            kernels; a long-lived context (e.g. inside
             :class:`~repro.training.ddp.DDPTrainer`) allocates nothing on the
             hot path after its first round.
     """
@@ -57,30 +51,21 @@ class SimContext:
     backend: CollectiveBackend
     kernels: KernelCostModel = field(default_factory=KernelCostModel)
     rng: np.random.Generator = field(default_factory=lambda: np.random.default_rng(0))
-    kernel_backend: KernelBackend = KernelBackend.BATCHED
     workspace: RoundWorkspace = field(default_factory=RoundWorkspace)
-
-    def __post_init__(self) -> None:
-        self.kernel_backend = KernelBackend.coerce(self.kernel_backend)
 
     @property
     def world_size(self) -> int:
         """Number of workers whose gradients are aggregated."""
         return self.backend.world_size
 
-    @property
-    def batched(self) -> bool:
-        """Whether schemes should run their batched (vectorized) kernels."""
-        return self.kernel_backend is KernelBackend.BATCHED
-
     def for_cluster(
         self, cluster: ClusterSpec, *, rng: np.random.Generator | None = None
     ) -> SimContext:
         """A copy of this context on ``cluster`` (e.g. a scenario round's).
 
-        The kernel backend and, on the same GPU, the kernel cost model
-        (custom factors included) carry over.  ``rng`` defaults to a fresh
-        seed-0 stream, which pricing never draws from.
+        On the same GPU, the kernel cost model (custom factors included)
+        carries over.  ``rng`` defaults to a fresh seed-0 stream, which
+        pricing never draws from.
         """
         kernels = (
             self.kernels
@@ -91,7 +76,6 @@ class SimContext:
             backend=CollectiveBackend(cluster),
             kernels=kernels,
             rng=rng if rng is not None else np.random.default_rng(0),
-            kernel_backend=self.kernel_backend,
         )
 
 
@@ -112,7 +96,7 @@ class AggregationResult:
             contribution became after compression, expressed in the original
             gradient space.  ``None`` when the scheme is lossless from the
             worker's perspective (precision baselines) or when the notion
-            does not apply.  The batched backend may return a
+            does not apply.  A scheme may return a
             :class:`~repro.compression.kernels.LazyTransmitted` sequence that
             defers the per-worker decompression until first access.
     """
@@ -206,31 +190,44 @@ class AggregationScheme(abc.ABC):
     #: Short identifier used in experiment tables and the registry.
     name: str = "abstract"
 
-    @abc.abstractmethod
     def aggregate(
         self, worker_gradients: list[np.ndarray], ctx: SimContext
     ) -> AggregationResult:
         """Aggregate one gradient per worker into a mean estimate.
 
+        Validates the list and runs :meth:`aggregate_rows` on it.
         Implementations must not modify the input gradients.
         """
+        d, _ = self._validate_gradients(worker_gradients, ctx.world_size)
+        return self.aggregate_rows(worker_gradients, ctx, d)
 
     def aggregate_matrix(
         self, matrix: np.ndarray, ctx: SimContext
     ) -> AggregationResult:
         """Aggregate a stacked ``(n_workers, d)`` gradient matrix.
 
-        The batched entry point: wrappers (error feedback) and the batched
-        dispatch in :meth:`aggregate` hand the whole worker matrix over in
-        one piece.  Implementations must not modify ``matrix``.  The default
-        falls back to the per-worker path over row views, so schemes without
-        a vectorized kernel keep working under the batched backend; schemes
-        whose :meth:`aggregate` dispatches on ``ctx.batched`` MUST override
-        this method (the fallback would recurse otherwise).
+        Validates the matrix and runs :meth:`aggregate_rows` on it; wrappers
+        (error feedback) hand the whole worker matrix over in one piece.
+        Implementations must not modify ``matrix``.
         """
-        if matrix.ndim != 2:
-            raise ValueError("matrix must be 2-D (one row per worker)")
-        return self.aggregate([matrix[i] for i in range(matrix.shape[0])], ctx)
+        _, d = self._validate_matrix(matrix, ctx.world_size)
+        return self.aggregate_rows(matrix, ctx, d)
+
+    def aggregate_rows(self, rows, ctx: SimContext, d: int) -> AggregationResult:
+        """The scheme's one aggregation body, over validated worker rows.
+
+        ``rows`` is an ``(n, d)`` matrix or a list of ``n`` length-``d``
+        vectors, only read.  The body runs unchanged on a bridge rank, where
+        every row but the rank's own is a zero placeholder: the mean estimate
+        must come only from collective results.  A scheme written against
+        the list interface (overriding :meth:`aggregate` instead) runs on a
+        matrix's row views.
+        """
+        if isinstance(rows, np.ndarray):
+            return self.aggregate([rows[i] for i in range(rows.shape[0])], ctx)
+        raise NotImplementedError(
+            f"{type(self).__name__} implements neither aggregate_rows nor aggregate"
+        )
 
     @abc.abstractmethod
     def expected_bits_per_coordinate(self, num_coordinates: int, world_size: int) -> float:
@@ -314,8 +311,8 @@ class AggregationScheme(abc.ABC):
 
         ``columns`` restricts the copy to the first columns of ``out`` (the
         padded tail is left for the caller to clear).  Casting follows the
-        destination dtype -- this is where the batched path drops to its
-        float32 compute precision.
+        destination dtype -- this is where a kernel drops to its float32
+        compute precision.
         """
         width = out.shape[1] if columns is None else columns
         for index in range(out.shape[0]):

@@ -48,8 +48,7 @@ class ErrorFeedback(AggregationScheme):
             raise ValueError("decay must be in [0, 1]")
         self.scheme = scheme
         self.decay = decay
-        #: Residual state, stored as one (n_workers, d) float32 matrix shared
-        #: by both kernel backends (the legacy path views its rows).
+        #: Residual state, stored as one (n_workers, d) float32 matrix.
         self._residual_matrix: np.ndarray | None = None
         self.name = f"ef({scheme.name})"
 
@@ -121,58 +120,21 @@ class ErrorFeedback(AggregationScheme):
             )
         return self._residual_matrix
 
-    def aggregate(
-        self, worker_gradients: list[np.ndarray], ctx: SimContext
-    ) -> AggregationResult:
-        d, _ = self._validate_gradients(worker_gradients, ctx.world_size)
-        n = ctx.world_size
-        residuals = self._residuals_for(n, d)
-
-        if ctx.batched:
-            # The label is instance-unique so nested wrappers never alias
-            # each other's adjusted-gradient buffers.
-            adjusted = ctx.workspace.buf(f"ef.adjusted.{id(self)}", (n, d), np.float32)
-            self._gather_rows(worker_gradients, adjusted)
-            adjusted += residuals
-            return self._finish_batched(adjusted, residuals, ctx)
-
-        adjusted = [
-            np.asarray(grad, dtype=np.float32) + residual
-            for grad, residual in zip(worker_gradients, residuals)
-        ]
-        result = self.scheme.aggregate(adjusted, ctx)
-
-        if result.per_worker_transmitted is not None:
-            for index, (adj, transmitted) in enumerate(
-                zip(adjusted, result.per_worker_transmitted)
-            ):
-                residuals[index] = (adj - transmitted).astype(np.float32) * self.decay
-        else:
-            # Without a per-worker report, fall back to the aggregate-based
-            # residual (what PowerSGD's reference implementation does).
-            for index, adj in enumerate(adjusted):
-                residuals[index] = (adj - result.mean_estimate).astype(np.float32) * self.decay
-        return result
-
-    def aggregate_matrix(
-        self, matrix: np.ndarray, ctx: SimContext
-    ) -> AggregationResult:
-        n, d = self._validate_matrix(matrix, ctx.world_size)
-        residuals = self._residuals_for(n, d)
-        adjusted = ctx.workspace.buf(f"ef.adjusted.{id(self)}", (n, d), np.float32)
-        np.add(matrix, residuals, out=adjusted, casting="unsafe")
-        return self._finish_batched(adjusted, residuals, ctx)
-
-    def _finish_batched(
-        self, adjusted: np.ndarray, residuals: np.ndarray, ctx: SimContext
-    ) -> AggregationResult:
-        """Run the wrapped scheme on the adjusted matrix and fold the residual.
+    def aggregate_rows(self, rows, ctx: SimContext, d: int) -> AggregationResult:
+        """Run the wrapped scheme on gradient plus residual; fold the new residual.
 
         The residual update is two fused elementwise passes over the
         ``(n, d)`` matrix -- and when the wrapped scheme reports its
         transmitted payloads lazily, this is the single place that pays for
         materializing them.
         """
+        n = ctx.world_size
+        residuals = self._residuals_for(n, d)
+        # The label is instance-unique so nested wrappers never alias each
+        # other's adjusted-gradient buffers.
+        adjusted = ctx.workspace.buf(f"ef.adjusted.{id(self)}", (n, d), np.float32)
+        self._gather_rows(rows, adjusted)
+        adjusted += residuals
         result = self.scheme.aggregate_matrix(adjusted, ctx)
         transmitted = result.per_worker_transmitted
         if transmitted is not None:

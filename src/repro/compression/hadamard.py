@@ -148,9 +148,9 @@ class HadamardRotation:
     def forward(self, vector: np.ndarray) -> tuple[np.ndarray, int]:
         """Rotate ``vector``; returns (rotated padded vector, original length).
 
-        The reference (legacy) path computes in float64 regardless of the
-        input dtype -- it serves as the correctness oracle the batched
-        float32 kernels are verified against.
+        Computes in float64 regardless of the input dtype: the per-vector
+        reference transform that :func:`~repro.compression.kernels.fwht_rows`
+        is checked against (the schemes rotate with the latter).
         """
         original_size = vector.size
         padded = pad_to_power_of_two(vector).astype(np.float64)

@@ -1,19 +1,13 @@
-"""Batched kernel primitives: the vectorized backend of the hot path.
+"""Kernel primitives of the compression hot path.
 
-Every aggregation scheme *executes* its compression math twice:
+Every aggregation scheme stacks the ``n_workers`` gradients into one
+``(n, d)`` float32 matrix and runs each kernel (Hadamard rotation,
+quantization, residual updates, saturating folds) as one fused array pass
+over all workers.  The same code runs in the monolithic simulator and on
+every rank of the real-tensor bridge (:mod:`repro.bridge`).
 
-* the **legacy** per-worker reference path -- one float64 NumPy pass per
-  worker, bit-faithful to the original implementation and kept as the
-  correctness oracle;
-* the **batched** path -- the ``n_workers`` gradients are stacked into a
-  single ``(n, d)`` float32 matrix and every kernel (Hadamard rotation,
-  quantization, residual updates, saturating folds) runs as one fused array
-  pass over all workers.
+This module holds the shared building blocks:
 
-This module holds the shared building blocks of the batched path:
-
-* :class:`KernelBackend` -- the ``backend=`` switch carried by
-  :class:`~repro.compression.base.SimContext`;
 * :class:`RoundWorkspace` -- a per-context buffer cache so steady-state
   rounds reuse their arrays instead of reallocating them;
 * :func:`fwht_rows` -- the randomized-Hadamard butterfly network expressed
@@ -29,7 +23,7 @@ This module holds the shared building blocks of the batched path:
   that skips the per-worker decompression entirely unless someone (error
   feedback, the property suite) actually reads it.
 
-A batched kernel touches each ``(n, d)`` worker matrix as few times as its
+A kernel touches each ``(n, d)`` worker matrix as few times as its
 arithmetic needs: per-element work that follows a gather or precedes a cast
 runs tile by tile on cache-resident scratch, so the only full-size buffers
 are the ones a scheme's arithmetic needs whole (a wire matrix, a transform's
@@ -38,38 +32,10 @@ output, integer levels).
 
 from __future__ import annotations
 
-import enum
 import threading
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
-
-
-class KernelBackend(enum.Enum):
-    """Which implementation of the compression hot path a context runs.
-
-    ``BATCHED`` (the default) stacks all workers into one matrix and runs
-    fused float32 kernels; ``LEGACY`` keeps the original per-worker float64
-    loops as a reference oracle.  Both paths agree functionally to tight
-    tolerance (see
-    ``tests/property/test_backend_equivalence.py``).
-    """
-
-    BATCHED = "batched"
-    LEGACY = "legacy"
-
-    @classmethod
-    def coerce(cls, value: "KernelBackend | str") -> "KernelBackend":
-        """Accept an enum member or its string value (``"batched"``)."""
-        if isinstance(value, cls):
-            return value
-        try:
-            return cls(str(value).lower())
-        except ValueError:
-            options = ", ".join(member.value for member in cls)
-            raise ValueError(
-                f"unknown kernel backend {value!r}; expected one of: {options}"
-            ) from None
 
 
 class RoundWorkspace:
@@ -117,7 +83,7 @@ class RoundWorkspace:
         return sum(buffer.nbytes for buffer in self._buffers.values())
 
 
-#: Elements per tile of the batched kernels' cache-blocked passes: the
+#: Elements per tile of the kernels' cache-blocked passes: the
 #: stochastic rounding tiles, the row blocks of :func:`fwht_rows` and the
 #: chunk-norm tiles of TopKC (256 KiB of float32, a few L2-resident buffers).
 TILE_ELEMENTS = 1 << 16
@@ -134,17 +100,17 @@ _SIGNS_CACHE_MAX = 16
 def cached_signs(
     seed: int,
     padded_size: int,
-    # The float64 default is the documented legacy-oracle reference dtype;
-    # the batched path always passes float32 explicitly.
-    dtype: np.dtype | type = np.float64,  # reprolint: disable=RPL002 - legacy-oracle reference dtype
+    # The float64 default is the dtype of HadamardRotation's reference
+    # transform; the kernels always pass float32 explicitly.
+    dtype: np.dtype | type = np.float64,  # reprolint: disable=RPL002 - reference transform dtype
 ) -> np.ndarray:
     """The +/-1 sign diagonal of a seeded rotation, cached and read-only.
 
-    Bit-identical to the legacy per-call generation
+    Bit-identical to a per-call generation
     (``default_rng(seed).integers(0, 2, size) * 2 - 1``): the values are
-    exactly +/-1, so the requested dtype never changes them.  The legacy path
-    regenerated this vector once per worker per round -- at 16 workers and a
-    million coordinates that is dozens of PCG streams per round for the same
+    exactly +/-1, so the requested dtype never changes them.  Regenerating
+    this vector once per worker per round would cost, at 16 workers and a
+    million coordinates, dozens of PCG streams per round for the same
     constant.
     """
     key = (seed, padded_size, np.dtype(dtype).str)
@@ -376,7 +342,7 @@ def smallest_int_dtype(max_abs_value: int) -> np.dtype:
 class LazyTransmitted(Sequence):
     """A ``per_worker_transmitted`` report materialized on first access.
 
-    The batched backend defers the per-worker decompression (for THC: one
+    A scheme defers the per-worker decompression (for THC: one
     more inverse rotation over the whole worker matrix) until someone
     actually consumes the report -- error feedback, the equivalence suite, or
     user code.  Plain aggregation rounds never pay for it.

@@ -257,28 +257,14 @@ class PowerSGDCompressor(AggregationScheme):
         return estimates
 
     # ------------------------------------------------------------------ #
-    def aggregate(
-        self, worker_gradients: list[np.ndarray], ctx: SimContext
-    ) -> AggregationResult:
-        d, _ = self._validate_gradients(worker_gradients, ctx.world_size)
-        if ctx.batched:
-            return self._aggregate_batched(worker_gradients, ctx, d)
-        return self._aggregate_legacy(worker_gradients, ctx, d)
-
-    def aggregate_matrix(
-        self, matrix: np.ndarray, ctx: SimContext
-    ) -> AggregationResult:
-        _, d = self._validate_matrix(matrix, ctx.world_size)
-        return self._aggregate_batched(matrix, ctx, d)
-
-    def _aggregate_batched(self, rows_in, ctx: SimContext, d: int) -> AggregationResult:
+    def aggregate_rows(self, rows_in, ctx: SimContext, d: int) -> AggregationResult:
         """Per-layer power iteration with the workers stacked on a batch axis.
 
         ``P_i = M_i Q`` and ``Q_i = M_i^T P`` become single batched float64
         matmuls over an ``(n, rows, cols)`` tensor (a workspace block reused
         across rounds) instead of per-worker GEMM calls, and the factor
-        all-reduces fold the stacked factors with the exact legacy ring
-        order.  The per-worker report is deferred.
+        all-reduces fold the stacked factors in the ring's per-hop order.
+        The per-worker report is deferred.
         """
         n = ctx.world_size
         shapes = self._shapes_for(d)
@@ -286,7 +272,7 @@ class PowerSGDCompressor(AggregationScheme):
 
         mean_estimate = np.zeros(d, dtype=np.float32)
         largest = max(rows * cols for rows, cols in shapes)
-        block = ctx.workspace.buf("powersgd.block", (n * largest,), np.float64)
+        block = ctx.workspace.buf("powersgd.block", (n * largest,), np.float64)  # reprolint: disable=RPL002 - float64 power iteration keeps the factors' orthogonalization stable
 
         offset = 0
         for layer_index, (rows, cols) in enumerate(shapes):
@@ -358,69 +344,4 @@ class PowerSGDCompressor(AggregationScheme):
             per_worker_transmitted=LazyTransmitted(
                 n, lambda: np.repeat(mean_copy[None, :], n, axis=0)
             ),
-        )
-
-    def _aggregate_legacy(
-        self, worker_gradients: list[np.ndarray], ctx: SimContext, d: int
-    ) -> AggregationResult:
-        shapes = self._shapes_for(d)
-        covered = sum(rows * cols for rows, cols in shapes)
-
-        mean_estimate = np.zeros(d, dtype=np.float32)
-
-        offset = 0
-        for layer_index, (rows, cols) in enumerate(shapes):
-            size = rows * cols
-            worker_matrices = []
-            for grad in worker_gradients:
-                block = np.zeros(size, dtype=np.float64)
-                segment = grad[offset : offset + size]
-                block[: segment.size] = segment
-                worker_matrices.append(block.reshape(rows, cols))
-
-            q = self._initial_q(layer_index, cols, ctx.rng)
-
-            # Step 1: P_i = M_i Q, all-reduce P (mean).
-            p_locals = [m @ q for m in worker_matrices]
-            p_flat = [p.reshape(-1) for p in p_locals]
-            p_reduce = ctx.backend.allreduce(
-                p_flat, wire_bits_per_value=float(self.factor_bits), op=MeanOp()
-            )
-            p_mean = np.asarray(p_reduce.aggregate).reshape(rows, self.rank)
-
-            # Step 2: orthogonalize P.
-            p_hat = orthogonalize(p_mean)
-
-            # Step 3: Q_i = M_i^T P_hat, all-reduce Q (mean).
-            q_locals = [m.T @ p_hat for m in worker_matrices]
-            q_flat = [qm.reshape(-1) for qm in q_locals]
-            q_reduce = ctx.backend.allreduce(
-                q_flat, wire_bits_per_value=float(self.factor_bits), op=MeanOp()
-            )
-            q_mean = np.asarray(q_reduce.aggregate).reshape(cols, self.rank)
-
-            if self.warm_start:
-                self._q_state[layer_index] = q_mean
-
-            # Step 4: rank-r reconstruction of the mean gradient.
-            approx = (p_hat @ q_mean.T).reshape(-1)[: min(size, d - offset)]
-            mean_estimate[offset : offset + approx.size] = approx.astype(np.float32)
-
-            offset += size
-
-        # Uncompressed tail (coordinates not covered by any layer matrix).
-        tail = d - covered
-        if tail > 0:
-            tail_vectors = [
-                g[covered:].astype(np.float16).astype(np.float32) for g in worker_gradients
-            ]
-            tail_reduce = ctx.backend.allreduce(
-                tail_vectors, wire_bits_per_value=16.0, op=MeanOp()
-            )
-            mean_estimate[covered:] = np.asarray(tail_reduce.aggregate, dtype=np.float32)
-
-        return AggregationResult(
-            mean_estimate=mean_estimate,
-            bits_per_coordinate=self.expected_bits_per_coordinate(d, ctx.world_size),
-            per_worker_transmitted=[np.array(mean_estimate, copy=True) for _ in worker_gradients],
         )

@@ -74,26 +74,12 @@ class PrecisionBaseline(AggregationScheme):
             bits_per_coordinate=float(self.wire_precision.bits),
         )
 
-    def aggregate(
-        self, worker_gradients: list[np.ndarray], ctx: SimContext
-    ) -> AggregationResult:
-        d, _ = self._validate_gradients(worker_gradients, ctx.world_size)
-        if ctx.batched:
-            return self._aggregate_batched(worker_gradients, ctx, d)
-        return self._aggregate_legacy(worker_gradients, ctx, d)
-
     # RPL006: the uniform near-equal coordinate split of the base
     # implementation is the right bucket pricing here (no layer
     # structure to respect), so the inheritance is stated explicitly.
     estimate_bucket_costs = AggregationScheme.estimate_bucket_costs
 
-    def aggregate_matrix(
-        self, matrix: np.ndarray, ctx: SimContext
-    ) -> AggregationResult:
-        _, d = self._validate_matrix(matrix, ctx.world_size)
-        return self._aggregate_batched(matrix, ctx, d)
-
-    def _aggregate_batched(self, rows, ctx: SimContext, d: int) -> AggregationResult:
+    def aggregate_rows(self, rows, ctx: SimContext, d: int) -> AggregationResult:
         """One float32 matrix fold (bit-identical to the per-worker path)."""
         n = ctx.world_size
         wire = np.empty((n, d), dtype=np.float32)
@@ -110,31 +96,6 @@ class PrecisionBaseline(AggregationScheme):
 
         mean = np.asarray(result.aggregate, dtype=np.float32)
         transmitted = list(wire) if self.wire_precision is Precision.FP16 else None
-        return AggregationResult(
-            mean_estimate=mean,
-            bits_per_coordinate=float(self.wire_precision.bits),
-            per_worker_transmitted=transmitted,
-        )
-
-    def _aggregate_legacy(
-        self, worker_gradients: list[np.ndarray], ctx: SimContext, d: int
-    ) -> AggregationResult:
-        if self.wire_precision is Precision.FP16:
-            wire_vectors = [g.astype(np.float16).astype(np.float32) for g in worker_gradients]
-        else:
-            wire_vectors = [np.asarray(g, dtype=np.float32) for g in worker_gradients]
-
-        result = ctx.backend.allreduce(
-            wire_vectors,
-            wire_bits_per_value=self.wire_precision.bits,
-            op=MeanOp(),
-            collective=self.collective,
-        )
-
-        mean = np.asarray(result.aggregate, dtype=np.float32)
-        transmitted = None
-        if self.wire_precision is Precision.FP16:
-            transmitted = [np.asarray(v, dtype=np.float32) for v in wire_vectors]
         return AggregationResult(
             mean_estimate=mean,
             bits_per_coordinate=float(self.wire_precision.bits),

@@ -103,24 +103,10 @@ class QSGDCompressor(AggregationScheme):
             bits_per_coordinate=self.expected_bits_per_coordinate(num_coordinates, 1),
         )
 
-    def aggregate(
-        self, worker_gradients: list[np.ndarray], ctx: SimContext
-    ) -> AggregationResult:
-        d, _ = self._validate_gradients(worker_gradients, ctx.world_size)
-        if ctx.batched:
-            return self._aggregate_batched(worker_gradients, ctx, d)
-        return self._aggregate_legacy(worker_gradients, ctx, d)
-
     # RPL006: the uniform near-equal coordinate split of the base
     # implementation is the right bucket pricing here (no layer
     # structure to respect), so the inheritance is stated explicitly.
     estimate_bucket_costs = AggregationScheme.estimate_bucket_costs
-
-    def aggregate_matrix(
-        self, matrix: np.ndarray, ctx: SimContext
-    ) -> AggregationResult:
-        _, d = self._validate_matrix(matrix, ctx.world_size)
-        return self._aggregate_batched(matrix, ctx, d)
 
     def _wire_headroom(self, world_size: int) -> int:
         """Largest magnitude the integer wire buffer must represent."""
@@ -128,15 +114,17 @@ class QSGDCompressor(AggregationScheme):
             return world_size * self.quantizer.max_level
         return 2 * ((1 << (self.wire_bits - 1)) - 1)
 
-    def _aggregate_batched(self, rows, ctx: SimContext, d: int) -> AggregationResult:
+    def aggregate_rows(self, rows, ctx: SimContext, d: int) -> AggregationResult:
         """Tiled float32 quantization over the stacked worker matrix."""
         n = ctx.world_size
         workspace = ctx.workspace
         collective = self.aggregation.collective()
 
-        # Shared norm consensus (same exchange as the legacy path;
-        # per-row norms are computed with the same BLAS reduction).
-        per_worker_norms = np.array(
+        # Agree on a shared norm so the dequantization scale is identical on
+        # every worker -- the adaptation that makes QSGD all-reduce compatible
+        # (the original scheme sends per-worker norms, which only a parameter
+        # server can combine).
+        per_worker_norms = np.array(  # reprolint: disable=RPL002 - n float64 norm scalars, one per worker
             [[float(np.linalg.norm(rows[i]))] for i in range(n)]
         )
         norm_reduce = ctx.backend.allreduce_matrix(
@@ -188,60 +176,4 @@ class QSGDCompressor(AggregationScheme):
             mean_estimate=mean,
             bits_per_coordinate=self.expected_bits_per_coordinate(d, n),
             per_worker_transmitted=LazyTransmitted(n, materialize_transmitted),
-        )
-
-    def _aggregate_legacy(
-        self, worker_gradients: list[np.ndarray], ctx: SimContext, d: int
-    ) -> AggregationResult:
-        n = ctx.world_size
-
-        # Agree on a shared norm so the dequantization scale is identical on
-        # every worker -- the adaptation that makes QSGD all-reduce compatible
-        # (the original scheme sends per-worker norms, which only a parameter
-        # server can combine).
-        per_worker_norms = [
-            np.array([float(np.linalg.norm(g))]) for g in worker_gradients
-        ]
-        collective = self.aggregation.collective()
-        norm_reduce = ctx.backend.allreduce(
-            per_worker_norms, wire_bits_per_value=32.0, op=MaxOp(), collective=collective
-        )
-        shared_norm = float(np.asarray(norm_reduce.aggregate)[0])
-        if shared_norm == 0.0:
-            zero = np.zeros(d, dtype=np.float32)
-            return AggregationResult(
-                mean_estimate=zero,
-                bits_per_coordinate=self.expected_bits_per_coordinate(d, n),
-                per_worker_transmitted=[zero.copy() for _ in range(n)],
-            )
-
-        # Norm-scaled coordinates have magnitude at most 1, so the shared
-        # quantization range is exactly 1.
-        scaled = [g / shared_norm for g in worker_gradients]
-        quantized = [
-            self.quantizer.quantize(np.asarray(s, dtype=np.float64), ctx.rng, value_range=1.0)
-            for s in scaled
-        ]
-        scale = quantized[0].scale
-
-        op = self.aggregation.reduce_op(self.wire_bits)
-        level_reduce = ctx.backend.allreduce(
-            [q.levels.astype(np.float64) for q in quantized],
-            wire_bits_per_value=float(self.wire_bits),
-            op=op,
-            collective=collective,
-        )
-
-        mean = (
-            np.asarray(level_reduce.aggregate) * scale * shared_norm / n
-        ).astype(np.float32)
-
-        transmitted = [
-            (q.levels.astype(np.float64) * scale * shared_norm).astype(np.float32)
-            for q in quantized
-        ]
-        return AggregationResult(
-            mean_estimate=mean,
-            bits_per_coordinate=self.expected_bits_per_coordinate(d, n),
-            per_worker_transmitted=transmitted,
         )

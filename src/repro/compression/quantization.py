@@ -1,49 +1,22 @@
-"""Stochastic uniform quantization.
+"""Stochastic uniform quantization: the grid of the integer quantizers.
 
 The quantizer maps floating-point values onto a small signed integer grid.
 Stochastic rounding (round up or down with probability proportional to the
 distance to each neighbour) makes the quantizer unbiased -- the expectation of
 the dequantized value equals the input -- which is the property distributed
-mean estimation schemes such as THC rely on.
+mean estimation schemes such as THC rely on.  The rounding itself runs over
+the whole worker matrix in
+:func:`~repro.compression.kernels.round_stochastically`; this class describes
+the grid (``q`` bits, its largest level) and its error bound.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-
-import numpy as np
-
-
-@dataclass(frozen=True)
-class QuantizedVector:
-    """A quantized vector plus the metadata needed to dequantize it.
-
-    Attributes:
-        levels: Signed integer levels, one per coordinate.
-        scale: The float value represented by one integer step.
-        bits: Integer width ``q`` of each level.
-    """
-
-    levels: np.ndarray
-    scale: float
-    bits: int
-
-    def __post_init__(self) -> None:
-        if self.bits < 1:
-            raise ValueError("bits must be >= 1")
-        if self.scale < 0:
-            raise ValueError("scale must be non-negative")
-
-    @property
-    def max_level(self) -> int:
-        """Largest representable level magnitude, ``2^(q-1) - 1``."""
-        return (1 << (self.bits - 1)) - 1
 
 
 class StochasticQuantizer:
     """Symmetric stochastic quantizer onto ``q``-bit signed integers.
 
-    Values are scaled so that ``value_range`` maps to the largest level, then
+    Values are scaled so that a value range maps to the largest level, then
     stochastically rounded.  Values beyond the range (possible when a shared
     range is agreed across workers) are clipped to the extreme levels.
 
@@ -60,46 +33,6 @@ class StochasticQuantizer:
     def max_level(self) -> int:
         """Largest representable level magnitude."""
         return (1 << (self.bits - 1)) - 1
-
-    def quantize(
-        self,
-        vector: np.ndarray,
-        rng: np.random.Generator,
-        *,
-        value_range: float | None = None,
-    ) -> QuantizedVector:
-        """Quantize ``vector`` onto the signed integer grid.
-
-        Args:
-            vector: Values to quantize.
-            rng: Randomness source for stochastic rounding.
-            value_range: The magnitude mapped to the largest level.  Defaults
-                to ``max(|vector|)``; distributed schemes pass a globally
-                agreed range so every worker uses the same scale.
-        """
-        if vector.ndim != 1:
-            raise ValueError("vector must be 1-D")
-        if value_range is None:
-            value_range = float(np.max(np.abs(vector))) if vector.size else 0.0
-        if value_range < 0:
-            raise ValueError("value_range must be non-negative")
-        if value_range == 0.0:
-            return QuantizedVector(
-                levels=np.zeros(vector.size, dtype=np.int64), scale=0.0, bits=self.bits
-            )
-
-        scale = value_range / self.max_level
-        scaled = np.clip(vector / scale, -self.max_level, self.max_level)
-        lower = np.floor(scaled)
-        fraction = scaled - lower
-        round_up = rng.random(vector.size) < fraction
-        levels = (lower + round_up).astype(np.int64)
-        levels = np.clip(levels, -self.max_level, self.max_level)
-        return QuantizedVector(levels=levels, scale=scale, bits=self.bits)
-
-    def dequantize(self, quantized: QuantizedVector) -> np.ndarray:
-        """Map integer levels back to floating-point values."""
-        return quantized.levels.astype(np.float64) * quantized.scale
 
     def expected_squared_error(self, value_range: float, num_coordinates: int) -> float:
         """Upper bound on the expected squared rounding error of one vector.

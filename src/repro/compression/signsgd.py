@@ -81,31 +81,17 @@ class SignSGDCompressor(AggregationScheme):
             bits_per_coordinate=float(bits),
         )
 
-    def aggregate(
-        self, worker_gradients: list[np.ndarray], ctx: SimContext
-    ) -> AggregationResult:
-        d, _ = self._validate_gradients(worker_gradients, ctx.world_size)
-        if ctx.batched:
-            return self._aggregate_batched(worker_gradients, ctx, d)
-        return self._aggregate_legacy(worker_gradients, ctx, d)
-
     # RPL006: the uniform near-equal coordinate split of the base
     # implementation is the right bucket pricing here (no layer
     # structure to respect), so the inheritance is stated explicitly.
     estimate_bucket_costs = AggregationScheme.estimate_bucket_costs
 
-    def aggregate_matrix(
-        self, matrix: np.ndarray, ctx: SimContext
-    ) -> AggregationResult:
-        _, d = self._validate_matrix(matrix, ctx.world_size)
-        return self._aggregate_batched(matrix, ctx, d)
-
-    def _aggregate_batched(self, rows, ctx: SimContext, d: int) -> AggregationResult:
+    def aggregate_rows(self, rows, ctx: SimContext, d: int) -> AggregationResult:
         """Vectorized sign voting over the stacked worker matrix.
 
         Sign values and vote counts are small exact integers, so the float32
-        matrix fold is value-identical to the legacy float64 per-worker path;
-        only the mean-magnitude scalar can differ in its last float32 bits.
+        matrix fold is value-identical to a float64 per-worker fold; only the
+        mean-magnitude scalar can differ in its last float32 bits.
         """
         n = ctx.world_size
         bits = self.wire_bits_for(n)
@@ -122,7 +108,7 @@ class SignSGDCompressor(AggregationScheme):
 
         magnitude = 1.0
         if self.scale_by_mean_magnitude:
-            magnitudes = workspace.buf("signsgd.magnitude", (n, 1), np.float64)
+            magnitudes = workspace.buf("signsgd.magnitude", (n, 1), np.float64)  # reprolint: disable=RPL002 - n float64 magnitude scalars, one per worker
             for index in range(n):
                 magnitudes[index, 0] = float(np.mean(np.abs(rows[index])))
             magnitude_reduce = ctx.backend.allreduce_matrix(
@@ -137,36 +123,4 @@ class SignSGDCompressor(AggregationScheme):
             mean_estimate=mean,
             bits_per_coordinate=float(bits),
             per_worker_transmitted=list(signs),
-        )
-
-    def _aggregate_legacy(
-        self, worker_gradients: list[np.ndarray], ctx: SimContext, d: int
-    ) -> AggregationResult:
-        n = ctx.world_size
-        bits = self.wire_bits_for(n)
-
-        signs = [np.sign(g).astype(np.float64) for g in worker_gradients]
-
-        vote_reduce = ctx.backend.allreduce(
-            signs, wire_bits_per_value=float(bits), op=SumOp()
-        )
-        majority = np.sign(np.asarray(vote_reduce.aggregate))
-
-        magnitude = 1.0
-        if self.scale_by_mean_magnitude:
-            per_worker_magnitude = [
-                np.array([float(np.mean(np.abs(g)))]) for g in worker_gradients
-            ]
-            magnitude_reduce = ctx.backend.allreduce(
-                per_worker_magnitude, wire_bits_per_value=32.0, op=MeanOp()
-            )
-            magnitude = float(np.asarray(magnitude_reduce.aggregate)[0])
-
-        mean = (majority * magnitude).astype(np.float32)
-
-        transmitted = [(s * magnitude).astype(np.float32) for s in signs]
-        return AggregationResult(
-            mean_estimate=mean,
-            bits_per_coordinate=float(bits),
-            per_worker_transmitted=transmitted,
         )

@@ -205,24 +205,10 @@ class THCCompressor(AggregationScheme):
         )
 
     # ------------------------------------------------------------------ #
-    def aggregate(
-        self, worker_gradients: list[np.ndarray], ctx: SimContext
-    ) -> AggregationResult:
-        d, _ = self._validate_gradients(worker_gradients, ctx.world_size)
-        if ctx.batched:
-            return self._aggregate_batched(worker_gradients, ctx, d)
-        return self._aggregate_legacy(worker_gradients, ctx, d)
-
     # RPL006: the uniform near-equal coordinate split of the base
     # implementation is the right bucket pricing here (no layer
     # structure to respect), so the inheritance is stated explicitly.
     estimate_bucket_costs = AggregationScheme.estimate_bucket_costs
-
-    def aggregate_matrix(
-        self, matrix: np.ndarray, ctx: SimContext
-    ) -> AggregationResult:
-        _, d = self._validate_matrix(matrix, ctx.world_size)
-        return self._aggregate_batched(matrix, ctx, d)
 
     def _wire_headroom(self, world_size: int) -> int:
         """Largest magnitude the integer wire buffer must represent.
@@ -235,15 +221,15 @@ class THCCompressor(AggregationScheme):
             return world_size * self.quantizer.max_level
         return 2 * ((1 << (self.wire_bits - 1)) - 1)
 
-    def _aggregate_batched(
+    def aggregate_rows(
         self, rows, ctx: SimContext, d: int
     ) -> AggregationResult:
         """Vectorized float32 passes over the stacked ``(n, d)`` worker matrix.
 
-        Same protocol as the legacy path; the rotation runs unnormalized
-        (the ``2^(-depth/2)`` factors are folded into the quantization
-        scales), stochastic rounding runs in tiles, and the integer payloads
-        travel in the narrowest dtype that cannot overflow the fold.
+        The rotation runs unnormalized (the ``2^(-depth/2)`` factors are
+        folded into the quantization scales), stochastic rounding runs in
+        tiles, and the integer payloads travel in the narrowest dtype that
+        cannot overflow the fold.
         """
         n = ctx.world_size
         workspace = ctx.workspace
@@ -353,105 +339,6 @@ class THCCompressor(AggregationScheme):
                 dense *= normalization
                 dense *= sign_vector
             return np.ascontiguousarray(dense[:, :d])
-
-        return AggregationResult(
-            mean_estimate=mean,
-            bits_per_coordinate=float(self.wire_bits),
-            per_worker_transmitted=LazyTransmitted(n, materialize_transmitted),
-        )
-
-    def _aggregate_legacy(
-        self, worker_gradients: list[np.ndarray], ctx: SimContext, d: int
-    ) -> AggregationResult:
-        n = ctx.world_size
-        rotation = self._make_rotation(ctx)
-
-        # --- Rotation ------------------------------------------------------ #
-        if rotation is None:
-            rotated_vectors = [pad_to_power_of_two(g) for g in worker_gradients]
-            padded_size = rotated_vectors[0].size
-            chunk_elements = padded_size
-        else:
-            rotated_vectors = []
-            for grad in worker_gradients:
-                rotated, _ = rotation.forward(grad)
-                rotated_vectors.append(rotated)
-            padded_size = rotated_vectors[0].size
-            chunk_elements = rotation.chunk_elements(padded_size)
-
-        # --- Agree on a per-chunk quantization range ------------------------ #
-        # Workers all-reduce (max) the per-chunk magnitude so everyone
-        # quantizes with the same scale; this tiny exchange is priced but its
-        # bits-per-coordinate contribution is negligible (one FP16 per chunk).
-        per_worker_ranges = [
-            self._chunk_ranges(rot, chunk_elements) for rot in rotated_vectors
-        ]
-        range_reduce = ctx.backend.allreduce(
-            per_worker_ranges,
-            wire_bits_per_value=16.0,
-            op=MaxOp(),
-            collective=self.aggregation.collective(),
-        )
-        shared_ranges = np.asarray(range_reduce.aggregate)
-
-        # --- Quantize ------------------------------------------------------- #
-        max_level = self.quantizer.max_level
-        scales = np.repeat(shared_ranges / max_level, chunk_elements)
-        # Avoid division by zero for all-zero chunks.
-        safe_scales = np.where(scales > 0, scales, 1.0)
-
-        # Divide / clip / floor / fraction / round-up run in two reused
-        # float64 buffers, never in a worker's row: with ``rot=none`` at a
-        # power-of-two ``d`` the padded row *is* the caller's array.
-        level_dtype = smallest_int_dtype(max_level)
-        scaled = np.empty(padded_size)
-        lower = np.empty(padded_size)
-        level_vectors = []
-        for rotated in rotated_vectors:
-            np.divide(rotated, safe_scales, out=scaled)
-            np.clip(scaled, -max_level, max_level, out=scaled)
-            np.floor(scaled, out=lower)
-            scaled -= lower
-            lower += ctx.rng.random(padded_size) < scaled
-            np.clip(lower, -max_level, max_level, out=lower)
-            level_vectors.append(lower.astype(level_dtype))
-        # The float64 rows are dead; free them before the all-reduce copies.
-        del rotated_vectors, scaled, lower
-
-        # --- Integer all-reduce (host rings or in-network switches) --------- #
-        op = self.aggregation.reduce_op(self.wire_bits)
-        reduce_result = ctx.backend.allreduce(
-            [levels.astype(np.float64) for levels in level_vectors],
-            wire_bits_per_value=float(self.wire_bits),
-            op=op,
-            collective=self.aggregation.collective(),
-        )
-        aggregated_levels = np.asarray(reduce_result.aggregate, dtype=np.float64)
-
-        # --- Dequantize and un-rotate --------------------------------------- #
-        rotated_mean = aggregated_levels * scales / n
-
-        if rotation is None:
-            mean = rotated_mean[:d].astype(np.float32)
-        else:
-            mean = rotation.inverse(rotated_mean, d).astype(np.float32)
-
-        # Per-worker transmitted contributions (for error feedback) are
-        # deferred on both backends: plain rounds -- the bridge's workers and
-        # ``simulate_trace`` -- never pay the n extra inverse rotations.  The
-        # closure keeps only the narrow levels and the per-chunk ranges; the
-        # float64 scales are rebuilt when the report is read, so a result
-        # kept alive into the next round holds little memory.
-        def materialize_transmitted() -> np.ndarray:
-            own_scales = np.repeat(shared_ranges / max_level, chunk_elements)
-            transmitted = np.empty((n, d), dtype=np.float32)
-            for row, levels in zip(transmitted, level_vectors):
-                own_rotated = levels.astype(np.float64) * own_scales
-                if rotation is None:
-                    row[:] = own_rotated[:d]
-                else:
-                    row[:] = rotation.inverse(own_rotated, d)
-            return transmitted
 
         return AggregationResult(
             mean_estimate=mean,

@@ -87,23 +87,6 @@ class TopKCompressor(AggregationScheme):
         """Number of coordinates each worker transmits for a ``d``-sized gradient."""
         return k_for_bits_per_coordinate(self.bits_per_coordinate, num_coordinates)
 
-    def compress(self, gradient: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Return (indices, FP16 values) of the worker's top-K coordinates."""
-        if gradient.ndim != 1:
-            raise ValueError("gradient must be a flat vector")
-        k = self.select_k(gradient.size)
-        indices = topk_indices(gradient, k)
-        values = gradient[indices].astype(self.value_dtype)
-        return indices, values
-
-    def decompress(
-        self, indices: np.ndarray, values: np.ndarray, num_coordinates: int
-    ) -> np.ndarray:
-        """Scatter (indices, values) back into a dense vector of length ``d``."""
-        dense = np.zeros(num_coordinates, dtype=np.float32)
-        dense[indices] = values.astype(np.float32)
-        return dense
-
     def expected_bits_per_coordinate(self, num_coordinates: int, world_size: int) -> float:
         del world_size
         k = self.select_k(num_coordinates)
@@ -129,27 +112,13 @@ class TopKCompressor(AggregationScheme):
         )
 
     # ------------------------------------------------------------------ #
-    def aggregate(
-        self, worker_gradients: list[np.ndarray], ctx: SimContext
-    ) -> AggregationResult:
-        d, _ = self._validate_gradients(worker_gradients, ctx.world_size)
-        if ctx.batched:
-            return self._aggregate_batched(worker_gradients, ctx, d)
-        return self._aggregate_legacy(worker_gradients, ctx, d)
-
     # RPL006: the uniform near-equal coordinate split of the base
     # implementation is the right bucket pricing here (no layer
     # structure to respect), so the inheritance is stated explicitly.
     estimate_bucket_costs = AggregationScheme.estimate_bucket_costs
 
-    def aggregate_matrix(
-        self, matrix: np.ndarray, ctx: SimContext
-    ) -> AggregationResult:
-        _, d = self._validate_matrix(matrix, ctx.world_size)
-        return self._aggregate_batched(matrix, ctx, d)
-
-    def _aggregate_batched(self, rows, ctx: SimContext, d: int) -> AggregationResult:
-        """One axis-wise top-k selection and scatter over the worker matrix."""
+    def aggregate_rows(self, rows, ctx: SimContext, d: int) -> AggregationResult:
+        """One axis-wise top-k selection, a gather, and a scatter of what arrived."""
         n = ctx.world_size
         k = self.select_k(d)
         workspace = ctx.workspace
@@ -164,10 +133,18 @@ class TopKCompressor(AggregationScheme):
             indices = np.tile(np.arange(d, dtype=np.int64), (n, 1))
         values = np.take_along_axis(work, indices, axis=1).astype(self.value_dtype)
 
-        # All-gather of the packed (index, value) payloads: every worker ends
-        # up with all rows, which the stacked matrix already is.
+        # All-gather of the packed payloads: indices and values travel as two
+        # sections of one payload (32-bit indices next to FP16 values), priced
+        # as a single gather of the combined 48k-bit volume.  The mean is
+        # built from what the gather delivered, so on a bridge rank it never
+        # reads the placeholder rows.
+        gather = ctx.backend.allgather_sections(
+            [(indices[worker], values[worker]) for worker in range(n)],
+            wire_bits_per_section=(INDEX_BITS, VALUE_BITS),
+        )
         dense = np.zeros((n, d), dtype=np.float32)
-        np.put_along_axis(dense, indices, values.astype(np.float32), axis=1)
+        for row, (worker_indices, worker_values) in zip(dense, gather.gathered):
+            row[worker_indices] = worker_values
         total = np.array(dense[0], copy=True)
         for worker in range(1, n):
             total += dense[worker]
@@ -177,38 +154,6 @@ class TopKCompressor(AggregationScheme):
             mean_estimate=mean,
             bits_per_coordinate=self.expected_bits_per_coordinate(d, n),
             per_worker_transmitted=list(dense),
-        )
-
-    def _aggregate_legacy(
-        self, worker_gradients: list[np.ndarray], ctx: SimContext, d: int
-    ) -> AggregationResult:
-        n = ctx.world_size
-        compressed = [self.compress(g) for g in worker_gradients]
-
-        # All-gather of the packed payloads: indices and values travel as two
-        # sections of one payload (32-bit indices next to FP16 values), priced
-        # as a single gather of the combined 48k-bit volume.
-        gather = ctx.backend.allgather_sections(
-            [(idx, val.astype(np.float64)) for idx, val in compressed],
-            wire_bits_per_section=(INDEX_BITS, VALUE_BITS),
-        )
-
-        # Aggregation consumes the *gathered* payloads -- what the collective
-        # actually delivered -- not the local compression state, so the same
-        # code path runs unchanged when the gather crosses a real transport.
-        transmitted = [
-            self.decompress(idx.astype(np.int64), val, d)
-            for idx, val in gather.gathered
-        ]
-        total = np.zeros(d, dtype=np.float32)
-        for dense in transmitted:
-            total += dense
-        mean = total / n
-
-        return AggregationResult(
-            mean_estimate=mean,
-            bits_per_coordinate=self.expected_bits_per_coordinate(d, n),
-            per_worker_transmitted=transmitted,
         )
 
 

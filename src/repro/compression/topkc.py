@@ -196,31 +196,17 @@ class TopKChunkedCompressor(AggregationScheme):
         )
 
     # ------------------------------------------------------------------ #
-    def aggregate(
-        self, worker_gradients: list[np.ndarray], ctx: SimContext
-    ) -> AggregationResult:
-        d, _ = self._validate_gradients(worker_gradients, ctx.world_size)
-        if ctx.batched:
-            return self._aggregate_batched(worker_gradients, ctx, d)
-        return self._aggregate_legacy(worker_gradients, ctx, d)
-
     # RPL006: the uniform near-equal coordinate split of the base
     # implementation is the right bucket pricing here (no layer
     # structure to respect), so the inheritance is stated explicitly.
     estimate_bucket_costs = AggregationScheme.estimate_bucket_costs
 
-    def aggregate_matrix(
-        self, matrix: np.ndarray, ctx: SimContext
-    ) -> AggregationResult:
-        _, d = self._validate_matrix(matrix, ctx.world_size)
-        return self._aggregate_batched(matrix, ctx, d)
-
-    def _aggregate_batched(self, rows, ctx: SimContext, d: int) -> AggregationResult:
+    def aggregate_rows(self, rows, ctx: SimContext, d: int) -> AggregationResult:
         """Vectorized chunk-norm consensus over the stacked worker matrix.
 
-        Chunk norms are computed in float64 (as the legacy path does) so the
-        FP16-rounded consensus -- and therefore the selected chunk set -- is
-        bit-identical to the per-worker path; they run over tiles of whole
+        Chunk norms are computed in float64 so the FP16-rounded consensus --
+        and therefore the selected chunk set -- is bit-identical to a
+        per-worker float64 reduction; they run over tiles of whole
         chunks, so the float64 scratch is one tile, not a copy of the
         matrix.  The heavy value stage runs in float32, and the per-worker
         report is deferred.
@@ -311,74 +297,6 @@ class TopKChunkedCompressor(AggregationScheme):
                 np.square(block, out=block)
                 block.reshape(-1, chunk).sum(axis=1, out=norms[index, first:last])
         return norms
-
-    def _aggregate_legacy(
-        self, worker_gradients: list[np.ndarray], ctx: SimContext, d: int
-    ) -> AggregationResult:
-        n = ctx.world_size
-        chunk = self.chunk_size
-        num_chunks = self.num_chunks(d)
-        j = self.num_top_chunks(d)
-
-        if self.permute:
-            perm = self._permutation(d)
-            inverse = np.argsort(perm)
-            work_vectors = [g[perm] for g in worker_gradients]
-        else:
-            inverse = None
-            work_vectors = worker_gradients
-
-        # --- Stage 1: chunk-norm consensus ------------------------------- #
-        per_worker_norms = [
-            _as_fp16(self._chunk_norms(v)).astype(np.float32) for v in work_vectors
-        ]
-        norm_reduce = ctx.backend.allreduce(
-            per_worker_norms, wire_bits_per_value=STAGE_BITS, op=SumOp()
-        )
-        summed_norms = np.asarray(norm_reduce.aggregate)
-
-        # Cheap top-k over the d / C summed chunk norms: the consensus.
-        if j < summed_norms.size:
-            top_chunks = np.sort(np.argpartition(summed_norms, -j)[-j:])
-        else:
-            top_chunks = np.arange(summed_norms.size)
-
-        # --- Stage 2: all-reduce the agreed-upon chunks ------------------- #
-        selected_mask = np.zeros(num_chunks * chunk, dtype=bool)
-        for chunk_id in top_chunks:
-            selected_mask[chunk_id * chunk : (chunk_id + 1) * chunk] = True
-        selected_mask = selected_mask[:d]
-        selected_indices = np.flatnonzero(selected_mask)
-
-        selected_payloads = [
-            v[selected_indices].astype(np.float16).astype(np.float32) for v in work_vectors
-        ]
-        value_reduce = ctx.backend.allreduce(
-            selected_payloads, wire_bits_per_value=STAGE_BITS, op=SumOp()
-        )
-
-        mean_permuted = np.zeros(d, dtype=np.float32)
-        mean_permuted[selected_indices] = np.asarray(value_reduce.aggregate) / n
-
-        transmitted_permuted = []
-        for v in work_vectors:
-            dense = np.zeros(d, dtype=np.float32)
-            dense[selected_indices] = v[selected_indices].astype(np.float16).astype(np.float32)
-            transmitted_permuted.append(dense)
-
-        if inverse is not None:
-            mean = mean_permuted[inverse]
-            transmitted = [t[inverse] for t in transmitted_permuted]
-        else:
-            mean = mean_permuted
-            transmitted = transmitted_permuted
-
-        return AggregationResult(
-            mean_estimate=mean,
-            bits_per_coordinate=self.expected_bits_per_coordinate(d, n),
-            per_worker_transmitted=transmitted,
-        )
-
 
 def _validate_geometry(num_coordinates: int, chunk_size: int) -> None:
     if num_coordinates <= 0:

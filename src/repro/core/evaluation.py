@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.compression.base import AggregationScheme
-from repro.compression.kernels import KernelBackend
 from repro.compression.registry import configure_scheme_for_shapes, make_scheme
 from repro.compression.spec import SpecSyntaxError, parse_spec
 from repro.core.early_stopping import EarlyStopping
@@ -96,7 +95,6 @@ def build_trainer(
     error_feedback: bool | None = None,
     total_rounds_hint: int | None = None,
     num_buckets: int = 1,
-    kernel_backend: KernelBackend | str = KernelBackend.BATCHED,
     scenario: Scenario | str | None = None,
     policy: RecoveryPolicy | str | None = None,
     controller: AdaptiveController | None = None,
@@ -142,7 +140,6 @@ def build_trainer(
         eval_every=eval_every,
         seed=seed,
         num_buckets=num_buckets,
-        kernel_backend=kernel_backend,
         scenario=scenario,
         policy=policy,
         controller=controller,
@@ -163,7 +160,6 @@ def run_end_to_end(
     early_stopping: EarlyStopping | None = None,
     rolling_window: int = 5,
     num_buckets: int = 1,
-    kernel_backend: KernelBackend | str = KernelBackend.BATCHED,
     scenario: Scenario | str | None = None,
     policy: RecoveryPolicy | str | None = None,
     controller: AdaptiveController | None = None,
@@ -187,9 +183,6 @@ def run_end_to_end(
             to the TTA curve, mirroring the paper's smoothing.
         num_buckets: Gradient buckets per simulated round; more than one
             prices the round through the bucketed pipeline simulator.
-        kernel_backend: Compression hot-path implementation (``"batched"``
-            or ``"legacy"``); functional results differ only within the
-            schemes' quantization tolerance.
         scenario: Optional dynamic-events scenario
             (:class:`~repro.simulator.scenario.Scenario` or spec string):
             rounds are priced on the scenario's per-round effective cluster
@@ -214,7 +207,6 @@ def run_end_to_end(
         error_feedback=error_feedback,
         total_rounds_hint=num_rounds,
         num_buckets=num_buckets,
-        kernel_backend=kernel_backend,
         scenario=scenario,
         policy=policy,
         controller=controller,

@@ -13,8 +13,6 @@ This package provides
   :func:`dcell_fabric`) -- datacenter-scale topologies projected onto the
   rack / domain / spine abstraction, with failure-domain metadata the
   scenario engine's ``domain_fail`` event and the tiered cost model consume;
-* :func:`hierarchical_aggregate` -- the functional rack-by-rack reduction
-  (hop-exact for non-associative saturating operators);
 * the phase/tier accounting types (:class:`HierarchicalBreakdown`,
   :class:`PhaseCost`, :class:`TierTraffic`) the cost model returns, which the
   property suite uses to check traffic conservation and line-rate bounds.
@@ -38,7 +36,6 @@ from repro.topology.hierarchical import (
     HierarchicalBreakdown,
     PhaseCost,
     TierTraffic,
-    hierarchical_aggregate,
 )
 
 __all__ = [
@@ -50,7 +47,6 @@ __all__ = [
     "dcell_fabric",
     "dcell_size",
     "fat_tree_fabric",
-    "hierarchical_aggregate",
     "single_rack_fabric",
     "torus_fabric",
     "two_tier_fabric",

@@ -1,15 +1,10 @@
-"""Hierarchical collectives over a multi-rack fabric.
+"""Phase/tier accounting of hierarchical collectives over a multi-rack fabric.
 
-Two pieces live here:
-
-* the **functional** side -- :func:`hierarchical_aggregate` folds per-worker
-  vectors rack by rack, applying the reduction operator per hop exactly as a
-  switch (or a rack-local host reduction) would.  Order matters: the paper's
-  saturating sum is non-associative, so rack-local aggregation genuinely
-  changes the aggregate relative to a flat ring;
-* the **accounting** side -- phase/tier breakdown dataclasses the cost model
-  returns, so the property suite can check traffic conservation tier by tier
-  (bits entering a tier equal bits leaving it plus the aggregated delta).
+The cost model returns these breakdowns so the property suite can check
+traffic conservation tier by tier (bits entering a tier equal bits leaving
+it plus the aggregated delta).  The functional rack-by-rack fold lives with
+the other matrix folds in :mod:`repro.collectives.batched`
+(:func:`~repro.collectives.batched.hierarchical_aggregate_matrix`).
 
 The pricing itself lives on
 :class:`~repro.collectives.cost_model.CollectiveCostModel`, which consults
@@ -19,59 +14,6 @@ the cluster's :class:`~repro.topology.fabric.FabricSpec`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
-
-import numpy as np
-
-if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
-    from repro.collectives.ops import ReduceOp
-
-
-# --------------------------------------------------------------------------- #
-# Functional hierarchical aggregation
-# --------------------------------------------------------------------------- #
-def hierarchical_aggregate(
-    worker_vectors: Sequence[np.ndarray],
-    op: "ReduceOp",
-    rack_assignment: Sequence[int],
-) -> np.ndarray:
-    """Aggregate per-worker vectors rack-locally, then across racks.
-
-    Each rack folds its members' vectors in rank order (the order packets
-    reach the ToR), then the per-rack partials are folded in rack order (the
-    order they reach the spine).  For associative operators the result equals
-    a flat sum; for saturating operators it is exactly what switch-resident
-    aggregation produces.
-
-    Args:
-        worker_vectors: One equally shaped vector per worker, in rank order.
-        op: Reduction operator applied at every hop.
-        rack_assignment: ``rack_assignment[rank]`` is the rack of ``rank``;
-            must have one entry per worker.
-    """
-    if not worker_vectors:
-        raise ValueError("need at least one worker vector")
-    if len(rack_assignment) != len(worker_vectors):
-        raise ValueError(
-            f"rack_assignment must have {len(worker_vectors)} entries, "
-            f"got {len(rack_assignment)}"
-        )
-    members_by_rack: dict[int, list[np.ndarray]] = {}
-    for rank, vector in enumerate(worker_vectors):
-        members_by_rack.setdefault(rack_assignment[rank], []).append(vector)
-
-    rack_partials: list[np.ndarray] = []
-    for rack in sorted(members_by_rack):
-        members = members_by_rack[rack]
-        partial = np.array(members[0], copy=True)
-        for vector in members[1:]:
-            partial = op.combine(partial, vector)
-        rack_partials.append(partial)
-
-    total = rack_partials[0]
-    for partial in rack_partials[1:]:
-        total = op.combine(total, partial)
-    return op.finalize(total, len(worker_vectors))
 
 
 # --------------------------------------------------------------------------- #

@@ -25,7 +25,6 @@ import numpy as np
 
 from repro.collectives.api import CollectiveBackend
 from repro.compression.base import AggregationScheme, CostEstimate, SimContext, price_round
-from repro.compression.kernels import KernelBackend
 from repro.simulator.cluster import ClusterSpec, paper_testbed
 from repro.simulator.gpu import Precision
 from repro.simulator.kernel_cost import KernelCostModel
@@ -187,9 +186,6 @@ class DDPTrainer:
             buckets' collectives interleave with the rest of the backward
             pass and with later buckets' compression, and heterogeneous
             clusters (stragglers, mixed NIC tiers) are priced exactly.
-        kernel_backend: Compression hot-path implementation: ``"batched"``
-            (default, fused vectorized kernels over the stacked worker
-            matrix) or ``"legacy"`` (per-worker float64 reference loops).
         scenario: Optional dynamic-events scenario
             (:class:`~repro.simulator.scenario.Scenario` or a spec string).
             Each round is then priced on the scenario's effective cluster for
@@ -234,7 +230,6 @@ class DDPTrainer:
         eval_every: int = 10,
         seed: int = 0,
         num_buckets: int = 1,
-        kernel_backend: KernelBackend | str = KernelBackend.BATCHED,
         scenario: Scenario | str | None = None,
         policy: RecoveryPolicy | str | None = None,
         controller: AdaptiveController | None = None,
@@ -288,13 +283,12 @@ class DDPTrainer:
         self._active_spec = active_spec
 
         backend = CollectiveBackend(self.cluster)
-        # One context for the whole run: the batched kernels' workspace is
+        # One context for the whole run: the kernels' workspace is
         # reused round after round, so steady-state rounds allocate nothing.
         self._ctx = SimContext(
             backend=backend,
             kernels=KernelCostModel(gpu=self.cluster.gpu),
             rng=np.random.default_rng(seed),
-            kernel_backend=KernelBackend.coerce(kernel_backend),
         )
         self.workers: list[DDPWorker] = []
         self._active_workers(self.cluster.world_size)

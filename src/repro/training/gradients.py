@@ -115,8 +115,8 @@ class SyntheticGradientModel:
 
         Returns:
             One ``(num_workers, d)`` float32 array, a row per worker.  Index
-            or iterate it for the per-worker vectors; the batched kernels
-            read the block as it is, without stacking rows back together.
+            or iterate it for the per-worker vectors; the kernels read the
+            block as it is, without stacking rows back together.
         """
         if num_workers <= 0:
             raise ValueError("num_workers must be positive")

@@ -1,9 +1,9 @@
-"""Deliberate RPL002 violations: float64 leaks in an aggregate_matrix hot path."""
+"""Deliberate RPL002 violations: float64 leaks in an aggregate_rows hot path."""
 
 import numpy as np
 
 
-def aggregate_matrix(matrix, ctx):
+def aggregate_rows(matrix, ctx, d):
     acc = np.zeros(matrix.shape)  # dtype-less: defaults to float64
     acc += matrix.astype(np.float64)  # float64 round-trip
     scales = np.array([1.0, 0.5])  # dtype-less constructor

@@ -3,7 +3,7 @@
 import numpy as np
 
 
-def aggregate_matrix(matrix, ctx):
+def aggregate_rows(matrix, ctx, d):
     acc = np.zeros(matrix.shape, dtype=np.float32)
     acc += matrix
     scales = np.array([1.0, 0.5], dtype=np.float32)

@@ -1,4 +1,4 @@
-"""Deliberate RPL006 violation: a registered scheme missing the hot-path
+"""Deliberate RPL006 violation: a registered scheme missing the registry
 contract (it would silently fall back to the base implementations)."""
 
 from repro.compression.base import AggregationScheme

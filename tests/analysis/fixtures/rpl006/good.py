@@ -1,4 +1,4 @@
-"""The clean counterpart: batched path defined, default inheritance stated."""
+"""The clean counterpart: aggregation body defined, default inheritance stated."""
 
 from repro.compression.base import AggregationScheme
 from repro.compression.spec import register
@@ -9,8 +9,5 @@ class FixtureScheme(AggregationScheme):
     # Uniform near-equal bucket pricing is correct here; stated explicitly.
     estimate_bucket_costs = AggregationScheme.estimate_bucket_costs
 
-    def aggregate(self, worker_gradients, ctx):
-        return worker_gradients
-
-    def aggregate_matrix(self, matrix, ctx):
-        return matrix
+    def aggregate_rows(self, rows, ctx, d):
+        return rows

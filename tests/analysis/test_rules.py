@@ -88,7 +88,7 @@ def test_scope_matching_semantics():
 
 def test_rpl002_whole_module_scope(tmp_path):
     # In the designated hot-path modules the float32 discipline applies to
-    # the whole file, not only aggregate_matrix bodies.
+    # the whole file, not only aggregate_rows bodies.
     target = tmp_path / "src/repro/compression/kernels.py"
     target.parent.mkdir(parents=True)
     target.write_text(
@@ -141,7 +141,7 @@ def test_rpl006_explicit_inheritance_satisfies_contract(tmp_path):
         "from repro.compression.spec import register\n"
         "@register('x')\n"
         "class X(AggregationScheme):\n"
-        "    aggregate_matrix = AggregationScheme.aggregate_matrix\n"
+        "    aggregate_rows = AggregationScheme.aggregate_rows\n"
         "    estimate_bucket_costs = AggregationScheme.estimate_bucket_costs\n",
         encoding="utf-8",
     )

@@ -43,7 +43,7 @@ def test_pass_is_fast_enough():
 
 def test_suppressions_are_counted_not_hidden():
     # The tree carries a handful of reviewed inline suppressions (latency
-    # telemetry, the legacy-oracle dtype default, the registry-name cache
+    # telemetry, the reference-transform dtype default, the registry-name cache
     # key); the report must account for them explicitly.
     report = run_analysis(
         SCAN_PATHS, root=REPO_ROOT, config=load_config(REPO_ROOT)

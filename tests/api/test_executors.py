@@ -1,6 +1,5 @@
 """Tests for the sweep execution strategies (repro.api.executors)."""
 
-import numpy as np
 import pytest
 
 from repro.api.executors import (
@@ -163,8 +162,3 @@ class TestSweepExecutors:
         )
         assert session2.cached_points == 1
         assert result.value("topkc_b2") == result.value("topkc(b=2)")
-
-    def test_legacy_backend_session_sweeps(self):
-        values = self._values(backend="legacy", executor="serial")
-        assert len(values) == len(self.SPECS)
-        assert all(np.isfinite(values))

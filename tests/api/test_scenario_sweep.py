@@ -334,14 +334,11 @@ class TestTrainerScenarioBehaviour:
 
         base = paper_testbed()
         kernels = KernelCostModel(gpu=base.gpu, topk_selection_factor=300.0)
-        ctx = SimContext(
-            backend=CollectiveBackend(base), kernels=kernels, kernel_backend="legacy"
-        )
+        ctx = SimContext(backend=CollectiveBackend(base), kernels=kernels)
         perturbed = scenario("slowdown(w=1, x=8)").cluster_at(base, 0)
         moved = ctx.for_cluster(perturbed)
         assert moved.backend.cluster is perturbed
         assert moved.kernels is kernels
-        assert moved.kernel_backend is ctx.kernel_backend
         other_gpu = dataclasses.replace(base, gpu=dataclasses.replace(base.gpu, name="other"))
         rebuilt = ctx.for_cluster(other_gpu)
         assert rebuilt.kernels is not kernels

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from repro.collectives.api import Collective, CollectiveBackend
-from repro.collectives.ops import MeanOp, SumOp
+from repro.collectives.ops import MeanOp
 from repro.collectives.allgather import allgather, allgather_concat
 from repro.collectives.parameter_server import ParameterServer
-from repro.collectives.reduce_scatter import ring_reduce_scatter
 from repro.simulator.cluster import paper_testbed
 
 
@@ -109,10 +108,6 @@ class TestFunctionalHelpers:
     def test_parameter_server_rejects_bad_shards(self):
         with pytest.raises(ValueError):
             ParameterServer(num_shards=0)
-
-    def test_reduce_scatter_reexport(self):
-        blocks = ring_reduce_scatter([np.ones(8), np.ones(8)], SumOp())
-        np.testing.assert_allclose(np.concatenate(blocks), 2 * np.ones(8))
 
     def test_backend_world_size(self):
         assert CollectiveBackend(paper_testbed()).world_size == 4

@@ -1,10 +1,10 @@
-"""Unit tests for ring all-reduce and reduce-scatter."""
+"""Unit tests of the per-vector ring fold oracle (``tests/reference.py``)."""
 
 import numpy as np
 import pytest
 
 from repro.collectives.ops import MeanOp, SaturatingSumOp, SumOp
-from repro.collectives.ring import ring_allreduce, ring_reduce_scatter, split_blocks
+from reference import ring_allreduce, ring_reduce_scatter, split_blocks
 
 
 class TestSplitBlocks:

@@ -1,11 +1,11 @@
-"""Unit tests for tree all-reduce and tree topology."""
+"""Unit tests for the tree topology and the per-vector tree fold oracle."""
 
 import numpy as np
 import pytest
 
 from repro.collectives.ops import MeanOp, SaturatingSumOp
 from repro.collectives.topology import RingTopology, TreeTopology
-from repro.collectives.tree import tree_allreduce
+from reference import tree_allreduce
 
 
 class TestTreeTopology:

@@ -1,4 +1,4 @@
-"""Unit tests for the batched kernel primitives (repro.compression.kernels)."""
+"""Unit tests for the kernel primitives (repro.compression.kernels)."""
 
 import math
 
@@ -7,7 +7,6 @@ import pytest
 
 from repro.compression.hadamard import HadamardRotation, _butterfly_passes
 from repro.compression.kernels import (
-    KernelBackend,
     LazyTransmitted,
     RoundWorkspace,
     cached_signs,
@@ -18,19 +17,6 @@ from repro.compression.kernels import (
     round_stochastically,
     smallest_int_dtype,
 )
-
-
-class TestKernelBackend:
-    def test_coerce_strings(self):
-        assert KernelBackend.coerce("batched") is KernelBackend.BATCHED
-        assert KernelBackend.coerce("LEGACY") is KernelBackend.LEGACY
-
-    def test_coerce_passthrough(self):
-        assert KernelBackend.coerce(KernelBackend.BATCHED) is KernelBackend.BATCHED
-
-    def test_coerce_rejects_unknown(self):
-        with pytest.raises(ValueError, match="unknown kernel backend"):
-            KernelBackend.coerce("vectorised")
 
 
 class TestRoundWorkspace:

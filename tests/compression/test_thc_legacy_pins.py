@@ -1,22 +1,22 @@
-"""Byte pins of the legacy (float64 oracle) THC path and its butterflies.
+"""Byte pins of the float64 THC reference (the test oracle) and its butterflies.
 
-The legacy backend is what the real-tensor bridge runs on every rank, and the
-reference the batched kernels are checked against, so its values must not
-move when its implementation does.  These pins record, per rotation mode,
+``Reference(THCCompressor)`` (``tests/reference.py``) is what the kernels are
+checked against in ``tests/property/test_backend_equivalence.py``, so its
+values must not move when its code does.  These pins record, per rotation mode,
 aggregation mode and shape, the SHA-256 of the mean estimate and of the
 stacked per-worker transmitted payloads of two consecutive rounds, and the
 rng state afterwards (which fixes how many uniforms were drawn).  Both
 rounds' reports are read only after the second round ran, so a deferred
 report that aliased reused scratch would show here.
 
-``ef(thc(...))`` consumes the per-worker report every round; its pins cover
-three rounds of means and the residuals left behind.  The
-``_butterfly_passes`` pins cover every depth of a float64 2^18 vector and a
-float32 2^12 vector.
+``ef(thc(...))`` -- ``ErrorFeedback(Reference(thc))`` -- consumes the
+per-worker report every round; its pins cover three rounds of means and the
+residuals left behind.  The ``_butterfly_passes`` pins cover every depth of a
+float64 2^18 vector and a float32 2^12 vector.
 
 Regenerate ``thc_legacy_pins.json`` only for an intended change of values::
 
-    PYTHONPATH=src python tests/compression/test_thc_legacy_pins.py
+    PYTHONPATH=src:tests python tests/compression/test_thc_legacy_pins.py
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ import pytest
 
 from repro.api.measures import paper_context
 from repro.compression.hadamard import _butterfly_passes
-from repro.compression.registry import make_scheme
 from repro.simulator.cluster import ClusterSpec
+from reference import reference_scheme
 
 PINS_PATH = Path(__file__).with_name("thc_legacy_pins.json")
 
@@ -63,7 +63,7 @@ def case_id(spec: str, num_workers: int, num_coordinates: int) -> str:
 
 def legacy_context(num_workers: int, seed: int):
     cluster = ClusterSpec(num_nodes=num_workers, gpus_per_node=1)
-    return paper_context(cluster, seed=seed, kernel_backend="legacy")
+    return paper_context(cluster, seed=seed)
 
 
 def gradient_rows(num_workers: int, num_coordinates: int, round_index: int) -> list[np.ndarray]:
@@ -76,7 +76,7 @@ def gradient_rows(num_workers: int, num_coordinates: int, round_index: int) -> l
 def run_case(spec: str, num_workers: int, num_coordinates: int) -> dict:
     """Aggregate two seeded rounds, then describe what both produced."""
     ctx = legacy_context(num_workers, seed=num_workers * num_coordinates)
-    scheme = make_scheme(spec)
+    scheme = reference_scheme(spec)
     results = [
         scheme.aggregate(gradient_rows(num_workers, num_coordinates, index), ctx)
         for index in range(2)
@@ -96,7 +96,7 @@ def run_case(spec: str, num_workers: int, num_coordinates: int) -> dict:
 def run_ef_case(spec: str, num_workers: int, num_coordinates: int) -> dict:
     """Three error-feedback rounds: each round's mean, then the residuals."""
     ctx = legacy_context(num_workers, seed=num_workers + num_coordinates)
-    scheme = make_scheme(spec)
+    scheme = reference_scheme(spec)
     means = [
         sha256(
             scheme.aggregate(

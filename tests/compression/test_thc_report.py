@@ -1,11 +1,12 @@
-"""What the legacy THC path costs, and the traps of making it cheaper.
+"""What a THC round costs on the one kernel path, and the traps of making it cheaper.
 
-The legacy (float64 oracle) path runs on every rank of the real-tensor
-bridge.  Its per-worker transmitted report is deferred, as on the batched
-path, so plain rounds run only the forward rotations and one inverse; its
-quantization reuses scratch buffers without ever writing into the caller's
-rows; and its butterflies allocate no per-pass temporaries.  The values it
-produces are pinned in ``test_thc_legacy_pins.py``.
+The same THC kernels run in ``session.vnmse``, in ``simulate_trace`` and on
+every rank of the real-tensor bridge.  The per-worker transmitted report is
+deferred, so a plain round runs two transforms -- forward over the worker
+matrix and inverse on the mean -- and error feedback pays one more to
+materialize the report; quantization never writes into the caller's rows.
+The values are pinned in ``test_thc_pins.py``; the float64 reference's in
+``test_thc_legacy_pins.py``.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import repro.compression.thc as thc_module
 from repro.api.measures import paper_context
 from repro.bridge.prediction import simulate_trace
 from repro.bridge.recorders import synthetic_trace
@@ -36,9 +38,9 @@ TRACE_LAYERS = (
 ROTATIONS = ("full", "partial", "none")
 
 
-def legacy_context(num_workers: int, seed: int = 0):
+def context(num_workers: int, seed: int = 0):
     cluster = ClusterSpec(num_nodes=num_workers, gpus_per_node=1)
-    return paper_context(cluster, seed=seed, kernel_backend="legacy")
+    return paper_context(cluster, seed=seed)
 
 
 def worker_rows(num_workers: int, num_coordinates: int) -> list[np.ndarray]:
@@ -52,10 +54,17 @@ def two_worker_trace():
 
 
 @pytest.fixture
-def rotation_calls(monkeypatch):
-    """Count HadamardRotation.forward and inverse calls."""
-    calls = {"forward": 0, "inverse": 0}
-    for name in calls:
+def transform_calls(monkeypatch):
+    """Count THC's ``fwht_rows`` calls and the per-vector rotation's calls."""
+    calls = {"fwht_rows": 0, "forward": 0, "inverse": 0}
+    original_fwht = thc_module.fwht_rows
+
+    def counted_fwht(*args, **kwargs):
+        calls["fwht_rows"] += 1
+        return original_fwht(*args, **kwargs)
+
+    monkeypatch.setattr(thc_module, "fwht_rows", counted_fwht)
+    for name in ("forward", "inverse"):
         original = getattr(HadamardRotation, name)
 
         def counted(self, *args, _original=original, _name=name, **kwargs):
@@ -68,11 +77,11 @@ def rotation_calls(monkeypatch):
 
 @pytest.mark.parametrize("rotation", ROTATIONS)
 def test_aggregate_leaves_caller_rows_untouched(rotation):
-    # At a power-of-two d, rot=none quantizes the caller's own arrays.
+    # At a power-of-two d, rot=none needs no padding of the caller's rows.
     rows = worker_rows(3, 4096)
     before = [row.tobytes() for row in rows]
     result = make_scheme(f"thc(q=4, rot={rotation}, agg=sat)").aggregate(
-        rows, legacy_context(3)
+        rows, context(3)
     )
     list(result.per_worker_transmitted)
     assert [row.tobytes() for row in rows] == before
@@ -81,7 +90,7 @@ def test_aggregate_leaves_caller_rows_untouched(rotation):
 @pytest.mark.parametrize("rotation", ROTATIONS)
 def test_report_is_deferred_until_read(rotation):
     result = make_scheme(f"thc(q=4, rot={rotation}, agg=widened)").aggregate(
-        worker_rows(4, 5773), legacy_context(4)
+        worker_rows(4, 5773), context(4)
     )
     report = result.per_worker_transmitted
     assert isinstance(report, LazyTransmitted)
@@ -92,19 +101,20 @@ def test_report_is_deferred_until_read(rotation):
     assert report.materialized
 
 
-def test_plain_rounds_skip_the_per_worker_inverse_rotations(rotation_calls, two_worker_trace):
+def test_plain_rounds_run_two_transforms(transform_calls, two_worker_trace):
     cluster = ClusterSpec(num_nodes=1, gpus_per_node=2)
     simulate_trace("thc(q=4, rot=full, agg=sat)", two_worker_trace, cluster=cluster)
-    # Per step: one forward per worker and one inverse on the mean.
-    assert rotation_calls == {"forward": 2 * 4, "inverse": 4}
+    # Per step: forward over the worker matrix, inverse on the mean.
+    assert transform_calls == {"fwht_rows": 2 * 4, "forward": 0, "inverse": 0}
 
 
-def test_error_feedback_still_reads_every_report(rotation_calls):
+def test_error_feedback_still_reads_every_report(transform_calls):
     scheme = make_scheme("ef(thc(q=4, rot=partial, agg=sat))")
-    ctx = legacy_context(2)
+    ctx = context(2)
     for _ in range(3):
         scheme.aggregate(worker_rows(2, 5773), ctx)
-    assert rotation_calls == {"forward": 2 * 3, "inverse": 3 * 3}
+    # Per round: forward, inverse on the mean, and the report's inverse.
+    assert transform_calls == {"fwht_rows": 3 * 3, "forward": 0, "inverse": 0}
 
 
 def test_simulate_trace_memory_peak(two_worker_trace):
@@ -115,7 +125,9 @@ def test_simulate_trace_memory_peak(two_worker_trace):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 31 * 2**20
+    # About 17 MiB: the trace's float32 rows, one wire matrix, its transform
+    # and the narrow levels.
+    assert peak <= 20 * 2**20
 
 
 @pytest.mark.parametrize("dtype", ["float64", "float32"])

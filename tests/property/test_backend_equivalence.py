@@ -1,24 +1,29 @@
-"""Batched backend == legacy backend, across the entire scheme registry.
+"""The kernels == the float64 per-worker reference, across the registry.
 
-The batched (vectorized float32) kernels and the legacy (per-worker float64)
-reference path must agree for every registered scheme spec:
+Every scheme runs one implementation: float32 kernels over the stacked
+``(n, d)`` worker matrix.  ``tests/reference.py`` keeps the per-worker
+float64 loops they were derived from as an oracle, and the two must agree
+for every registered scheme spec:
 
-* **Wire volume is identical** -- both paths report the same bits per
-  coordinate.  (Seconds are priced once, by ``estimate_costs``, which no
-  kernel backend touches.)
+* **Wire volume is identical** -- both report the same bits per coordinate.
+  (Seconds are priced once, by ``estimate_costs``, which the reference
+  delegates to the wrapped scheme.)
 * **Deterministic schemes match tightly** -- baselines, TopK, TopKC,
   signSGD, and PowerSGD produce the same mean estimate up to float32
-  rounding (the collective folds replay identical per-hop orders, so even
-  the non-associative saturating aggregation agrees).
+  rounding (both fold through the same per-hop orders, so even the
+  non-associative saturating aggregation agrees).
 * **Stochastic quantizers match to one quantization step** -- THC and QSGD
-  draw their stochastic-rounding randomness differently (one fused matrix
-  draw vs per-worker draws), so individual levels may legally differ by one;
-  the mean estimates therefore agree per-coordinate within the quantization
-  step, which is the correct equivalence class for an unbiased quantizer.
+  draw their stochastic-rounding randomness differently (one tiled float32
+  draw over the matrix vs per-worker float64 draws), so individual levels
+  may legally differ by one; the mean estimates therefore agree
+  per-coordinate within the quantization step, which is the correct
+  equivalence class for an unbiased quantizer.
 
 The suite covers the legacy aliases (the whole registry), the ``agg=switch``
-in-network variants on a multi-rack fabric, and error-feedback wrappers run
-over multiple rounds so the residual state is exercised on both paths.
+in-network variants on a multi-rack fabric, and error-feedback wrappers
+(``ErrorFeedback(Reference(inner))`` on the reference side) run over
+multiple rounds so the residual state is exercised on both sides.  The
+matrix folds are checked against the per-vector fold oracle bit for bit.
 """
 
 from __future__ import annotations
@@ -27,10 +32,16 @@ import numpy as np
 import pytest
 
 from repro.api.measures import paper_context
+from repro.collectives.batched import (
+    hierarchical_aggregate_matrix,
+    ring_allreduce_matrix,
+    tree_allreduce_matrix,
+)
+from repro.collectives.ops import SaturatingSumOp
 from repro.compression.error_feedback import ErrorFeedback
-from repro.compression.kernels import KernelBackend
 from repro.compression.registry import ALIASES, make_scheme
 from repro.simulator.cluster import ClusterSpec, multirack_cluster, paper_testbed
+from reference import hierarchical_aggregate, reference_scheme, ring_allreduce, tree_allreduce
 
 #: Every registered alias spells a spec; deduplicated, they cover the whole
 #: registry (every family at its paper configurations).
@@ -103,9 +114,9 @@ def _step_bound(scheme_b, scheme_l, gradients) -> float:
 def _assert_equivalent(spec: str, cluster: ClusterSpec) -> None:
     rounds = _gradient_rounds(cluster.world_size, NUM_ROUNDS)
     scheme_b = make_scheme(spec)
-    scheme_l = make_scheme(spec)
-    ctx_b = paper_context(cluster, seed=7, kernel_backend=KernelBackend.BATCHED)
-    ctx_l = paper_context(cluster, seed=7, kernel_backend=KernelBackend.LEGACY)
+    scheme_l = reference_scheme(spec)
+    ctx_b = paper_context(cluster, seed=7)
+    ctx_l = paper_context(cluster, seed=7)
 
     for gradients in rounds:
         stochastic = _is_stochastic(scheme_b)
@@ -171,10 +182,10 @@ def _assert_equivalent(spec: str, cluster: ClusterSpec) -> None:
                 )
 
 
-class TestBackendEquivalence:
+class TestReferenceEquivalence:
     @pytest.mark.parametrize("spec", ALL_SPECS)
     def test_registry_spec_on_testbed(self, spec):
-        """Every registered spec agrees across backends on the paper testbed."""
+        """Every registered spec agrees with its reference on the paper testbed."""
         _assert_equivalent(spec, paper_testbed())
 
     @pytest.mark.parametrize(
@@ -187,38 +198,42 @@ class TestBackendEquivalence:
         ],
     )
     def test_specs_on_multirack_fabric(self, spec):
-        """Hierarchical (rack-local then spine) folds agree across backends."""
+        """Hierarchical (rack-local then spine) folds agree with the reference."""
         _assert_equivalent(spec, multirack_cluster(2, nodes_per_rack=1))
 
-    def test_batched_backend_is_deterministic(self):
-        """Same seed, same backend => bit-identical results."""
+    def test_kernels_are_deterministic(self):
+        """Same seed => bit-identical results."""
         cluster = paper_testbed()
         gradients = _gradient_rounds(cluster.world_size, 1)[0]
 
         def run():
             scheme = make_scheme("thc(q=4, rot=partial, agg=sat)")
-            ctx = paper_context(
-                cluster, seed=7, kernel_backend=KernelBackend.BATCHED
-            )
+            ctx = paper_context(cluster, seed=7)
             return scheme.aggregate(gradients, ctx)
 
         np.testing.assert_array_equal(run().mean_estimate, run().mean_estimate)
 
-    def test_saturating_fold_parity_is_bit_exact(self):
-        """Saturation events land on identical coordinates on both backends.
+    @pytest.mark.parametrize("num_workers", [1, 2, 3, 6])
+    def test_saturating_fold_parity_is_bit_exact(self, num_workers):
+        """The matrix folds clip on the same coordinates as the fold oracle.
 
-        The integer levels entering the fold may differ (independent
-        stochastic rounding draws), but with rounding forced off -- q=2 over
-        adversarially large inputs saturates heavily -- both backends must
-        clip identically along the ring.
+        q=2-sized levels over adversarially large inputs saturate heavily, so
+        any difference in hop order shows: ring, tree and rack-by-rack folds
+        must equal the per-vector oracle (float64 vectors, as the reference
+        bodies send them) bit for bit.
         """
-        from repro.collectives.batched import ring_allreduce_matrix
-        from repro.collectives.ops import SaturatingSumOp
-        from repro.collectives.ring import ring_allreduce
-
         rng = np.random.default_rng(5)
-        matrix = rng.integers(-3, 4, size=(6, 257)).astype(np.int16)
+        matrix = rng.integers(-3, 4, size=(num_workers, 257)).astype(np.int16)
+        vectors = [row.astype(np.float64) for row in matrix]
         op = SaturatingSumOp(bits=3)
-        batched = ring_allreduce_matrix(matrix, op)
-        legacy = ring_allreduce([row.astype(np.float64) for row in matrix], op)
-        np.testing.assert_array_equal(batched.astype(np.int64), legacy.astype(np.int64))
+        racks = [rank // 2 for rank in range(num_workers)]
+        pairs = [
+            (ring_allreduce_matrix(matrix, op), ring_allreduce(vectors, op)),
+            (tree_allreduce_matrix(matrix, op), tree_allreduce(vectors, op)),
+            (
+                hierarchical_aggregate_matrix(matrix, op, racks),
+                hierarchical_aggregate(vectors, op, racks),
+            ),
+        ]
+        for folded, oracle in pairs:
+            np.testing.assert_array_equal(folded.astype(np.int64), oracle.astype(np.int64))

@@ -6,8 +6,7 @@ per-rank twin everywhere the population is consumed.  This suite holds that
 contract across the whole surface:
 
 * **Pricing** -- ``session.throughput`` (serialized and bucketed pipeline)
-  agrees exactly between the two forms, for every registered scheme and on
-  both kernel backends;
+  agrees exactly between the two forms, for every registered scheme;
 * **Pipeline simulation** -- ``simulate_schedule`` produces identical
   makespans, traces, and per-worker finish times;
 * **Scenarios** -- every effective cluster a scenario derives from the two
@@ -112,12 +111,11 @@ class TestPipelineEquivalence:
 
 class TestSchemeRegistryEquivalence:
     @pytest.mark.parametrize("alias", sorted(ALIASES))
-    @pytest.mark.parametrize("backend", ["batched", "legacy"])
-    def test_throughput_is_bit_exact_across_registry(self, alias, backend):
+    def test_throughput_is_bit_exact_across_registry(self, alias):
         materialized, distributional = twins([(3, WorkerProfile(slowdown=1.5)), (5, WorkerProfile())])
         workload = bert_large_wikitext()
         estimates = [
-            ExperimentSession(cluster=cluster, backend=backend).throughput(
+            ExperimentSession(cluster=cluster).throughput(
                 alias, workload, num_buckets=4
             )
             for cluster in (materialized, distributional)

@@ -10,7 +10,7 @@ Two guarantees the recovery layer (PR 9) makes:
 * **The empty policy is bit-exact** -- ``policy("")`` must not perturb a
   single bit of the PR 5 scenario path: round times, pricing fields, and
   tail metrics are exactly equal (no tolerance) across the whole scheme
-  registry and both kernel backends, and a trainer run under it
+  registry, and a trainer run under it
   reproduces the plain scenario run's losses and clock exactly.
 
 A third contract ties the two drivers together: a trainer and a throughput
@@ -26,7 +26,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import ExperimentSession
-from repro.compression.kernels import KernelBackend
 from repro.compression.registry import ALIASES
 from repro.api.measures import estimate_throughput
 from repro.core.evaluation import build_scheme_pair, build_trainer, run_end_to_end
@@ -44,8 +43,6 @@ from repro.simulator.scenario import scenario_metrics
 from repro.training.workloads import bert_large_wikitext
 
 REGISTRY_SPECS = sorted(set(ALIASES.values()))
-
-BACKENDS = [KernelBackend.BATCHED, KernelBackend.LEGACY]
 
 #: A scenario with real faults, so the scenario path (not the static
 #: shortcut) is what the empty policy must leave untouched.
@@ -124,11 +121,10 @@ class TestPolicyRoundTrip:
 
 
 class TestEmptyPolicyBitExact:
-    @pytest.mark.parametrize("backend", BACKENDS, ids=lambda b: b.value)
     @pytest.mark.parametrize("spec", REGISTRY_SPECS)
-    def test_pricing_bit_exact_across_registry_and_backends(self, spec, backend):
+    def test_pricing_bit_exact_across_registry(self, spec):
         workload = bert_large_wikitext()
-        session = ExperimentSession(backend=backend)
+        session = ExperimentSession()
 
         def run(recovery):
             return session.throughput(
@@ -151,9 +147,8 @@ class TestEmptyPolicyBitExact:
         assert metrics.dropped_worker_rounds == 0
         assert metrics.stale_rounds == 0
 
-    @pytest.mark.parametrize("backend", BACKENDS, ids=lambda b: b.value)
     @pytest.mark.parametrize("spec", TRAINER_SPECS)
-    def test_training_bit_exact_under_empty_policy(self, spec, backend):
+    def test_training_bit_exact_under_empty_policy(self, spec):
         workload = bert_large_wikitext()
 
         def run(recovery):
@@ -163,7 +158,6 @@ class TestEmptyPolicyBitExact:
                 num_rounds=5,
                 eval_every=5,
                 seed=7,
-                kernel_backend=backend,
                 scenario=FAULT_SCENARIO,
                 policy=recovery,
             )

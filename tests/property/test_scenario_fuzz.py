@@ -5,10 +5,9 @@ degradation, link flaps, switch memory pressure, churn, join/leave) with
 random windows and magnitudes, and the suite holds the engine to its
 differential contracts:
 
-* **Backend equivalence** -- pricing under a scenario is identical on the
-  batched and legacy kernel backends (exact float equality: pricing is
-  analytic and backend-independent), and functional training under a
-  scenario agrees across backends to float32 rounding.
+* **Reference equivalence** -- functional training under a scenario agrees
+  with the float64 per-worker reference of the scheme
+  (``tests/reference.py``) to float32 rounding, on the identical clock.
 * **Tier traffic conservation** -- every effective cluster a scenario
   produces (shrunken switch pools included) still conserves bits at every
   fabric tier: bits in == bits out + aggregated delta.
@@ -32,8 +31,8 @@ from hypothesis import strategies as st
 
 from repro.api import ExperimentSession
 from repro.collectives.cost_model import CollectiveCostModel
-from repro.compression.kernels import KernelBackend
-from repro.core.evaluation import run_end_to_end
+from repro.compression.error_feedback import ErrorFeedback
+from repro.core.evaluation import build_trainer
 from repro.simulator.cluster import multirack_cluster, paper_testbed
 from repro.simulator.scenario import (
     Scenario,
@@ -47,6 +46,7 @@ from repro.simulator.scenario import (
     switch_memory_pressure,
 )
 from repro.training.workloads import bert_large_wikitext
+from reference import Reference
 
 
 def _applies_cleanly(scenario: Scenario, base, num_rounds: int) -> bool:
@@ -150,56 +150,36 @@ flat_scenarios = scenarios_for(world_size=4, num_racks=1, rack_safe_nodes=1)
 fabric_scenarios = scenarios_for(world_size=8, num_racks=2, rack_safe_nodes=2)
 
 
-class TestBackendEquivalence:
-    @given(scenario=flat_scenarios, spec_index=st.integers(0, len(PRICING_SPECS) - 1))
-    @settings(max_examples=MAX_EXAMPLES, deadline=None)
-    def test_pricing_identical_across_backends(self, scenario, spec_index):
-        """Batched and legacy backends price scenario runs bit-identically."""
-        spec = PRICING_SPECS[spec_index]
-        workload = bert_large_wikitext()
-        num_rounds = min(scenario.default_num_rounds(), 20)
-        assume(_applies_cleanly(scenario, paper_testbed(), num_rounds))
-        estimates = [
-            ExperimentSession(backend=backend).throughput(
-                spec, workload, scenario=scenario, num_rounds=num_rounds
-            )
-            for backend in (KernelBackend.BATCHED, KernelBackend.LEGACY)
-        ]
-        batched, legacy = estimates
-        assert batched.rounds_per_second == legacy.rounds_per_second
-        assert batched.round_seconds == legacy.round_seconds
-        assert batched.scenario_metrics == legacy.scenario_metrics
-        assert batched.cost == legacy.cost
-
+class TestReferenceEquivalence:
     @given(scenario=scenarios_for(world_size=4, num_racks=1, rack_safe_nodes=1))
     @settings(max_examples=max(5, MAX_EXAMPLES // 3), deadline=None)
-    def test_functional_training_agrees_across_backends(self, scenario):
-        """A deterministic scheme trains identically (to f32) on both backends."""
+    def test_functional_training_agrees_with_reference(self, scenario):
+        """A deterministic scheme trains like its reference (to f32)."""
         workload = bert_large_wikitext()
         assume(_applies_cleanly(scenario, paper_testbed(), 5))
 
-        def run(backend):
-            return run_end_to_end(
+        def run(reference: bool):
+            trainer = build_trainer(
                 "topk(b=2)",
                 workload,
-                num_rounds=5,
                 eval_every=5,
                 seed=3,
-                kernel_backend=backend,
+                total_rounds_hint=5,
                 scenario=scenario,
             )
+            if reference:
+                trainer.scheme = ErrorFeedback(Reference(trainer.scheme.scheme))
+            return trainer.run(5)
 
-        batched = run(KernelBackend.BATCHED)
-        legacy = run(KernelBackend.LEGACY)
+        kernels = run(reference=False)
+        reference = run(reference=True)
         # Pricing and the simulated clock agree exactly; the functional
         # trajectories agree to float32 rounding accumulated over rounds.
-        assert batched.history.round_times == legacy.history.round_times
+        assert kernels.round_times == reference.round_times
         np.testing.assert_allclose(
-            batched.history.train_losses, legacy.history.train_losses, rtol=1e-4
+            kernels.train_losses, reference.train_losses, rtol=1e-4
         )
-        for record_a, record_b in zip(
-            batched.history.evaluations, legacy.history.evaluations
-        ):
+        for record_a, record_b in zip(kernels.evaluations, reference.evaluations):
             assert record_a.sim_time_seconds == record_b.sim_time_seconds
 
 

@@ -5,7 +5,7 @@ perturb a single bit of the static simulator's numbers.  Rounds with no
 active events return the base cluster *object* (identity, not a copy), so an
 empty scenario's pricing runs through exactly the same arithmetic as a
 scenario-free call.  This suite enforces that across the whole scheme
-registry and both kernel backends for
+registry for
 
 * **round times and pricing** -- ``estimate_throughput`` with
   ``scenario=Scenario()`` equals the plain static estimate field for field
@@ -21,7 +21,6 @@ import numpy as np
 import pytest
 
 from repro.api import ExperimentSession
-from repro.compression.kernels import KernelBackend
 from repro.compression.registry import ALIASES
 from repro.core.evaluation import run_end_to_end
 from repro.simulator.cluster import multirack_cluster
@@ -31,8 +30,6 @@ from repro.training.workloads import bert_large_wikitext
 #: Every registered alias spells a spec; deduplicated, they cover the whole
 #: registry (every family at its paper configurations).
 REGISTRY_SPECS = sorted(set(ALIASES.values()))
-
-BACKENDS = [KernelBackend.BATCHED, KernelBackend.LEGACY]
 
 #: Schemes exercising the distinct functional paths (plain, sparsification,
 #: stochastic quantization, low-rank, error feedback) in the trainer check.
@@ -46,11 +43,10 @@ TRAINER_SPECS = [
 
 
 class TestPricingBitExact:
-    @pytest.mark.parametrize("backend", BACKENDS, ids=lambda b: b.value)
     @pytest.mark.parametrize("spec", REGISTRY_SPECS)
-    def test_empty_scenario_prices_identically(self, spec, backend):
+    def test_empty_scenario_prices_identically(self, spec):
         workload = bert_large_wikitext()
-        session = ExperimentSession(backend=backend)
+        session = ExperimentSession()
         static = session.throughput(spec, workload)
         scenario_run = session.throughput(
             spec, workload, scenario=Scenario(), num_rounds=7
@@ -82,9 +78,8 @@ class TestPricingBitExact:
 
 
 class TestAggregatesBitExact:
-    @pytest.mark.parametrize("backend", BACKENDS, ids=lambda b: b.value)
     @pytest.mark.parametrize("spec", TRAINER_SPECS)
-    def test_empty_scenario_training_is_bit_exact(self, spec, backend):
+    def test_empty_scenario_training_is_bit_exact(self, spec):
         workload = bert_large_wikitext()
 
         def run(scenario):
@@ -94,7 +89,6 @@ class TestAggregatesBitExact:
                 num_rounds=4,
                 eval_every=2,
                 seed=11,
-                kernel_backend=backend,
                 scenario=scenario,
             )
 

@@ -3,7 +3,7 @@
 ``session.vnmse`` is seeded by ``gradient_seed`` alone, so a call must give
 the same value in a session that already measured other round counts (and
 other schemes) as in a fresh one.  This pins that property over the whole
-registry, both kernel backends and error feedback off and on, with the round
+registry and error feedback off and on, with the round
 counts asked in the order 1, 3, 2: a longer run after a shorter one, then a
 shorter one again.
 """
@@ -26,30 +26,28 @@ CALL = dict(num_coordinates=5773, num_workers=4)
 ROUND_COUNTS = (1, 3, 2)
 
 
-def fresh_vnmse(spec: str, backend: str, error_feedback: bool, num_rounds: int) -> float:
-    session = ExperimentSession(backend=backend)
+def fresh_vnmse(spec: str, error_feedback: bool, num_rounds: int) -> float:
+    session = ExperimentSession()
     return session.vnmse(
         spec, num_rounds=num_rounds, error_feedback=error_feedback, **CALL
     )
 
 
 @pytest.mark.parametrize("error_feedback", [False, True], ids=["plain", "ef"])
-@pytest.mark.parametrize("backend", ["batched", "legacy"])
 @pytest.mark.parametrize("spec", REGISTRY_SPECS)
-def test_vnmse_independent_of_session_history(spec, backend, error_feedback):
-    session = ExperimentSession(backend=backend)
+def test_vnmse_independent_of_session_history(spec, error_feedback):
+    session = ExperimentSession()
     for num_rounds in ROUND_COUNTS:
         value = session.vnmse(
             spec, num_rounds=num_rounds, error_feedback=error_feedback, **CALL
         )
-        assert value == fresh_vnmse(spec, backend, error_feedback, num_rounds)
+        assert value == fresh_vnmse(spec, error_feedback, num_rounds)
 
 
-@pytest.mark.parametrize("backend", ["batched", "legacy"])
-def test_vnmse_independent_of_other_specs(backend):
+def test_vnmse_independent_of_other_specs():
     """One session measuring the whole registry agrees with fresh sessions."""
-    session = ExperimentSession(backend=backend)
+    session = ExperimentSession()
     for spec in REGISTRY_SPECS:
         for num_rounds in ROUND_COUNTS:
             value = session.vnmse(spec, num_rounds=num_rounds, **CALL)
-            assert value == fresh_vnmse(spec, backend, False, num_rounds), spec
+            assert value == fresh_vnmse(spec, False, num_rounds), spec

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from repro.collectives.api import Collective, CollectiveBackend
+from repro.collectives.batched import hierarchical_aggregate_matrix
 from repro.collectives.cost_model import CollectiveCostModel
 from repro.collectives.ops import MaxOp, SaturatingSumOp, SumOp
 from repro.simulator.cluster import ClusterSpec, multirack_cluster, paper_testbed
 from repro.topology import (
     FabricSpec,
     SwitchModel,
-    hierarchical_aggregate,
     single_rack_fabric,
     two_tier_fabric,
 )
@@ -129,33 +129,33 @@ class TestHierarchicalAggregate:
         rng = np.random.default_rng(0)
         vectors = [rng.standard_normal(32) for _ in range(8)]
         racks = [i // 2 for i in range(8)]
-        result = hierarchical_aggregate(vectors, SumOp(), racks)
+        result = hierarchical_aggregate_matrix(np.stack(vectors), SumOp(), racks)
         np.testing.assert_allclose(result, np.sum(vectors, axis=0), rtol=1e-12)
 
     def test_applies_finalize(self):
         from repro.collectives.ops import MeanOp
 
         vectors = [np.full(4, float(i)) for i in range(4)]
-        result = hierarchical_aggregate(vectors, MeanOp(), [0, 0, 1, 1])
+        result = hierarchical_aggregate_matrix(np.stack(vectors), MeanOp(), [0, 0, 1, 1])
         np.testing.assert_allclose(result, np.full(4, 1.5))
 
     def test_max_op_safe_with_rack_fold(self):
         vectors = [np.array([-5.0, 2.0]), np.array([1.0, -3.0])]
-        result = hierarchical_aggregate(vectors, MaxOp(), [0, 1])
+        result = hierarchical_aggregate_matrix(np.stack(vectors), MaxOp(), [0, 1])
         np.testing.assert_allclose(result, [1.0, 2.0])
 
     def test_saturating_op_saturates_per_hop(self):
         op = SaturatingSumOp(bits=4)  # limit 7
         vectors = [np.array([5.0]), np.array([5.0]), np.array([-5.0])]
         # Rack {0,1} saturates to 7 before the cross-rack hop adds -5.
-        result = hierarchical_aggregate(vectors, op, [0, 0, 1])
+        result = hierarchical_aggregate_matrix(np.stack(vectors), op, [0, 0, 1])
         np.testing.assert_allclose(result, [2.0])
 
     def test_rejects_mismatched_assignment(self):
         with pytest.raises(ValueError):
-            hierarchical_aggregate([np.zeros(2)], SumOp(), [0, 1])
+            hierarchical_aggregate_matrix(np.zeros((1, 2)), SumOp(), [0, 1])
         with pytest.raises(ValueError):
-            hierarchical_aggregate([], SumOp(), [])
+            hierarchical_aggregate_matrix(np.zeros((0, 2)), SumOp(), [])
 
 
 class TestBackendSwitchAggregation:
