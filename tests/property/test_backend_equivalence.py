@@ -96,7 +96,7 @@ def _step_bound(scheme_b, scheme_l, gradients) -> float:
     """An upper bound on one quantization step for this round's inputs.
 
     The (rotated) coordinates satisfy ``|H x|_inf <= ||x||_2``, so every
-    quantization range -- per chunk or global, on either backend -- is at
+    quantization range -- per chunk or global, on either side -- is at
     most the largest *compressed* vector norm, which under error feedback is
     the gradient plus the carried residual.  One step is that bound divided
     by the quantizer's largest level.

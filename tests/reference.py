@@ -481,11 +481,10 @@ def _thc(
         mean = rotation.inverse(rotated_mean, d).astype(np.float32)
 
     # Per-worker transmitted contributions (for error feedback) are
-    # deferred on both backends: plain rounds -- the bridge's workers and
-    # ``simulate_trace`` -- never pay the n extra inverse rotations.  The
-    # closure keeps only the narrow levels and the per-chunk ranges; the
-    # float64 scales are rebuilt when the report is read, so a result
-    # kept alive into the next round holds little memory.
+    # deferred, as in the kernels: plain rounds never pay the n extra
+    # inverse rotations.  The closure keeps only the narrow levels and the
+    # per-chunk ranges; the float64 scales are rebuilt when the report is
+    # read, so a result kept alive into the next round holds little memory.
     def materialize_transmitted() -> np.ndarray:
         own_scales = np.repeat(shared_ranges / max_level, chunk_elements)
         transmitted = np.empty((n, d), dtype=np.float32)
@@ -676,7 +675,7 @@ class Reference(AggregationScheme):
     """A registered scheme, aggregated by its float64 per-worker reference body.
 
     Pricing, wire volume and state (PowerSGD's warm start) are the wrapped
-    scheme's own; only :meth:`aggregate` runs the reference loops.
+    scheme's own; only the aggregation runs the reference loops.
     """
 
     def __init__(self, scheme: AggregationScheme):
@@ -697,15 +696,8 @@ class Reference(AggregationScheme):
     ) -> list[CostEstimate]:
         return self.scheme.estimate_bucket_costs(num_coordinates, num_buckets, ctx)
 
-    def reset_state(self) -> None:
-        if hasattr(self.scheme, "reset_state"):
-            self.scheme.reset_state()
-
-    def aggregate(
-        self, worker_gradients: list[np.ndarray], ctx: SimContext
-    ) -> AggregationResult:
-        d, _ = self._validate_gradients(worker_gradients, ctx.world_size)
-        return self._body(self.scheme, worker_gradients, ctx, d)
+    def aggregate_rows(self, rows, ctx: SimContext, d: int) -> AggregationResult:
+        return self._body(self.scheme, list(rows), ctx, d)
 
 
 def reference_scheme(spec: str) -> AggregationScheme:
