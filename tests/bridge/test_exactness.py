@@ -17,14 +17,22 @@ the only thing that can separate the two means is the wire's rounding:
 
 PowerSGD's factors cross an FP32 wire where the simulator keeps float64; its
 gap stays within :data:`repro.experiments.validation.TOLERANCES`.
+
+Below the means, the lossless schemes also put the simulator's payloads on
+the wire: collective call ``k`` of the harness carries, from each rank, that
+rank's row of the simulator's call ``k`` as the wire encodes it.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 import pytest
 
 from repro.bridge import RecordingBackend, run_harness, simulate_trace, synthetic_trace
+from repro.bridge.actors import AggregationServer
+from repro.bridge.wire import decode_section, encode_section
 from repro.compression.base import SimContext
 from repro.compression.registry import make_scheme
 from repro.experiments.validation import REGISTRY_SPECS
@@ -55,15 +63,23 @@ EXACT_SPECS = tuple(s for s in ALL_SPECS if family_of(s) not in ("thc", "powersg
 
 THC_SPECS = tuple(s for s in ALL_SPECS if family_of(s) == "thc")
 
+#: Four workers on one and two racks, and six on three racks (uneven ring
+#: chunks, an odd rack count).
 CLUSTERS = {
     "testbed": paper_testbed(),
     "multirack": multirack_cluster(2, nodes_per_rack=1),
+    "three-rack": multirack_cluster(3, nodes_per_rack=1),
 }
+
+
+@functools.cache
+def trace_of(world_size: int):
+    return synthetic_trace(num_steps=2, num_workers=world_size, seed=5)
 
 
 @pytest.fixture(scope="module")
 def trace():
-    return synthetic_trace(num_steps=2, num_workers=4, seed=5)
+    return trace_of(4)
 
 
 def assert_rounds_equal(simulated_means, measured) -> None:
@@ -74,8 +90,9 @@ def assert_rounds_equal(simulated_means, measured) -> None:
 
 @pytest.mark.parametrize("cluster_name", sorted(CLUSTERS))
 @pytest.mark.parametrize("spec", EXACT_SPECS)
-def test_harness_mean_equals_simulated_mean(spec, cluster_name, trace):
+def test_harness_mean_equals_simulated_mean(spec, cluster_name):
     cluster = CLUSTERS[cluster_name]
+    trace = trace_of(cluster.world_size)
     simulated = simulate_trace(spec, trace, cluster=cluster, seed=9)
     measured = run_harness(spec, trace, cluster=cluster, seed=9)
     assert_rounds_equal([r.mean_estimate for r in simulated.rounds], measured)
@@ -101,8 +118,9 @@ class Float16WireBackend(RecordingBackend):
 
 @pytest.mark.parametrize("cluster_name", sorted(CLUSTERS))
 @pytest.mark.parametrize("spec", THC_SPECS)
-def test_thc_gap_is_the_fp16_range_consensus(spec, cluster_name, trace):
+def test_thc_gap_is_the_fp16_range_consensus(spec, cluster_name):
     cluster = CLUSTERS[cluster_name]
+    trace = trace_of(cluster.world_size)
     measured = run_harness(spec, trace, cluster=cluster, seed=9)
     plain = simulate_trace(spec, trace, cluster=cluster, seed=9)
     # Unrounded ranges: the harness differs from the simulator...
@@ -119,3 +137,87 @@ def test_thc_gap_is_the_fp16_range_consensus(spec, cluster_name, trace):
     scheme = make_scheme(spec)
     rounded = [scheme.aggregate(step.flats(), ctx).mean_estimate for step in trace.steps]
     assert_rounds_equal(rounded, measured)
+
+
+class PayloadRecordingBackend(RecordingBackend):
+    """The simulator's backend, keeping every rank's payload of every call."""
+
+    def __init__(self, cluster):
+        super().__init__(cluster)
+        self.payloads: list[tuple[str, list[list[np.ndarray]]]] = []
+
+    def _keep(self, kind, per_rank, bits) -> None:
+        self.payloads.append(
+            (
+                kind,
+                [
+                    [
+                        decode_section(encode_section(np.asarray(array), width))
+                        for array, width in zip(arrays, bits)
+                    ]
+                    for arrays in per_rank
+                ],
+            )
+        )
+
+    def allreduce_matrix(self, matrix, *, wire_bits_per_value, **kwargs):
+        self._keep("allreduce", [[row] for row in matrix], [wire_bits_per_value])
+        return super().allreduce_matrix(
+            matrix, wire_bits_per_value=wire_bits_per_value, **kwargs
+        )
+
+    def allgather(self, worker_payloads, *, wire_bits_per_value):
+        self._keep(
+            "allgather", [[payload] for payload in worker_payloads], [wire_bits_per_value]
+        )
+        return super().allgather(worker_payloads, wire_bits_per_value=wire_bits_per_value)
+
+    def allgather_sections(self, worker_sections, *, wire_bits_per_section):
+        self._keep("allgather", worker_sections, wire_bits_per_section)
+        return super().allgather_sections(
+            worker_sections, wire_bits_per_section=wire_bits_per_section
+        )
+
+
+@pytest.mark.parametrize("spec", EXACT_SPECS)
+def test_each_rank_sends_its_row_of_the_simulated_payload(spec, trace, monkeypatch):
+    cluster = CLUSTERS["testbed"]
+    received: list[tuple[str, list[list[np.ndarray]]]] = []
+    serve_collective = AggregationServer._serve_collective
+
+    def recording_serve(server, batch):
+        by_rank = sorted(batch, key=lambda message: message["rank"])
+        sections = [
+            [message["section"]] if "section" in message else message["sections"]
+            for message in by_rank
+        ]
+        received.append(
+            (
+                by_rank[0]["kind"],
+                [[decode_section(section) for section in row] for row in sections],
+            )
+        )
+        return serve_collective(server, batch)
+
+    monkeypatch.setattr(AggregationServer, "_serve_collective", recording_serve)
+    run_harness(spec, trace, cluster=cluster, seed=9)
+
+    backend = PayloadRecordingBackend(cluster)
+    ctx = SimContext(
+        backend=backend,
+        kernels=KernelCostModel(gpu=cluster.gpu),
+        rng=np.random.default_rng(9),
+    )
+    scheme = make_scheme(spec)
+    for step in trace.steps:
+        scheme.aggregate(step.flats(), ctx)
+
+    assert received
+    assert [kind for kind, _ in received] == [kind for kind, _ in backend.payloads]
+    for (_, wire), (_, simulated) in zip(received, backend.payloads):
+        assert len(wire) == len(simulated) == cluster.world_size
+        for wire_arrays, simulated_arrays in zip(wire, simulated):
+            assert len(wire_arrays) == len(simulated_arrays)
+            for sent, expected in zip(wire_arrays, simulated_arrays):
+                assert sent.dtype == expected.dtype
+                assert np.array_equal(sent, expected)

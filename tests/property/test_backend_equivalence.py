@@ -201,6 +201,11 @@ class TestReferenceEquivalence:
         """Hierarchical (rack-local then spine) folds agree with the reference."""
         _assert_equivalent(spec, multirack_cluster(2, nodes_per_rack=1))
 
+    @pytest.mark.parametrize("spec", ALL_SPECS)
+    def test_registry_spec_on_three_racks(self, spec):
+        """Six workers in three racks: uneven ring chunks, an odd rack count."""
+        _assert_equivalent(spec, multirack_cluster(3, nodes_per_rack=1))
+
     def test_kernels_are_deterministic(self):
         """Same seed => bit-identical results."""
         cluster = paper_testbed()
