@@ -15,7 +15,9 @@ check the kernels against an independent implementation:
   of :mod:`repro.collectives.batched` replay hop for hop, kept as the fold
   oracle;
 * :func:`quantize` / :func:`dequantize` are the per-vector stochastic
-  quantizer the QSGD reference body draws with.
+  quantizer the QSGD reference body draws with;
+* :func:`pack_ints` / :func:`unpack_ints` are the bit-matrix wire packer the
+  bridge's ``pack`` codec must match byte for byte.
 
 The reference bodies call ``ctx.backend.allreduce`` with one vector per
 worker; ``thc_legacy_pins.json`` pins their THC values byte for byte.
@@ -54,6 +56,29 @@ from repro.compression.topk import (
 )
 from repro.compression.topkc import STAGE_BITS, TopKChunkedCompressor, _as_fp16
 from repro.simulator.gpu import Precision
+
+
+# --------------------------------------------------------------------------- #
+# Wire oracle: offset-binary bit packing through a (size, width) bit matrix
+# --------------------------------------------------------------------------- #
+def pack_ints(values: np.ndarray, width: int) -> bytes:
+    """Pack int64 values into ``width``-bit offset-binary fields."""
+    offset = (values + (1 << (width - 1))).astype(np.uint64)
+    shifts = np.arange(width - 1, -1, -1, dtype=np.uint64)
+    bits = ((offset[:, None] >> shifts) & np.uint64(1)).astype(np.uint8).reshape(-1)
+    return np.packbits(bits).tobytes()
+
+
+def unpack_ints(payload: bytes, size: int, width: int) -> np.ndarray:
+    """Inverse of :func:`pack_ints`: int64 values."""
+    total = size * width
+    raw = np.frombuffer(payload, dtype=np.uint8)
+    bits = np.unpackbits(raw, count=total)
+    weights = (np.uint64(1) << np.arange(width - 1, -1, -1, dtype=np.uint64)).astype(
+        np.int64
+    )
+    fields = bits.reshape(size, width).astype(np.int64) @ weights
+    return fields - (1 << (width - 1))
 
 
 # --------------------------------------------------------------------------- #
