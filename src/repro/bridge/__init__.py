@@ -45,11 +45,18 @@ from repro.bridge.trace import (
     LayerSpec,
     TraceFormatError,
     TraceStep,
+    load_rank_rows,
     load_trace,
     save_trace,
 )
 from repro.bridge.transport import BridgeTimeoutError
-from repro.bridge.wire import EncodedSection, WireFormatError, decode_section, encode_section
+from repro.bridge.wire import (
+    EncodedSection,
+    WireFormatError,
+    decode_section,
+    encode_raw,
+    encode_section,
+)
 
 __all__ = [
     "AggregationServer",
@@ -69,7 +76,9 @@ __all__ = [
     "TransportBackend",
     "WireFormatError",
     "decode_section",
+    "encode_raw",
     "encode_section",
+    "load_rank_rows",
     "load_trace",
     "record_torch_gradients",
     "run_harness",

@@ -8,9 +8,10 @@ collective payload into real bytes, ships it to an :class:`AggregationServer`
 over a transport channel, and returns the reduced payload the server sends
 back.  The server stacks the decoded rows and folds them with the
 simulator's own matrix fold (:meth:`CollectiveBackend.allreduce_matrix` on
-the same cluster), so the only differences between a harness run and a
-monolithic simulation are the ones a real deployment has: wire-precision
-rounding and actual bytes on a channel.
+the same cluster) and sends the aggregate back at its own dtype's width, so
+the only differences between a harness run and a monolithic simulation are
+the ones a real deployment has: wire-precision rounding and actual bytes on
+a channel.
 
 Execution is SPMD: worker ``i`` calls ``scheme.aggregate`` on a gradient
 list that is zero everywhere except its own rank.  Registered schemes derive
@@ -37,13 +38,18 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.bridge.trace import GradientTrace, load_trace, save_trace
+from repro.bridge.trace import GradientTrace, load_rank_rows, load_trace, save_trace
 from repro.bridge.transport import (
     BridgeTimeoutError,
     inprocess_channel,
     multiprocess_channel,
 )
-from repro.bridge.wire import EncodedSection, decode_section, encode_section
+from repro.bridge.wire import (
+    EncodedSection,
+    decode_section,
+    encode_raw,
+    encode_section,
+)
 from repro.collectives.api import (
     Collective,
     CollectiveBackend,
@@ -233,7 +239,9 @@ class AggregationServer:
     that kinds/operators/collectives agree, decodes the payload bytes, stacks
     them into one matrix and folds it with the simulator's own fold
     (:meth:`CollectiveBackend.allreduce_matrix` on the same cluster), and
-    replies.  Gathers are forwarded verbatim: every worker receives every
+    replies with the aggregate's own bytes (:func:`encode_raw`: an int8
+    saturating level sum goes back at 8 bits per value, a float32 mean at
+    32).  Gathers are forwarded verbatim: every worker receives every
     worker's encoded sections.
     """
 
@@ -306,7 +314,7 @@ class AggregationServer:
                 op=by_rank[0]["op"],
                 collective=Collective(by_rank[0]["collective"]),
             )
-            section = encode_section(np.asarray(reduced.aggregate), 64.0)
+            section = encode_raw(reduced.aggregate)
             reply = {"kind": "reduced", "seq": seq, "section": section}
             for endpoint in self.endpoints:
                 endpoint.send(reply)
@@ -328,13 +336,18 @@ class AggregationServer:
 
 
 class GradientWorker:
-    """One rank of the harness: runs the scheme over every trace step."""
+    """One rank of the harness: runs the scheme over every trace step.
+
+    ``rows`` holds the rank's own ``(step index, flattened gradient)`` per
+    step -- all a rank contributes; its peers' rows reach it only through
+    the collectives.
+    """
 
     def __init__(
         self,
         rank: int,
         spec: str,
-        trace: GradientTrace,
+        rows: list[tuple[int, np.ndarray]],
         cluster: ClusterSpec,
         endpoint,
         *,
@@ -343,7 +356,7 @@ class GradientWorker:
     ):
         self.rank = rank
         self.spec = spec
-        self.trace = trace
+        self.rows = rows
         self.cluster = cluster
         self.endpoint = endpoint
         self.seed = seed
@@ -361,15 +374,12 @@ class GradientWorker:
         )
         scheme = make_scheme(self.spec)
         world = self.cluster.world_size
-        d = self.trace.num_coordinates
-        zero = np.zeros(d, dtype=np.float32)
-
         rounds = []
-        for step in self.trace.steps:
+        for index, row in self.rows:
             # SPMD: only this worker's own row carries data; peers'
             # contributions arrive through the collective, never this list.
-            gradients = [zero] * world
-            gradients[self.rank] = step.flat(self.rank)
+            gradients = [np.zeros_like(row)] * world
+            gradients[self.rank] = row
             calls_before = len(backend.calls)
             bits_before = backend.uplink_bits
             bytes_before = backend.uplink_bytes
@@ -378,7 +388,7 @@ class GradientWorker:
             wall_seconds = time.perf_counter() - started
             rounds.append(
                 {
-                    "index": step.index,
+                    "index": index,
                     "mean": np.asarray(result.mean_estimate, dtype=np.float32),
                     "uplink_bits": backend.uplink_bits - bits_before,
                     "uplink_bytes": backend.uplink_bytes - bytes_before,
@@ -416,9 +426,12 @@ class HarnessResult:
         transport: ``"inprocess"`` or ``"process"``.
         rounds: Per-round measurements; ``vnmse`` is computed against the
             trace's exact per-step mean.
-        downlink_bytes: Total server->worker payload bytes (reported for
-            completeness; the differential traffic check compares uplink,
-            which is what the simulator's per-scheme accounting prices).
+        downlink_bytes: Total server->worker payload bytes: the world size
+            times the summed bytes of every reply.  A reduced aggregate goes
+            back at its own dtype's width, a gather as every worker's uplink
+            sections.  Reported for completeness; the differential traffic
+            check compares uplink, which is what the simulator's per-scheme
+            accounting prices.
     """
 
     spec: str
@@ -499,7 +512,7 @@ def _run_inprocess(
         worker = GradientWorker(
             rank,
             spec,
-            trace,
+            [(step.index, step.flat(rank)) for step in trace.steps],
             cluster,
             channels[rank][0],
             seed=seed,
@@ -551,9 +564,9 @@ def _process_worker_main(
 ) -> None:
     """Entry point of one worker OS process (must be module-level to spawn)."""
     try:
-        trace = load_trace(trace_dir)
+        rows = load_rank_rows(trace_dir, rank)
         worker = GradientWorker(
-            rank, spec, trace, cluster, endpoint, seed=seed, timeout=timeout
+            rank, spec, rows, cluster, endpoint, seed=seed, timeout=timeout
         )
         endpoint.send(worker.run())
     except BaseException as error:  # noqa: B036 - relayed to the driver
@@ -574,8 +587,9 @@ def _run_multiprocess(
     world = cluster.world_size
     with tempfile.TemporaryDirectory(prefix="bridge-trace-") as scratch:
         if trace_dir is None:
-            # Workers load the trace from disk -- the honest path: each
-            # process sees only the recorded artifact, not driver memory.
+            # Workers read their own rank's rows from disk -- the honest
+            # path: each process sees only the recorded artifact, not
+            # driver memory.
             save_trace(trace, scratch)
             trace_dir = scratch
         channels = [multiprocess_channel() for _ in range(world)]

@@ -13,7 +13,11 @@ directory::
 The manifest pins the layer schema (names, shapes, dtypes) and the shard
 list; loading validates every array against it and fails loudly with
 :class:`TraceFormatError` on any mismatch, so a corrupted or hand-edited
-trace can never silently feed wrong tensors into a validation run.  Traces
+trace can never silently feed wrong tensors into a validation run.  Reading
+is split in two: :func:`read_manifest` validates the manifest, and
+:func:`read_shards` reads and validates the arrays of the ranks it is given
+-- :func:`load_trace` asks for every rank, while a bridge worker process
+reads only its own (:func:`load_rank_rows`).  Traces
 produced by the recorders in :mod:`repro.bridge.recorders` are
 seed-deterministic, and the save -> load round-trip is bit-exact (covered by
 a hypothesis fuzz suite).
@@ -22,6 +26,7 @@ a hypothesis fuzz suite).
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -81,6 +86,13 @@ class LayerSpec:
             raise TraceFormatError(f"malformed layer entry {payload!r}") from error
 
 
+def flatten_layers(layers: Sequence[np.ndarray]) -> np.ndarray:
+    """One worker's layer arrays flattened to one float32 vector."""
+    return np.concatenate(
+        [np.asarray(layer, dtype=np.float32).ravel() for layer in layers]
+    )
+
+
 @dataclass(frozen=True)
 class TraceStep:
     """One training step: per worker, one gradient array per layer."""
@@ -98,10 +110,7 @@ class TraceStep:
         This is the parameter-flattening step a DDP hook performs before
         handing the gradient to the compression scheme.
         """
-        layers = self.gradients[rank]
-        return np.concatenate(
-            [np.asarray(layer, dtype=np.float32).ravel() for layer in layers]
-        )
+        return flatten_layers(self.gradients[rank])
 
     def flats(self) -> list[np.ndarray]:
         """Every worker's flattened gradient, in rank order."""
@@ -217,13 +226,31 @@ def save_trace(trace: GradientTrace, directory: str | Path) -> Path:
     return manifest_path
 
 
-def load_trace(directory: str | Path) -> GradientTrace:
-    """Load a trace from ``directory``, validating it against its manifest.
+@dataclass(frozen=True)
+class TraceManifest:
+    """A trace directory's validated manifest.
+
+    Attributes:
+        root: The trace directory.
+        layers: The layer schema every shard array is checked against.
+        num_workers: Ranks recorded in every shard.
+        shards: ``(step index, file name)`` per listed shard, in order.
+        metadata: The free-form metadata object.
+    """
+
+    root: Path
+    layers: tuple[LayerSpec, ...]
+    num_workers: int
+    shards: tuple[tuple[int, str], ...]
+    metadata: dict
+
+
+def read_manifest(directory: str | Path) -> TraceManifest:
+    """Read and validate the manifest of the trace in ``directory``.
 
     Raises:
         TraceFormatError: The manifest is missing, unparseable, from an
-            unknown format/version, or any shard array deviates from the
-            declared schema.
+            unknown format/version, or malformed.
     """
     root = Path(directory)
     manifest_path = root / MANIFEST_NAME
@@ -252,15 +279,49 @@ def load_trace(directory: str | Path) -> GradientTrace:
     num_workers = int(manifest["num_workers"])
     if num_workers < 1:
         raise TraceFormatError(f"manifest declares num_workers={num_workers}")
-
-    steps = []
+    shards = []
     for entry in manifest["shards"]:
         try:
-            step_index = int(entry["step"])
-            file_name = str(entry["file"])
+            shards.append((int(entry["step"]), str(entry["file"])))
         except (KeyError, TypeError, ValueError) as error:
             raise TraceFormatError(f"malformed shard entry {entry!r}") from error
-        shard_path = root / file_name
+    metadata = manifest.get("metadata", {})
+    if not isinstance(metadata, dict):
+        raise TraceFormatError("manifest metadata must be a JSON object")
+    return TraceManifest(
+        root=root,
+        layers=layers,
+        num_workers=num_workers,
+        shards=tuple(shards),
+        metadata=metadata,
+    )
+
+
+def read_shards(
+    manifest: TraceManifest, ranks: Sequence[int]
+) -> list[tuple[int, tuple[tuple[np.ndarray, ...], ...]]]:
+    """Read the layer arrays of ``ranks`` from every shard the manifest lists.
+
+    Only those ranks' members (``w{rank:05d}::{layer}``) are read, and each
+    is checked against the manifest's schema.
+
+    Returns:
+        Per shard, ``(step index, gradients)`` where ``gradients`` holds one
+        tuple of layer arrays per rank, in the order of ``ranks``.
+
+    Raises:
+        TraceFormatError: A shard is missing or unreadable, or one of the
+            arrays read is missing or deviates from the declared schema.
+        ValueError: A rank is outside the trace's workers.
+    """
+    for rank in ranks:
+        if not 0 <= rank < manifest.num_workers:
+            raise ValueError(
+                f"rank {rank} outside the trace's {manifest.num_workers} workers"
+            )
+    steps = []
+    for step_index, file_name in manifest.shards:
+        shard_path = manifest.root / file_name
         if not shard_path.exists():
             raise TraceFormatError(
                 f"shard {file_name} is listed in the manifest but missing on disk"
@@ -270,22 +331,52 @@ def load_trace(directory: str | Path) -> GradientTrace:
                 gradients = tuple(
                     tuple(
                         _load_array(shard, rank, spec, step_index, file_name)
-                        for spec in layers
+                        for spec in manifest.layers
                     )
-                    for rank in range(num_workers)
+                    for rank in ranks
                 )
         except (OSError, ValueError) as error:
             raise TraceFormatError(
                 f"shard {file_name} is unreadable: {error}"
             ) from error
-        steps.append(TraceStep(index=step_index, gradients=gradients))
+        steps.append((step_index, gradients))
+    return steps
 
-    metadata = manifest.get("metadata", {})
-    if not isinstance(metadata, dict):
-        raise TraceFormatError("manifest metadata must be a JSON object")
-    # GradientTrace.__post_init__ re-validates shapes/dtypes against the
-    # schema, so a shard whose arrays disagree with the manifest fails here.
-    return GradientTrace(layers=layers, steps=steps, metadata=metadata)
+
+def load_trace(directory: str | Path) -> GradientTrace:
+    """Load a trace from ``directory``, validating it against its manifest.
+
+    Raises:
+        TraceFormatError: The manifest is missing, unparseable, from an
+            unknown format/version, or any shard array deviates from the
+            declared schema.
+    """
+    manifest = read_manifest(directory)
+    steps = [
+        TraceStep(index=step_index, gradients=gradients)
+        for step_index, gradients in read_shards(
+            manifest, range(manifest.num_workers)
+        )
+    ]
+    return GradientTrace(
+        layers=manifest.layers, steps=steps, metadata=manifest.metadata
+    )
+
+
+def load_rank_rows(directory: str | Path, rank: int) -> list[tuple[int, np.ndarray]]:
+    """Worker ``rank``'s flattened gradient of every step, read from disk.
+
+    Reads only that rank's arrays of each shard, validated like
+    :func:`load_trace`'s.
+
+    Returns:
+        ``(step index, float32 row)`` per step, in shard order.
+    """
+    manifest = read_manifest(directory)
+    return [
+        (step_index, flatten_layers(layers))
+        for step_index, (layers,) in read_shards(manifest, (rank,))
+    ]
 
 
 def _load_array(shard, rank: int, spec: LayerSpec, step_index: int, file_name: str):

@@ -8,10 +8,18 @@ and become actual encodings:
 * a 16-bit width encodes IEEE float16;
 * a 32-bit width encodes IEEE float32 (or int32 for integer payloads such as
   TopK indices);
-* a 64-bit width encodes the array raw (used for server downlinks);
-* any other integer width requires an *integral-valued* payload and packs
-  each value into exactly ``w`` bits (offset-binary two's complement), which
-  is how q-bit quantization levels and signSGD votes travel.
+* a 64-bit width encodes IEEE float64 (or int64);
+* any other integer width from 2 to 63 requires an *integral-valued* payload
+  and packs each value into exactly ``w`` bits (offset-binary two's
+  complement), which is how q-bit quantization levels and signSGD votes
+  travel.  The fields are cut from the narrowest unsigned dtype that holds
+  ``w`` bits, one bit plane per pass, so packing costs O(size * w) bytes of
+  scratch rather than a 64-bit word per bit.
+
+Server downlinks use :func:`encode_raw` instead: a reduced aggregate travels
+as its own bytes, at its dtype's width (8 bits per saturating int8 level
+sum, 32 per float32 mean), so every worker decodes the array the server
+folded.
 
 ``encode_section`` therefore refuses payloads the declared width cannot
 faithfully carry (fractional values at a 5-bit width, levels outside the
@@ -45,7 +53,7 @@ class EncodedSection:
         dtype: Original array dtype name (decode restores it).
         wire_bits: Declared bits per value.
         encoding: Concrete codec used (``f16``/``f32``/``f64``/``i32``/
-            ``i64``/``pack``).
+            ``i64``/``pack``/``raw``).
         bits: Logical payload size in bits: ``size * wire_bits``.
     """
 
@@ -69,24 +77,9 @@ def encode_section(array: np.ndarray, wire_bits: float) -> EncodedSection:
         WireFormatError: The width is not realisable for this payload.
     """
     array = np.asarray(array)
-    size = array.size
-    logical_bits = _logical_bits(size, wire_bits)
 
     def section(payload: bytes, encoding: str) -> EncodedSection:
-        expected = -(-logical_bits // 8)  # ceil division
-        if len(payload) != expected:
-            raise WireFormatError(
-                f"{encoding} encoding produced {len(payload)} bytes for a "
-                f"{logical_bits}-bit payload (expected {expected})"
-            )
-        return EncodedSection(
-            payload=payload,
-            shape=tuple(array.shape),
-            dtype=array.dtype.name,
-            wire_bits=float(wire_bits),
-            encoding=encoding,
-            bits=logical_bits,
-        )
+        return _section(array, wire_bits, payload, encoding)
 
     integral_dtype = np.issubdtype(array.dtype, np.integer)
     if wire_bits == 16.0 and not integral_dtype:
@@ -108,10 +101,10 @@ def encode_section(array: np.ndarray, wire_bits: float) -> EncodedSection:
     # Narrow widths: the payload must be integral-valued (quantization
     # levels, sign votes) and fit the signed w-bit range.
     width = int(wire_bits)
-    if width != wire_bits or width < 2:
+    if width != wire_bits or not 2 <= width < 64:
         raise WireFormatError(
             f"wire width {wire_bits} bits is not encodable: only 16/32/64-bit "
-            "float widths and integer widths >= 2 have codecs"
+            "float widths and integer widths from 2 to 63 have codecs"
         )
     values = array.reshape(-1)
     if not integral_dtype:
@@ -121,10 +114,24 @@ def encode_section(array: np.ndarray, wire_bits: float) -> EncodedSection:
                 f"payload declared at {width} bits/value holds non-integral "
                 "values; only integral payloads can be bit-packed"
             )
-        values = rounded
-    values = values.astype(np.int64)
+        values = rounded.astype(np.int64)
     _check_int_range(values, width)
     return section(_pack_ints(values, width), "pack")
+
+
+def encode_raw(array: np.ndarray) -> EncodedSection:
+    """Encode ``array`` losslessly as its own bytes, at its dtype's width.
+
+    The server's downlink codec: the reply carries exactly the array the
+    fold produced, whatever its dtype, at ``8 * itemsize`` bits per value.
+    """
+    array = np.asarray(array)
+    return _section(
+        array,
+        8.0 * array.dtype.itemsize,
+        np.ascontiguousarray(array).tobytes(),
+        "raw",
+    )
 
 
 def decode_section(section: EncodedSection) -> np.ndarray:
@@ -148,9 +155,31 @@ def decode_section(section: EncodedSection) -> np.ndarray:
         values = np.frombuffer(section.payload, dtype=np.int64, count=size)
     elif section.encoding == "pack":
         values = _unpack_ints(section.payload, size, int(section.wire_bits))
+    elif section.encoding == "raw":
+        values = np.frombuffer(section.payload, dtype=dtype, count=size)
     else:
         raise WireFormatError(f"unknown wire encoding {section.encoding!r}")
     return values.astype(dtype).reshape(shape)
+
+
+def _section(
+    array: np.ndarray, wire_bits: float, payload: bytes, encoding: str
+) -> EncodedSection:
+    logical_bits = _logical_bits(array.size, wire_bits)
+    expected = -(-logical_bits // 8)  # ceil division
+    if len(payload) != expected:
+        raise WireFormatError(
+            f"{encoding} encoding produced {len(payload)} bytes for a "
+            f"{logical_bits}-bit payload (expected {expected})"
+        )
+    return EncodedSection(
+        payload=payload,
+        shape=tuple(array.shape),
+        dtype=array.dtype.name,
+        wire_bits=float(wire_bits),
+        encoding=encoding,
+        bits=logical_bits,
+    )
 
 
 def _logical_bits(size: int, wire_bits: float) -> int:
@@ -177,21 +206,43 @@ def _check_int_range(values: np.ndarray, width: int) -> None:
         )
 
 
+def _field_dtype(width: int) -> np.dtype:
+    """The narrowest unsigned dtype that holds a ``width``-bit field."""
+    for dtype in (np.uint8, np.uint16, np.uint32):
+        if width <= 8 * np.dtype(dtype).itemsize:
+            return np.dtype(dtype)
+    return np.dtype(np.uint64)
+
+
 def _pack_ints(values: np.ndarray, width: int) -> bytes:
-    """Pack int64 values into ``width``-bit offset-binary fields."""
-    offset = (values + (1 << (width - 1))).astype(np.uint64)
-    shifts = np.arange(width - 1, -1, -1, dtype=np.uint64)
-    bits = ((offset[:, None] >> shifts) & np.uint64(1)).astype(np.uint8).reshape(-1)
+    """Pack signed ``width``-bit integers into offset-binary fields.
+
+    ``values`` must lie in the signed ``width``-bit range.  The offset is
+    added modulo the field dtype, where two's complement makes ``v + 2^(w-1)``
+    land in ``[0, 2^w)``; the fields then go out one bit plane per pass,
+    most significant bit first.
+    """
+    unsigned = _field_dtype(width)
+    fields = values.astype(f"i{unsigned.itemsize}").view(unsigned)
+    fields += unsigned.type(1 << (width - 1))
+    bits = np.empty((fields.size, width), dtype=np.uint8)
+    plane = np.empty_like(fields)
+    for column in range(width):
+        np.right_shift(fields, width - 1 - column, out=plane)
+        np.bitwise_and(plane, 1, out=plane)
+        bits[:, column] = plane
     return np.packbits(bits).tobytes()
 
 
 def _unpack_ints(payload: bytes, size: int, width: int) -> np.ndarray:
-    """Inverse of :func:`_pack_ints`."""
-    total = size * width
+    """Inverse of :func:`_pack_ints`, in the narrowest signed dtype."""
+    unsigned = _field_dtype(width)
     raw = np.frombuffer(payload, dtype=np.uint8)
-    bits = np.unpackbits(raw, count=total)
-    weights = (np.uint64(1) << np.arange(width - 1, -1, -1, dtype=np.uint64)).astype(
-        np.int64
-    )
-    fields = bits.reshape(size, width).astype(np.int64) @ weights
-    return fields - (1 << (width - 1))
+    bits = np.unpackbits(raw, count=size * width).reshape(size, width)
+    fields = np.zeros(size, dtype=unsigned)
+    for column in range(width):
+        fields <<= unsigned.type(1)
+        fields |= bits[:, column]
+    # Subtracting the offset modulo the field dtype leaves two's complement.
+    fields -= unsigned.type(1 << (width - 1))
+    return fields.view(f"i{unsigned.itemsize}")

@@ -13,13 +13,14 @@ from repro.bridge import (
     TraceFormatError,
     TraceStep,
     TorchUnavailableError,
+    load_rank_rows,
     load_trace,
     record_torch_gradients,
     save_trace,
     synthetic_trace,
     torch_available,
 )
-from repro.bridge.trace import MANIFEST_NAME
+from repro.bridge.trace import MANIFEST_NAME, read_manifest, read_shards
 
 
 # --------------------------------------------------------------------- #
@@ -182,6 +183,88 @@ class TestLoadFailures:
         self._write(saved, manifest)
         with pytest.raises(TraceFormatError, match="dtype"):
             load_trace(saved)
+
+
+# --------------------------------------------------------------------- #
+# Per-rank reads: a bridge worker process reads only its own arrays
+# --------------------------------------------------------------------- #
+class TestPerRankRead:
+    @pytest.fixture
+    def trace(self):
+        return synthetic_trace(num_steps=3, num_workers=3, seed=4)
+
+    @pytest.fixture
+    def saved(self, trace, tmp_path):
+        save_trace(trace, tmp_path / "t")
+        return tmp_path / "t"
+
+    def _rewrite_member(self, saved, step, key, array):
+        """Replace (or, with ``array=None``, drop) one member of a shard."""
+        shard = saved / f"step_{step:05d}.npz"
+        with np.load(shard) as loaded:
+            members = {name: loaded[name] for name in loaded.files}
+        if array is None:
+            del members[key]
+        else:
+            members[key] = array
+        np.savez(shard, **members)
+
+    @pytest.mark.parametrize("rank", [0, 1, 2])
+    def test_rows_equal_the_full_loads(self, trace, saved, rank):
+        rows = load_rank_rows(saved, rank)
+        assert [index for index, _ in rows] == [step.index for step in trace.steps]
+        for (_, row), step in zip(rows, trace.steps):
+            assert row.dtype == np.float32
+            assert row.tobytes() == step.flat(rank).tobytes()
+
+    @pytest.mark.parametrize("rank", [0, 1, 2])
+    def test_reads_only_its_own_members(self, saved, rank, monkeypatch):
+        read = []
+        getitem = np.lib.npyio.NpzFile.__getitem__
+
+        def recording_getitem(self, key):
+            read.append(key)
+            return getitem(self, key)
+
+        monkeypatch.setattr(np.lib.npyio.NpzFile, "__getitem__", recording_getitem)
+        load_rank_rows(saved, rank)
+        layers = read_manifest(saved).layers
+        assert read == [f"w{rank:05d}::{spec.name}" for spec in layers] * 3
+
+    def test_full_load_reads_every_rank(self, saved):
+        manifest = read_manifest(saved)
+        steps = read_shards(manifest, range(manifest.num_workers))
+        assert [len(gradients) for _, gradients in steps] == [3, 3, 3]
+
+    def test_missing_own_array(self, trace, saved):
+        key = f"w00001::{trace.layers[0].name}"
+        self._rewrite_member(saved, 1, key, None)
+        with pytest.raises(TraceFormatError, match="missing array"):
+            load_rank_rows(saved, 1)
+        # A peer's read never opens the member, so it does not notice.
+        assert len(load_rank_rows(saved, 0)) == 3
+
+    def test_wrong_shape_of_own_array(self, trace, saved):
+        key = f"w00002::{trace.layers[1].name}"
+        self._rewrite_member(saved, 2, key, np.zeros(3, dtype=np.float32))
+        with pytest.raises(TraceFormatError, match="shape"):
+            load_rank_rows(saved, 2)
+
+    def test_wrong_dtype_of_own_array(self, trace, saved):
+        spec = trace.layers[0]
+        key = f"w00000::{spec.name}"
+        self._rewrite_member(saved, 0, key, np.zeros(spec.shape, dtype=np.float64))
+        with pytest.raises(TraceFormatError, match="dtype"):
+            load_rank_rows(saved, 0)
+
+    def test_manifest_errors_still_raise(self, saved):
+        (saved / MANIFEST_NAME).write_text("{not json")
+        with pytest.raises(TraceFormatError, match="JSON"):
+            load_rank_rows(saved, 0)
+
+    def test_rank_outside_the_trace(self, saved):
+        with pytest.raises(ValueError, match="rank 3"):
+            load_rank_rows(saved, 3)
 
 
 # --------------------------------------------------------------------- #

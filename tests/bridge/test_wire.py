@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from repro.bridge import WireFormatError, decode_section, encode_section
+from repro.bridge import WireFormatError, decode_section, encode_raw, encode_section
 
 
 class TestFloatCodecs:
@@ -90,6 +92,15 @@ class TestBitPack:
             encode_section(np.array([1.0]), 2.5)
         with pytest.raises(WireFormatError):
             encode_section(np.array([1.0]), 1.0)
+        with pytest.raises(WireFormatError):
+            encode_section(np.array([1], dtype=np.int64), 65.0)
+
+    def test_decodes_to_the_narrowest_signed_dtype_before_the_cast(self):
+        """A 4-bit field decodes through int8 and comes back in its own dtype."""
+        values = np.array([-8, 7, 0], dtype=np.int64)
+        decoded = decode_section(encode_section(values, 4.0))
+        assert decoded.dtype == np.int64
+        np.testing.assert_array_equal(decoded, values)
 
     def test_randomized_round_trip(self):
         rng = np.random.default_rng(0)
@@ -98,6 +109,74 @@ class TestBitPack:
             values = rng.integers(low, high + 1, size=257)
             section = encode_section(values, float(width))
             np.testing.assert_array_equal(decode_section(section), values)
+
+
+class TestRawCodec:
+    @pytest.mark.parametrize(
+        "dtype", ["int8", "int16", "int32", "int64", "float16", "float32", "float64"]
+    )
+    def test_lossless_at_the_dtypes_own_width(self, dtype):
+        rng = np.random.default_rng(3)
+        if np.issubdtype(np.dtype(dtype), np.integer):
+            info = np.iinfo(dtype)
+            values = rng.integers(info.min, info.max, endpoint=True, size=(5, 7))
+            values = values.astype(dtype)
+            values.flat[:2] = info.min, info.max
+        else:
+            values = rng.standard_normal((5, 7)).astype(dtype)
+        section = encode_raw(values)
+        assert section.encoding == "raw"
+        assert section.wire_bits == 8 * values.dtype.itemsize
+        assert section.bits == values.size * section.wire_bits
+        assert section.payload == values.tobytes()
+        decoded = decode_section(section)
+        assert decoded.dtype == values.dtype
+        assert decoded.shape == values.shape
+        np.testing.assert_array_equal(decoded, values)
+        assert decoded.flags.writeable
+
+    def test_same_bytes_as_the_ieee_and_integer_codecs(self):
+        for values, width in [
+            (np.linspace(-1, 1, 9, dtype=np.float32), 32.0),
+            (np.linspace(-1, 1, 9, dtype=np.float64), 64.0),
+            (np.arange(-4, 5, dtype=np.int32), 32.0),
+            (np.arange(-4, 5, dtype=np.int64), 64.0),
+        ]:
+            assert encode_raw(values).payload == encode_section(values, width).payload
+
+    def test_empty(self):
+        section = encode_raw(np.zeros(0, dtype=np.int8))
+        assert section.nbytes == 0
+        assert decode_section(section).dtype == np.int8
+
+
+class TestCodecMemory:
+    """Packing scratch is O(bytes): no 64-bit word per wire bit."""
+
+    SIZE = 1 << 18
+
+    @pytest.fixture
+    def levels(self):
+        rng = np.random.default_rng(0)
+        return rng.integers(-8, 8, size=self.SIZE).astype(np.int8)
+
+    @staticmethod
+    def peak_mib(function, *args) -> float:
+        tracemalloc.start()
+        try:
+            function(*args)
+            return tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+
+    def test_encoding_4_bit_levels(self, levels):
+        # 13.0 MiB through the (size, width) uint64 bit matrix.
+        assert self.peak_mib(encode_section, levels, 4.0) <= 4.5
+
+    def test_decoding_4_bit_levels(self, levels):
+        section = encode_section(levels, 4.0)
+        # 11.0 MiB through the (size, width) int64 bit matrix.
+        assert self.peak_mib(decode_section, section) <= 3.5
 
 
 class TestAccounting:

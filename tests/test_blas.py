@@ -90,10 +90,10 @@ def test_fork_pool_sweep_workers_inherit_the_pin():
     reason="the probe reaches bridge workers through fork",
 )
 def test_process_bridge_workers_inherit_the_pin(monkeypatch):
-    def report_blas_threads(_trace_dir):
+    def report_blas_threads(_trace_dir, _rank):
         raise RuntimeError(f"blas threads: {blas_threads()}")
 
-    monkeypatch.setattr(actors, "load_trace", report_blas_threads)
+    monkeypatch.setattr(actors, "load_rank_rows", report_blas_threads)
     trace = synthetic_trace(num_steps=1, num_workers=2, seed=0)
     cluster = ClusterSpec(num_nodes=1, gpus_per_node=2)
     with pytest.raises(BridgeProtocolError, match="blas threads: 1"):
