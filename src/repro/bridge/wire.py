@@ -206,14 +206,6 @@ def _check_int_range(values: np.ndarray, width: int) -> None:
         )
 
 
-def _field_dtype(width: int) -> np.dtype:
-    """The narrowest unsigned dtype that holds a ``width``-bit field."""
-    for dtype in (np.uint8, np.uint16, np.uint32):
-        if width <= 8 * np.dtype(dtype).itemsize:
-            return np.dtype(dtype)
-    return np.dtype(np.uint64)
-
-
 def _pack_ints(values: np.ndarray, width: int) -> bytes:
     """Pack signed ``width``-bit integers into offset-binary fields.
 
@@ -222,7 +214,7 @@ def _pack_ints(values: np.ndarray, width: int) -> bytes:
     land in ``[0, 2^w)``; the fields then go out one bit plane per pass,
     most significant bit first.
     """
-    unsigned = _field_dtype(width)
+    unsigned = np.min_scalar_type((1 << width) - 1)
     fields = values.astype(f"i{unsigned.itemsize}").view(unsigned)
     fields += unsigned.type(1 << (width - 1))
     bits = np.empty((fields.size, width), dtype=np.uint8)
@@ -236,7 +228,7 @@ def _pack_ints(values: np.ndarray, width: int) -> bytes:
 
 def _unpack_ints(payload: bytes, size: int, width: int) -> np.ndarray:
     """Inverse of :func:`_pack_ints`, in the narrowest signed dtype."""
-    unsigned = _field_dtype(width)
+    unsigned = np.min_scalar_type((1 << width) - 1)
     raw = np.frombuffer(payload, dtype=np.uint8)
     bits = np.unpackbits(raw, count=size * width).reshape(size, width)
     fields = np.zeros(size, dtype=unsigned)

@@ -95,13 +95,6 @@ class TestBitPack:
         with pytest.raises(WireFormatError):
             encode_section(np.array([1], dtype=np.int64), 65.0)
 
-    def test_decodes_to_the_narrowest_signed_dtype_before_the_cast(self):
-        """A 4-bit field decodes through int8 and comes back in its own dtype."""
-        values = np.array([-8, 7, 0], dtype=np.int64)
-        decoded = decode_section(encode_section(values, 4.0))
-        assert decoded.dtype == np.int64
-        np.testing.assert_array_equal(decoded, values)
-
     def test_randomized_round_trip(self):
         rng = np.random.default_rng(0)
         for width in (2, 4, 6, 9):
