@@ -9,8 +9,8 @@ parameters via the ``@register`` decorator, and run it through exactly the
 same session/utility evaluation as the built-in schemes -- spec parsing,
 ``ef(...)`` composition, and canonical ``.spec()`` formatting included.
 
-A scheme has one cost ledger: ``aggregate`` computes values (the mean, the
-wire bits, what each worker sent) and ``estimate_costs`` prices the round.
+A scheme has one cost ledger: ``aggregate_rows`` computes values (the mean,
+the wire bits, what each worker sent) and ``estimate_costs`` prices the round.
 Every throughput and time-to-accuracy number is priced from the latter.
 
 Run with:  python examples/custom_compressor.py
@@ -64,17 +64,18 @@ class RandomBlockCompressor(AggregationScheme):
         compression = ctx.kernels.chunk_gather_time(keep)
         return CostEstimate(compression, communication, self.bits_per_coordinate)
 
-    def aggregate(self, worker_gradients, ctx: SimContext) -> AggregationResult:
-        """The round's values; :meth:`estimate_costs` prices it."""
-        d, _ = self._validate_gradients(worker_gradients, ctx.world_size)
+    def aggregate_rows(self, rows, ctx: SimContext, d: int) -> AggregationResult:
+        """The round's values over the worker rows; :meth:`estimate_costs` prices it."""
         block = self._block(d, np.random.default_rng(self._round))
         self._round += 1
 
-        payloads = [g[block].astype(np.float16).astype(np.float32) for g in worker_gradients]
-        reduce_result = ctx.backend.allreduce(payloads, wire_bits_per_value=16.0, op=SumOp())
+        payloads = [row[block].astype(np.float16).astype(np.float32) for row in rows]
+        block_sum = ctx.backend.allreduce_matrix(
+            np.stack(payloads), wire_bits_per_value=16.0, op=SumOp()
+        )
 
         mean = np.zeros(d, dtype=np.float32)
-        mean[block] = np.asarray(reduce_result.aggregate) / ctx.world_size
+        mean[block] = block_sum / ctx.world_size
         transmitted = []
         for payload in payloads:
             dense = np.zeros(d, dtype=np.float32)

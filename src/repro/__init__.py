@@ -6,7 +6,7 @@ The package is organised by subsystem:
 * :mod:`repro.simulator` -- GPU/NIC timing models (the testbed stand-in).
 * :mod:`repro.topology` -- multi-rack fabrics (ToR/spine tiers,
   oversubscription) and in-network switch aggregation.
-* :mod:`repro.collectives` -- functional + priced collective communication.
+* :mod:`repro.collectives` -- collective folds and their alpha-beta cost model.
 * :mod:`repro.compression` -- the compression schemes of the case study.
 * :mod:`repro.training` -- the distributed data-parallel training substrate.
 * :mod:`repro.core` -- the utility-centric evaluation framework (TTA, vNMSE,

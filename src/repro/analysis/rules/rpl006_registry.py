@@ -3,12 +3,12 @@
 Every ``@register``-ed scheme family runs and is priced through two entry
 points the rest of the system assumes exist *deliberately*:
 ``aggregate_rows`` (the family's one aggregation body, which the simulator,
-error feedback and the bridge's ranks all run -- the base implementation
-only adapts a scheme written against the per-worker list interface) and
+error feedback and the bridge's ranks all run; it is abstract on the base
+class, so a family without it fails only when first built) and
 ``estimate_bucket_costs`` (the pipeline simulator's layer-aware pricing --
 the base default is a uniform split that is wrong for layer-aware schemes
 like PowerSGD).  A newly registered family that merely *forgets* one of
-them fails late or is subtly mispriced.
+them fails late or is subtly mispriced; this rule fails it at lint time.
 
 This semantic pass over class bodies requires each ``@register``-ed class
 to either define both methods or state the inheritance explicitly::

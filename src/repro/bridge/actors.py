@@ -23,8 +23,10 @@ seed, so every rank draws the same rng stream as the monolithic simulator.
 
 Measured per round, per worker: real uplink payload bits/bytes (compared
 *exactly* against the simulator's traffic accounting), the scheme's VNMSE on
-the trace's true mean, wall-clock seconds, and the simulated seconds the
-priced cost model attributes to the same round.
+the trace's true mean, and wall-clock seconds.  Simulated seconds come from
+the scheme's ``estimate_costs`` on the simulator's side
+(:func:`~repro.bridge.prediction.simulate_trace`); no collective here
+prices anything.
 """
 
 from __future__ import annotations
@@ -50,12 +52,7 @@ from repro.bridge.wire import (
     encode_raw,
     encode_section,
 )
-from repro.collectives.api import (
-    Collective,
-    CollectiveBackend,
-    CollectiveResult,
-    SectionedGatherResult,
-)
+from repro.collectives.api import Collective, CollectiveBackend
 from repro.collectives.ops import ReduceOp, SumOp
 from repro.compression.base import SimContext
 from repro.compression.registry import make_scheme
@@ -84,11 +81,10 @@ class TransportBackend(CollectiveBackend):
     """A collective backend whose payloads cross a real transport channel.
 
     Drop-in replacement for :class:`CollectiveBackend` inside a
-    :class:`~repro.compression.base.SimContext`: the functional result comes
-    from the :class:`AggregationServer` at the other end of ``endpoint``,
-    while the priced :class:`CollectiveCost` is computed by the same cost
-    model the simulator uses, as the :class:`CollectiveBackend` contract
-    requires.
+    :class:`~repro.compression.base.SimContext`: each collective encodes
+    this rank's payload at its declared wire width, and the values it
+    returns come from the :class:`AggregationServer` at the other end of
+    ``endpoint``.
     """
 
     def __init__(
@@ -155,7 +151,7 @@ class TransportBackend(CollectiveBackend):
         wire_bits_per_value: float,
         op: ReduceOp | None = None,
         collective: Collective = Collective.RING_ALLREDUCE,
-    ) -> CollectiveResult:
+    ) -> np.ndarray:
         """Send this rank's row; the server folds every rank's and replies.
 
         The other rows are the rank's local placeholders and never leave it.
@@ -173,36 +169,14 @@ class TransportBackend(CollectiveBackend):
                 "section": section,
             }
         )
-        aggregate = decode_section(reply["section"])
-        cost = self.allreduce_cost(own.size * wire_bits_per_value, collective)
-        return CollectiveResult(aggregate=aggregate, gathered=None, cost=cost)
-
-    def allgather(
-        self,
-        worker_payloads: list[np.ndarray],
-        *,
-        wire_bits_per_value: float,
-    ) -> CollectiveResult:
-        if len(worker_payloads) != self.world_size:
-            raise ValueError(
-                f"expected {self.world_size} payloads, got {len(worker_payloads)}"
-            )
-        own = np.asarray(worker_payloads[self.rank])
-        section = encode_section(own, wire_bits_per_value)
-        self._record("allgather", [section])
-        reply = self._exchange({"kind": "allgather", "sections": [section]})
-        per_worker: list[list[EncodedSection]] = reply["sections"]
-        gathered = [decode_section(sections[0]) for sections in per_worker]
-        max_bits = max(sum(s.bits for s in sections) for sections in per_worker)
-        cost = self.cost_model.allgather(float(max_bits))
-        return CollectiveResult(aggregate=None, gathered=gathered, cost=cost)
+        return decode_section(reply["section"])
 
     def allgather_sections(
         self,
         worker_sections: list[tuple[np.ndarray, ...]],
         *,
         wire_bits_per_section: tuple[float, ...],
-    ) -> SectionedGatherResult:
+    ) -> list[tuple[np.ndarray, ...]]:
         if len(worker_sections) != self.world_size:
             raise ValueError(
                 f"expected {self.world_size} payloads, got {len(worker_sections)}"
@@ -215,19 +189,10 @@ class TransportBackend(CollectiveBackend):
         self._record("allgather", sections)
         reply = self._exchange({"kind": "allgather", "sections": sections})
         per_worker: list[list[EncodedSection]] = reply["sections"]
-        gathered = [
+        return [
             tuple(decode_section(section) for section in sections)
             for sections in per_worker
         ]
-        max_bits = max(sum(s.bits for s in sections) for sections in per_worker)
-        cost = self.cost_model.allgather(float(max_bits))
-        return SectionedGatherResult(gathered=gathered, cost=cost)
-
-    def parameter_server(self, *args, **kwargs):
-        raise NotImplementedError(
-            "the bridge transports all-reduce and all-gather; no registered "
-            "scheme aggregates through a parameter server"
-        )
 
 
 class AggregationServer:
@@ -314,7 +279,7 @@ class AggregationServer:
                 op=by_rank[0]["op"],
                 collective=Collective(by_rank[0]["collective"]),
             )
-            section = encode_raw(reduced.aggregate)
+            section = encode_raw(reduced)
             reply = {"kind": "reduced", "seq": seq, "section": section}
             for endpoint in self.endpoints:
                 endpoint.send(reply)

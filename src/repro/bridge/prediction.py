@@ -73,38 +73,23 @@ class RecordingBackend(CollectiveBackend):
         wire_bits_per_value: float,
         op: ReduceOp | None = None,
         collective: Collective = Collective.RING_ALLREDUCE,
-    ):
-        result = super().allreduce_matrix(
+    ) -> np.ndarray:
+        aggregate = super().allreduce_matrix(
             matrix,
             wire_bits_per_value=wire_bits_per_value,
             op=op,
             collective=collective,
         )
         self._log("allreduce", [matrix.shape[1] * wire_bits_per_value] * matrix.shape[0])
-        return result
-
-    def allgather(
-        self,
-        worker_payloads: list[np.ndarray],
-        *,
-        wire_bits_per_value: float,
-    ):
-        result = super().allgather(
-            worker_payloads, wire_bits_per_value=wire_bits_per_value
-        )
-        self._log(
-            "allgather",
-            [payload.size * wire_bits_per_value for payload in worker_payloads],
-        )
-        return result
+        return aggregate
 
     def allgather_sections(
         self,
         worker_sections,
         *,
         wire_bits_per_section,
-    ):
-        result = super().allgather_sections(
+    ) -> list[tuple[np.ndarray, ...]]:
+        gathered = super().allgather_sections(
             worker_sections, wire_bits_per_section=wire_bits_per_section
         )
         self._log(
@@ -117,7 +102,7 @@ class RecordingBackend(CollectiveBackend):
                 for sections in worker_sections
             ],
         )
-        return result
+        return gathered
 
 
 @dataclass(frozen=True)

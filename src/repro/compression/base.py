@@ -39,7 +39,8 @@ class SimContext:
     """Everything a scheme needs to aggregate gradients in simulation.
 
     Attributes:
-        backend: The collective communication backend (functional + priced).
+        backend: The collective backend: its collectives fold values, and
+            its ``cost_model`` prices them for ``estimate_costs``.
         kernels: Per-kernel GPU cost model used to price compression work.
         rng: Source of randomness (stochastic rounding, rotation seeds...).
         workspace: Preallocated scratch buffers reused across rounds by the
@@ -213,21 +214,15 @@ class AggregationScheme(abc.ABC):
         _, d = self._validate_matrix(matrix, ctx.world_size)
         return self.aggregate_rows(matrix, ctx, d)
 
+    @abc.abstractmethod
     def aggregate_rows(self, rows, ctx: SimContext, d: int) -> AggregationResult:
         """The scheme's one aggregation body, over validated worker rows.
 
         ``rows`` is an ``(n, d)`` matrix or a list of ``n`` length-``d``
         vectors, only read.  The body runs unchanged on a bridge rank, where
         every row but the rank's own is a zero placeholder: the mean estimate
-        must come only from collective results.  A scheme written against
-        the list interface (overriding :meth:`aggregate` instead) runs on a
-        matrix's row views.
+        must come only from collective results.
         """
-        if isinstance(rows, np.ndarray):
-            return self.aggregate([rows[i] for i in range(rows.shape[0])], ctx)
-        raise NotImplementedError(
-            f"{type(self).__name__} implements neither aggregate_rows nor aggregate"
-        )
 
     @abc.abstractmethod
     def expected_bits_per_coordinate(self, num_coordinates: int, world_size: int) -> float:

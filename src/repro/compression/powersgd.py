@@ -294,24 +294,22 @@ class PowerSGDCompressor(AggregationScheme):
 
             # Step 1: P_i = M_i Q, all-reduce P (mean).
             p_locals = np.matmul(tensor, q)
-            p_reduce = ctx.backend.allreduce_matrix(
+            p_mean = ctx.backend.allreduce_matrix(
                 p_locals.reshape(n, rows * self.rank),
                 wire_bits_per_value=float(self.factor_bits),
                 op=MeanOp(),
-            )
-            p_mean = np.asarray(p_reduce.aggregate).reshape(rows, self.rank)
+            ).reshape(rows, self.rank)
 
             # Step 2: orthogonalize P.
             p_hat = orthogonalize(p_mean)
 
             # Step 3: Q_i = M_i^T P_hat, all-reduce Q (mean).
             q_locals = np.matmul(tensor.transpose(0, 2, 1), p_hat)
-            q_reduce = ctx.backend.allreduce_matrix(
+            q_mean = ctx.backend.allreduce_matrix(
                 q_locals.reshape(n, cols * self.rank),
                 wire_bits_per_value=float(self.factor_bits),
                 op=MeanOp(),
-            )
-            q_mean = np.asarray(q_reduce.aggregate).reshape(cols, self.rank)
+            ).reshape(cols, self.rank)
 
             if self.warm_start:
                 self._q_state[layer_index] = q_mean
@@ -330,10 +328,9 @@ class PowerSGDCompressor(AggregationScheme):
                 [np.asarray(rows_in[i])[covered:] for i in range(n)], tail_matrix
             )
             np.copyto(tail_matrix, tail_matrix.astype(np.float16), casting="unsafe")
-            tail_reduce = ctx.backend.allreduce_matrix(
+            mean_estimate[covered:] = ctx.backend.allreduce_matrix(
                 tail_matrix, wire_bits_per_value=16.0, op=MeanOp()
             )
-            mean_estimate[covered:] = np.asarray(tail_reduce.aggregate, dtype=np.float32)
 
         # Every worker transmits the shared low-rank mean; the report is
         # deferred and holds one copy of it, not n.

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.collectives.api import Collective
 from repro.collectives.ops import MeanOp
 from repro.compression.base import (
     AggregationResult,
@@ -34,20 +33,12 @@ class PrecisionBaseline(AggregationScheme):
 
     Args:
         wire_precision: Precision of the values on the wire (FP16 or FP32).
-        collective: Which all-reduce schedule to use.
     """
 
-    def __init__(
-        self,
-        wire_precision: Precision = Precision.FP16,
-        collective: Collective = Collective.RING_ALLREDUCE,
-    ):
+    def __init__(self, wire_precision: Precision = Precision.FP16):
         if wire_precision not in (Precision.FP16, Precision.FP32):
             raise ValueError("precision baselines support FP16 or FP32 wire formats")
-        if not collective.is_allreduce:
-            raise ValueError("precision baselines aggregate with an all-reduce collective")
         self.wire_precision = wire_precision
-        self.collective = collective
         self.name = f"baseline_{wire_precision.value}"
 
     def expected_bits_per_coordinate(self, num_coordinates: int, world_size: int) -> float:
@@ -64,10 +55,7 @@ class PrecisionBaseline(AggregationScheme):
         else:
             cast_seconds = 0.0
         payload_bits = num_coordinates * float(self.wire_precision.bits)
-        if self.collective is Collective.RING_ALLREDUCE:
-            cost = ctx.backend.cost_model.ring_allreduce(payload_bits)
-        else:
-            cost = ctx.backend.cost_model.tree_allreduce(payload_bits)
+        cost = ctx.backend.cost_model.ring_allreduce(payload_bits)
         return CostEstimate(
             compression_seconds=cast_seconds,
             communication_seconds=cost.seconds,
@@ -87,14 +75,10 @@ class PrecisionBaseline(AggregationScheme):
         if self.wire_precision is Precision.FP16:
             np.copyto(wire, wire.astype(np.float16), casting="unsafe")
 
-        result = ctx.backend.allreduce_matrix(
-            wire,
-            wire_bits_per_value=self.wire_precision.bits,
-            op=MeanOp(),
-            collective=self.collective,
+        aggregate = ctx.backend.allreduce_matrix(
+            wire, wire_bits_per_value=self.wire_precision.bits, op=MeanOp()
         )
-
-        mean = np.asarray(result.aggregate, dtype=np.float32)
+        mean = np.asarray(aggregate, dtype=np.float32)
         transmitted = list(wire) if self.wire_precision is Precision.FP16 else None
         return AggregationResult(
             mean_estimate=mean,

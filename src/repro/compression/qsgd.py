@@ -127,10 +127,10 @@ class QSGDCompressor(AggregationScheme):
         per_worker_norms = np.array(  # reprolint: disable=RPL002 - n float64 norm scalars, one per worker
             [[float(np.linalg.norm(rows[i]))] for i in range(n)]
         )
-        norm_reduce = ctx.backend.allreduce_matrix(
+        max_norm = ctx.backend.allreduce_matrix(
             per_worker_norms, wire_bits_per_value=32.0, op=MaxOp(), collective=collective
         )
-        shared_norm = float(np.asarray(norm_reduce.aggregate)[0])
+        shared_norm = float(max_norm[0])
         if shared_norm == 0.0:
             zero = np.zeros(d, dtype=np.float32)
             return AggregationResult(
@@ -155,14 +155,14 @@ class QSGDCompressor(AggregationScheme):
         )
 
         op = self.aggregation.reduce_op(self.wire_bits)
-        level_reduce = ctx.backend.allreduce_matrix(
+        level_sum = ctx.backend.allreduce_matrix(
             levels,
             wire_bits_per_value=float(self.wire_bits),
             op=op,
             collective=collective,
         )
 
-        mean = np.asarray(level_reduce.aggregate).astype(np.float32)
+        mean = level_sum.astype(np.float32)
         mean *= np.float32(scale * shared_norm / n)
 
         levels_snapshot = np.array(levels, copy=True)

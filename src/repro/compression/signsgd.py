@@ -101,20 +101,20 @@ class SignSGDCompressor(AggregationScheme):
         self._gather_rows(rows, signs)
         np.sign(signs, out=signs)
 
-        vote_reduce = ctx.backend.allreduce_matrix(
+        votes = ctx.backend.allreduce_matrix(
             signs, wire_bits_per_value=float(bits), op=SumOp()
         )
-        majority = np.sign(np.asarray(vote_reduce.aggregate))
+        majority = np.sign(votes)
 
         magnitude = 1.0
         if self.scale_by_mean_magnitude:
             magnitudes = workspace.buf("signsgd.magnitude", (n, 1), np.float64)  # reprolint: disable=RPL002 - n float64 magnitude scalars, one per worker
             for index in range(n):
                 magnitudes[index, 0] = float(np.mean(np.abs(rows[index])))
-            magnitude_reduce = ctx.backend.allreduce_matrix(
+            mean_magnitude = ctx.backend.allreduce_matrix(
                 magnitudes, wire_bits_per_value=32.0, op=MeanOp()
             )
-            magnitude = float(np.asarray(magnitude_reduce.aggregate)[0])
+            magnitude = float(mean_magnitude[0])
 
         mean = (majority * magnitude).astype(np.float32)
 

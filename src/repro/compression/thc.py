@@ -270,13 +270,12 @@ class THCCompressor(AggregationScheme):
         # scale-equivariant, so the unnormalized units cancel in the ratio
         # used for quantization below.
         per_worker_ranges = np.maximum(chunked.max(axis=2), -chunked.min(axis=2))
-        range_reduce = ctx.backend.allreduce_matrix(
+        shared_ranges = ctx.backend.allreduce_matrix(
             per_worker_ranges,
             wire_bits_per_value=16.0,
             op=MaxOp(),
             collective=self.aggregation.collective(),
         )
-        shared_ranges = np.asarray(range_reduce.aggregate)
 
         # --- Quantize (clip and stochastic rounding in tiles) -------------- #
         max_level = float(self.quantizer.max_level)
@@ -293,13 +292,12 @@ class THCCompressor(AggregationScheme):
 
         # --- Integer all-reduce (host rings or in-network switches) -------- #
         op = self.aggregation.reduce_op(self.wire_bits)
-        reduce_result = ctx.backend.allreduce_matrix(
+        aggregated_levels = ctx.backend.allreduce_matrix(
             levels,
             wire_bits_per_value=float(self.wire_bits),
             op=op,
             collective=self.aggregation.collective(),
         )
-        aggregated_levels = np.asarray(reduce_result.aggregate)
 
         # --- Dequantize and un-rotate -------------------------------------- #
         # True-unit quantization step per chunk (normalization folded back in).

@@ -138,12 +138,12 @@ class TopKCompressor(AggregationScheme):
         # as a single gather of the combined 48k-bit volume.  The mean is
         # built from what the gather delivered, so on a bridge rank it never
         # reads the placeholder rows.
-        gather = ctx.backend.allgather_sections(
+        gathered = ctx.backend.allgather_sections(
             [(indices[worker], values[worker]) for worker in range(n)],
             wire_bits_per_section=(INDEX_BITS, VALUE_BITS),
         )
         dense = np.zeros((n, d), dtype=np.float32)
-        for row, (worker_indices, worker_values) in zip(dense, gather.gathered):
+        for row, (worker_indices, worker_values) in zip(dense, gathered):
             row[worker_indices] = worker_values
         total = np.array(dense[0], copy=True)
         for worker in range(1, n):
@@ -187,20 +187,18 @@ class GlobalTopKOracle(AggregationScheme):
             ),
         )
 
-    def aggregate(
-        self, worker_gradients: list[np.ndarray], ctx: SimContext
-    ) -> AggregationResult:
-        d, _ = self._validate_gradients(worker_gradients, ctx.world_size)
+    def aggregate_rows(self, rows, ctx: SimContext, d: int) -> AggregationResult:
+        """Select on the true mean; no collective (the oracle is not a protocol)."""
         n = ctx.world_size
         k = k_for_bits_per_coordinate(self.bits_per_coordinate, d)
 
-        true_mean = np.mean(np.stack(worker_gradients), axis=0)
+        true_mean = np.mean(rows, axis=0)
         indices = topk_indices(true_mean, k)
         mean = np.zeros(d, dtype=np.float32)
         mean[indices] = true_mean[indices]
 
         transmitted = []
-        for grad in worker_gradients:
+        for grad in rows:
             dense = np.zeros(d, dtype=np.float32)
             dense[indices] = grad[indices]
             transmitted.append(dense)

@@ -231,10 +231,9 @@ class TopKChunkedCompressor(AggregationScheme):
         # --- Stage 1: chunk-norm consensus ------------------------------- #
         norms = self._chunk_norms_rows(work, workspace)
         per_worker_norms = _as_fp16(norms).astype(np.float32)
-        norm_reduce = ctx.backend.allreduce_matrix(
+        summed_norms = ctx.backend.allreduce_matrix(
             per_worker_norms, wire_bits_per_value=STAGE_BITS, op=SumOp()
         )
-        summed_norms = np.asarray(norm_reduce.aggregate)
 
         if j < summed_norms.size:
             top_chunks = np.sort(np.argpartition(summed_norms, -j)[-j:])
@@ -249,12 +248,12 @@ class TopKChunkedCompressor(AggregationScheme):
         selected_indices = np.flatnonzero(selected_mask)
 
         payload = work[:, selected_indices].astype(np.float16).astype(np.float32)
-        value_reduce = ctx.backend.allreduce_matrix(
+        value_sum = ctx.backend.allreduce_matrix(
             payload, wire_bits_per_value=STAGE_BITS, op=SumOp()
         )
 
         mean_permuted = np.zeros(d, dtype=np.float32)
-        mean_permuted[selected_indices] = np.asarray(value_reduce.aggregate) / n
+        mean_permuted[selected_indices] = value_sum / n
         mean = mean_permuted[inverse] if inverse is not None else mean_permuted
 
         # Per-worker transmitted contributions, deferred: the closure holds

@@ -1,5 +1,6 @@
 """Deliberate RPL006 violation: a registered scheme missing the registry
-contract (it would silently fall back to the base implementations)."""
+contract (it overrides ``aggregate`` instead of ``aggregate_rows``, and
+leaves the bucket pricing to the base default unstated)."""
 
 from repro.compression.base import AggregationScheme
 from repro.compression.spec import register

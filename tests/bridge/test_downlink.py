@@ -42,9 +42,9 @@ def run_recorded(spec, trace, monkeypatch, **kwargs):
     fold = CollectiveBackend.allreduce_matrix
 
     def recording_fold(self, matrix, **fold_kwargs):
-        result = fold(self, matrix, **fold_kwargs)
-        folds.append(np.array(result.aggregate, copy=True))
-        return result
+        aggregate = fold(self, matrix, **fold_kwargs)
+        folds.append(np.array(aggregate, copy=True))
+        return aggregate
 
     replies = []
 

@@ -166,12 +166,6 @@ class PayloadRecordingBackend(RecordingBackend):
             matrix, wire_bits_per_value=wire_bits_per_value, **kwargs
         )
 
-    def allgather(self, worker_payloads, *, wire_bits_per_value):
-        self._keep(
-            "allgather", [[payload] for payload in worker_payloads], [wire_bits_per_value]
-        )
-        return super().allgather(worker_payloads, wire_bits_per_value=wire_bits_per_value)
-
     def allgather_sections(self, worker_sections, *, wire_bits_per_section):
         self._keep("allgather", worker_sections, wire_bits_per_section)
         return super().allgather_sections(

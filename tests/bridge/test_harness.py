@@ -97,12 +97,6 @@ class TestTransportBackend:
         with pytest.raises(ValueError, match="rank"):
             TransportBackend(paper_testbed(), rank=7, endpoint=worker_end)
 
-    def test_parameter_server_unsupported(self):
-        worker_end, _ = inprocess_channel()
-        backend = TransportBackend(paper_testbed(), rank=0, endpoint=worker_end)
-        with pytest.raises(NotImplementedError):
-            backend.parameter_server()
-
     def test_recv_timeout_is_loud(self):
         worker_end, _ = inprocess_channel()
         with pytest.raises(BridgeTimeoutError, match="no message"):

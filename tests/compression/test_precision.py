@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.collectives.api import Collective
+from repro.collectives.api import CollectiveBackend
+from repro.compression.base import SimContext
 from repro.compression.precision import PrecisionBaseline
+from repro.compression.registry import make_scheme
+from repro.simulator.cluster import multirack_cluster
 from repro.simulator.gpu import Precision
 
 
@@ -13,12 +16,12 @@ class TestConstruction:
         with pytest.raises(ValueError):
             PrecisionBaseline(Precision.INT8)
 
-    def test_rejects_non_allreduce_collective(self):
-        with pytest.raises(ValueError):
-            PrecisionBaseline(Precision.FP16, collective=Collective.ALLGATHER)
-
     def test_name_encodes_precision(self):
         assert PrecisionBaseline(Precision.FP16).name == "baseline_fp16"
+
+    def test_has_no_collective_option(self):
+        with pytest.raises(TypeError):
+            PrecisionBaseline(Precision.FP16, collective="tree_allreduce")
 
 
 class TestAggregation:
@@ -75,9 +78,16 @@ class TestCostEstimates:
         with pytest.raises(ValueError):
             PrecisionBaseline(Precision.FP16).estimate_costs(0, ctx)
 
-    def test_tree_collective_estimate(self, ctx):
-        ring = PrecisionBaseline(Precision.FP16).estimate_costs(10_000_000, ctx)
-        tree = PrecisionBaseline(
-            Precision.FP16, collective=Collective.TREE_ALLREDUCE
-        ).estimate_costs(10_000_000, ctx)
-        assert tree.communication_seconds > ring.communication_seconds
+    @pytest.mark.parametrize("racks", [1, 4])
+    @pytest.mark.parametrize("precision", [Precision.FP16, Precision.FP32])
+    def test_priced_as_the_ring_allreduce_it_folds(self, precision, racks):
+        # The spec has no collective parameter, so every baseline with the
+        # same spec must price the one schedule its fold runs: the ring (the
+        # hierarchical ring on an active multi-rack fabric).
+        cluster = multirack_cluster(racks, oversubscription=2.0)
+        ctx = SimContext(backend=CollectiveBackend(cluster))
+        scheme = PrecisionBaseline(precision)
+        estimate = scheme.estimate_costs(10_000_000, ctx)
+        ring = ctx.backend.cost_model.ring_allreduce(10_000_000 * float(precision.bits))
+        assert estimate.communication_seconds == ring.seconds
+        assert make_scheme(scheme.spec()).estimate_costs(10_000_000, ctx) == estimate

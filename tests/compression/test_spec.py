@@ -284,7 +284,7 @@ class TestRegisterDecorator:
                 self.k = k
                 self.name = f"testfam_xyz_{k}"
 
-            def aggregate(self, worker_gradients, ctx):  # pragma: no cover
+            def aggregate_rows(self, rows, ctx, d):  # pragma: no cover
                 raise NotImplementedError
 
             def expected_bits_per_coordinate(self, num_coordinates, world_size):

@@ -283,6 +283,13 @@ def dequantize(quantized: QuantizedVector) -> np.ndarray:
 # --------------------------------------------------------------------------- #
 # Reference aggregation bodies (``self`` is the wrapped scheme)
 # --------------------------------------------------------------------------- #
+def _allreduce(ctx: SimContext, worker_vectors: list[np.ndarray], **kwargs) -> np.ndarray:
+    """All-reduce one vector per worker: stack them and run the matrix fold."""
+    return ctx.backend.allreduce_matrix(
+        np.stack([np.asarray(vector) for vector in worker_vectors]), **kwargs
+    )
+
+
 def _precision(
     self, worker_gradients: list[np.ndarray], ctx: SimContext, d: int
 ) -> AggregationResult:
@@ -291,14 +298,14 @@ def _precision(
     else:
         wire_vectors = [np.asarray(g, dtype=np.float32) for g in worker_gradients]
 
-    result = ctx.backend.allreduce(
+    result = _allreduce(
+        ctx,
         wire_vectors,
         wire_bits_per_value=self.wire_precision.bits,
         op=MeanOp(),
-        collective=self.collective,
     )
 
-    mean = np.asarray(result.aggregate, dtype=np.float32)
+    mean = np.asarray(result, dtype=np.float32)
     transmitted = None
     if self.wire_precision is Precision.FP16:
         transmitted = [np.asarray(v, dtype=np.float32) for v in wire_vectors]
@@ -337,7 +344,7 @@ def _topk(
     # All-gather of the packed payloads: indices and values travel as two
     # sections of one payload (32-bit indices next to FP16 values), priced
     # as a single gather of the combined 48k-bit volume.
-    gather = ctx.backend.allgather_sections(
+    gathered = ctx.backend.allgather_sections(
         [(idx, val.astype(np.float64)) for idx, val in compressed],
         wire_bits_per_section=(INDEX_BITS, VALUE_BITS),
     )
@@ -347,7 +354,7 @@ def _topk(
     # code path runs unchanged when the gather crosses a real transport.
     transmitted = [
         topk_decompress(self, idx.astype(np.int64), val, d)
-        for idx, val in gather.gathered
+        for idx, val in gathered
     ]
     total = np.zeros(d, dtype=np.float32)
     for dense in transmitted:
@@ -381,10 +388,10 @@ def _topkc(
     per_worker_norms = [
         _as_fp16(self._chunk_norms(v)).astype(np.float32) for v in work_vectors
     ]
-    norm_reduce = ctx.backend.allreduce(
-        per_worker_norms, wire_bits_per_value=STAGE_BITS, op=SumOp()
+    norm_reduce = _allreduce(
+        ctx, per_worker_norms, wire_bits_per_value=STAGE_BITS, op=SumOp()
     )
-    summed_norms = np.asarray(norm_reduce.aggregate)
+    summed_norms = np.asarray(norm_reduce)
 
     # Cheap top-k over the d / C summed chunk norms: the consensus.
     if j < summed_norms.size:
@@ -402,12 +409,12 @@ def _topkc(
     selected_payloads = [
         v[selected_indices].astype(np.float16).astype(np.float32) for v in work_vectors
     ]
-    value_reduce = ctx.backend.allreduce(
-        selected_payloads, wire_bits_per_value=STAGE_BITS, op=SumOp()
+    value_reduce = _allreduce(
+        ctx, selected_payloads, wire_bits_per_value=STAGE_BITS, op=SumOp()
     )
 
     mean_permuted = np.zeros(d, dtype=np.float32)
-    mean_permuted[selected_indices] = np.asarray(value_reduce.aggregate) / n
+    mean_permuted[selected_indices] = np.asarray(value_reduce) / n
 
     transmitted_permuted = []
     for v in work_vectors:
@@ -455,13 +462,14 @@ def _thc(
     per_worker_ranges = [
         self._chunk_ranges(rot, chunk_elements) for rot in rotated_vectors
     ]
-    range_reduce = ctx.backend.allreduce(
+    range_reduce = _allreduce(
+        ctx,
         per_worker_ranges,
         wire_bits_per_value=16.0,
         op=MaxOp(),
         collective=self.aggregation.collective(),
     )
-    shared_ranges = np.asarray(range_reduce.aggregate)
+    shared_ranges = np.asarray(range_reduce)
 
     # --- Quantize ------------------------------------------------------- #
     max_level = self.quantizer.max_level
@@ -489,13 +497,14 @@ def _thc(
 
     # --- Integer all-reduce (host rings or in-network switches) --------- #
     op = self.aggregation.reduce_op(self.wire_bits)
-    reduce_result = ctx.backend.allreduce(
+    reduce_result = _allreduce(
+        ctx,
         [levels.astype(np.float64) for levels in level_vectors],
         wire_bits_per_value=float(self.wire_bits),
         op=op,
         collective=self.aggregation.collective(),
     )
-    aggregated_levels = np.asarray(reduce_result.aggregate, dtype=np.float64)
+    aggregated_levels = np.asarray(reduce_result, dtype=np.float64)
 
     # --- Dequantize and un-rotate --------------------------------------- #
     rotated_mean = aggregated_levels * scales / n
@@ -541,10 +550,10 @@ def _qsgd(
         np.array([float(np.linalg.norm(g))]) for g in worker_gradients
     ]
     collective = self.aggregation.collective()
-    norm_reduce = ctx.backend.allreduce(
-        per_worker_norms, wire_bits_per_value=32.0, op=MaxOp(), collective=collective
+    norm_reduce = _allreduce(
+        ctx, per_worker_norms, wire_bits_per_value=32.0, op=MaxOp(), collective=collective
     )
-    shared_norm = float(np.asarray(norm_reduce.aggregate)[0])
+    shared_norm = float(np.asarray(norm_reduce)[0])
     if shared_norm == 0.0:
         zero = np.zeros(d, dtype=np.float32)
         return AggregationResult(
@@ -563,7 +572,8 @@ def _qsgd(
     scale = quantized[0].scale
 
     op = self.aggregation.reduce_op(self.wire_bits)
-    level_reduce = ctx.backend.allreduce(
+    level_reduce = _allreduce(
+        ctx,
         [q.levels.astype(np.float64) for q in quantized],
         wire_bits_per_value=float(self.wire_bits),
         op=op,
@@ -571,7 +581,7 @@ def _qsgd(
     )
 
     mean = (
-        np.asarray(level_reduce.aggregate) * scale * shared_norm / n
+        np.asarray(level_reduce) * scale * shared_norm / n
     ).astype(np.float32)
 
     transmitted = [
@@ -593,20 +603,20 @@ def _signsgd(
 
     signs = [np.sign(g).astype(np.float64) for g in worker_gradients]
 
-    vote_reduce = ctx.backend.allreduce(
-        signs, wire_bits_per_value=float(bits), op=SumOp()
+    vote_reduce = _allreduce(
+        ctx, signs, wire_bits_per_value=float(bits), op=SumOp()
     )
-    majority = np.sign(np.asarray(vote_reduce.aggregate))
+    majority = np.sign(np.asarray(vote_reduce))
 
     magnitude = 1.0
     if self.scale_by_mean_magnitude:
         per_worker_magnitude = [
             np.array([float(np.mean(np.abs(g)))]) for g in worker_gradients
         ]
-        magnitude_reduce = ctx.backend.allreduce(
-            per_worker_magnitude, wire_bits_per_value=32.0, op=MeanOp()
+        magnitude_reduce = _allreduce(
+            ctx, per_worker_magnitude, wire_bits_per_value=32.0, op=MeanOp()
         )
-        magnitude = float(np.asarray(magnitude_reduce.aggregate)[0])
+        magnitude = float(np.asarray(magnitude_reduce)[0])
 
     mean = (majority * magnitude).astype(np.float32)
 
@@ -641,10 +651,10 @@ def _powersgd(
         # Step 1: P_i = M_i Q, all-reduce P (mean).
         p_locals = [m @ q for m in worker_matrices]
         p_flat = [p.reshape(-1) for p in p_locals]
-        p_reduce = ctx.backend.allreduce(
-            p_flat, wire_bits_per_value=float(self.factor_bits), op=MeanOp()
+        p_reduce = _allreduce(
+            ctx, p_flat, wire_bits_per_value=float(self.factor_bits), op=MeanOp()
         )
-        p_mean = np.asarray(p_reduce.aggregate).reshape(rows, self.rank)
+        p_mean = np.asarray(p_reduce).reshape(rows, self.rank)
 
         # Step 2: orthogonalize P.
         p_hat = orthogonalize(p_mean)
@@ -652,10 +662,10 @@ def _powersgd(
         # Step 3: Q_i = M_i^T P_hat, all-reduce Q (mean).
         q_locals = [m.T @ p_hat for m in worker_matrices]
         q_flat = [qm.reshape(-1) for qm in q_locals]
-        q_reduce = ctx.backend.allreduce(
-            q_flat, wire_bits_per_value=float(self.factor_bits), op=MeanOp()
+        q_reduce = _allreduce(
+            ctx, q_flat, wire_bits_per_value=float(self.factor_bits), op=MeanOp()
         )
-        q_mean = np.asarray(q_reduce.aggregate).reshape(cols, self.rank)
+        q_mean = np.asarray(q_reduce).reshape(cols, self.rank)
 
         if self.warm_start:
             self._q_state[layer_index] = q_mean
@@ -672,10 +682,10 @@ def _powersgd(
         tail_vectors = [
             g[covered:].astype(np.float16).astype(np.float32) for g in worker_gradients
         ]
-        tail_reduce = ctx.backend.allreduce(
-            tail_vectors, wire_bits_per_value=16.0, op=MeanOp()
+        tail_reduce = _allreduce(
+            ctx, tail_vectors, wire_bits_per_value=16.0, op=MeanOp()
         )
-        mean_estimate[covered:] = np.asarray(tail_reduce.aggregate, dtype=np.float32)
+        mean_estimate[covered:] = np.asarray(tail_reduce, dtype=np.float32)
 
     return AggregationResult(
         mean_estimate=mean_estimate,

@@ -159,26 +159,25 @@ class TestHierarchicalAggregate:
 
 
 class TestBackendSwitchAggregation:
-    def test_switch_collective_is_allreduce(self):
-        assert Collective.SWITCH_AGGREGATION.is_allreduce
-
     def test_switch_aggregation_result_matches_sum(self):
         backend = CollectiveBackend(multirack_cluster(2, nodes_per_rack=1))
-        vectors = [np.full(8, float(i)) for i in range(backend.world_size)]
-        result = backend.allreduce(
-            vectors, wire_bits_per_value=4.0, collective=Collective.SWITCH_AGGREGATION
+        matrix = np.stack([np.full(8, float(i)) for i in range(backend.world_size)])
+        aggregate = backend.allreduce_matrix(
+            matrix, wire_bits_per_value=4.0, collective=Collective.SWITCH_AGGREGATION
         )
-        np.testing.assert_allclose(result.aggregate, np.sum(vectors, axis=0))
-        assert result.cost.seconds > 0
+        np.testing.assert_allclose(aggregate, matrix.sum(axis=0))
+        assert backend.cost_model.switch_aggregation(8 * 4.0).seconds > 0
 
     def test_switch_aggregation_without_fabric_uses_single_tor(self):
         backend = CollectiveBackend(paper_testbed())
-        vectors = [np.ones(8) for _ in range(backend.world_size)]
-        result = backend.allreduce(
-            vectors, wire_bits_per_value=4.0, collective=Collective.SWITCH_AGGREGATION
+        aggregate = backend.allreduce_matrix(
+            np.ones((backend.world_size, 8)),
+            wire_bits_per_value=4.0,
+            collective=Collective.SWITCH_AGGREGATION,
         )
-        np.testing.assert_allclose(result.aggregate, np.full(8, 4.0))
-        assert result.cost.steps == 2  # up and down, no spine
+        np.testing.assert_allclose(aggregate, np.full(8, 4.0))
+        # Up and down, no spine.
+        assert backend.cost_model.switch_aggregation(8 * 4.0).steps == 2
 
     def test_ring_on_active_fabric_prices_hierarchically(self):
         cluster = multirack_cluster(4, oversubscription=4.0)
