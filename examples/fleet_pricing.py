@@ -12,7 +12,8 @@ in O(#classes), so the whole grid prices in milliseconds of wall clock.
    (a fat-tree pod, a torus plane, a sub-DCell) that both the tiered cost
    model and the scenario engine's ``domain_fail`` event understand.
 2. **Price the grid** -- one memoizing sweep across schemes x fleets; a
-   distributional cluster shares cache identity with its materialized twin.
+   fleet's cache identity is its canonical profile segments, so two class
+   lists spelling one population are one sweep point.
 3. **Break a domain** -- a ``domain_fail`` scenario degrades one fat-tree
    pod's NICs and reprices the fleet, mutating class counts, not 1M tuples.
 

@@ -75,8 +75,8 @@ def fleet_classes(
 def default_fleets() -> dict[str, ClusterSpec]:
     """The three generated datacenter fleets the driver prices.
 
-    All are built distributionally -- the 1M-worker fat-tree never
-    materializes a per-rank profile tuple.
+    All are built from worker classes -- the 1M-worker fat-tree is three
+    profile segments, never a per-rank profile list.
     """
     fleets = {}
     for name, base in (
@@ -124,9 +124,10 @@ def run_fleet_pricing(
 ) -> list[FleetPricingRow]:
     """Price every scheme on every fleet; rows are fleet-major, rank order.
 
-    One sweep per call with the fleets on the cluster axis: distributional
-    clusters share cache identity with their materialized twins, so a
-    caller that already priced the small-n twin gets the memoized point.
+    One sweep per call with the fleets on the cluster axis: a fleet's
+    cache identity is its canonical profile segments, so a caller that
+    already priced the same population (however its class list was split)
+    gets the memoized point.
     """
     fleets = fleets if fleets is not None else default_fleets()
     workload = workload or bert_large_wikitext()

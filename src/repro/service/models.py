@@ -74,10 +74,11 @@ def _digest(text: str) -> str:
 @lru_cache(maxsize=256)
 def _cluster_digest(cluster: ClusterSpec) -> str:
     # cache_key() is the cluster's canonical identity: the worker population
-    # appears as run-length segments, so a distributional fleet and its
-    # materialized per-rank twin digest identically and share cached
-    # advisor responses.  The digest makes it a compact, restart-stable
-    # string.
+    # appears as merged run-length profile segments, so class lists that
+    # spell one population digest identically and share cached advisor
+    # responses.  These digests key cache entries that outlive the process:
+    # the repr of cache_key() must not move (tests/simulator pins it).  The
+    # digest makes it a compact, restart-stable string.
     return _digest(repr(cluster.cache_key()))
 
 

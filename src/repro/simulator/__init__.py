@@ -30,7 +30,7 @@ from repro.simulator.pipeline import (
     split_coordinates,
 )
 from repro.simulator.cluster import (
-    MATERIALIZATION_LIMIT,
+    PER_RANK_LIMIT,
     ClusterSpec,
     WorkerClass,
     WorkerProfile,
@@ -82,9 +82,9 @@ __all__ = [
     "ClusterSpec",
     "GpuModel",
     "KernelCostModel",
-    "MATERIALIZATION_LIMIT",
     "MemoryHierarchy",
     "NicModel",
+    "PER_RANK_LIMIT",
     "PipelineResult",
     "PolicyEngine",
     "PolicyRule",

@@ -2,27 +2,25 @@
 
 The paper's testbed ("two nodes, each equipped with two NVIDIA A100 GPUs and a
 Mellanox ConnectX-6 100 Gbps NIC") is available as :func:`paper_testbed`.
-Larger synthetic clusters can be built for the scalability ablations, and
-heterogeneous clusters -- stragglers (slower compute) and mixed NIC tiers --
-are described in one of two equivalent forms:
+Larger synthetic clusters can be built for the scalability ablations.
 
-* **materialized**: one :class:`WorkerProfile` per rank
-  (``worker_profiles``), the historical representation, practical up to a few
-  thousand workers;
-* **distributional**: a handful of :class:`WorkerClass` entries with counts
-  (``worker_classes``) plus a sparse per-rank ``profile_overrides`` map for
-  named stragglers.  Every profile query (:meth:`ClusterSpec.max_slowdown`,
-  :meth:`ClusterSpec.worst_nic_scale`, :meth:`ClusterSpec.slowdown_segments`)
-  is O(#classes), so fleet-scale clusters -- 100k to 1M workers on a
-  generated fabric -- price without any O(world_size) loop.
+Heterogeneity -- stragglers (slower compute) and mixed NIC tiers -- is stated
+one way: ``worker_classes``, a handful of contiguous :class:`WorkerClass`
+blocks with counts (``None`` is an all-nominal population).  The population
+is stored as canonical run-length-encoded profile segments
+(:meth:`ClusterSpec.profile_segments`), so every profile query
+(:meth:`ClusterSpec.profile_of`, :meth:`ClusterSpec.max_slowdown`,
+:meth:`ClusterSpec.worst_nic_scale`, :meth:`ClusterSpec.slowdown_segments`)
+is O(#segments), and fleet-scale clusters -- 100k to 1M workers on a
+generated fabric -- price without any O(world_size) loop.  Single-rank
+perturbations (:meth:`ClusterSpec.with_straggler`,
+:meth:`ClusterSpec.with_nic_tier`) and the scenario and recovery rewrites
+splice ranks or rank ranges into those segments (:meth:`ClusterSpec.splice`).
 
-Both forms of the same population share one identity: equality, hashing, and
-:meth:`ClusterSpec.cache_key` go through the canonical run-length-encoded
-profile segments (:meth:`ClusterSpec.profile_segments`), so a distributional
-cluster and its expanded per-rank twin memoize as a single sweep point.
-Conversion is explicit: :meth:`ClusterSpec.materialize` expands (refusing
-above :data:`MATERIALIZATION_LIMIT` workers) and
-:meth:`ClusterSpec.as_distributional` compresses.
+Equality, hashing and :meth:`ClusterSpec.cache_key` go through the canonical
+segments, so two class lists that spell the same per-rank population (split
+or merged blocks, explicit nominal classes) are one cluster and memoize as
+one sweep point.
 """
 
 from __future__ import annotations
@@ -30,7 +28,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
-from typing import Mapping
+from itertools import accumulate
+from typing import Callable, Iterable
 
 from repro.simulator.gpu import GpuModel
 from repro.simulator.nic import NVLINK, NicModel
@@ -43,11 +42,11 @@ from repro.topology.fabric import (
     two_tier_fabric,
 )
 
-#: Largest world size :meth:`ClusterSpec.materialize` will expand into
-#: per-rank profiles.  Fleet-scale clusters stay distributional; only the
-#: functional small-n paths (kernel backends, per-rank bit-exactness tests)
-#: ever need the expanded form.
-MATERIALIZATION_LIMIT = 4096
+#: Largest world size the simulator treats rank by rank: at or below it churn
+#: draws one uniform per worker and the pipeline reports one finish time per
+#: worker; above it both work per profile segment, keeping fleet-scale rounds
+#: O(#segments).
+PER_RANK_LIMIT = 4096
 
 
 @dataclass(frozen=True)
@@ -61,15 +60,17 @@ class WorkerProfile:
             participates in (1.0 = the cluster's nominal NIC tier, 4.0 = a
             quarter-bandwidth NIC).  Ring-style collectives run at the pace
             of the slowest member, so the worst ``nic_scale`` gates the wire.
+
+    Both must be positive; NaN is rejected, infinity (a dead worker) is not.
     """
 
     slowdown: float = 1.0
     nic_scale: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.slowdown <= 0:
+        if not self.slowdown > 0:
             raise ValueError("slowdown must be positive")
-        if self.nic_scale <= 0:
+        if not self.nic_scale > 0:
             raise ValueError("nic_scale must be positive")
 
     @property
@@ -86,20 +87,18 @@ NOMINAL_PROFILE = WorkerProfile()
 class WorkerClass:
     """A contiguous block of ``count`` workers sharing one profile.
 
-    The distributional building block: a fleet is a few of these (nominal
-    hosts, a slow NIC tier, a batch of stragglers) instead of a million
-    per-rank tuples.  Classes cover ranks contiguously in declaration order;
-    use ``profile_overrides`` on :class:`ClusterSpec` for named single ranks.
+    A population is a few of these (nominal hosts, a slow NIC tier, a batch
+    of stragglers) instead of a million per-rank entries.  Classes cover
+    ranks contiguously in declaration order; a class of one worker names a
+    single rank.
 
     Attributes:
         count: Number of consecutive ranks in this class (>= 1).
         profile: The hardware deviation every member runs.
-        name: Optional display name (not part of equality / cache identity).
     """
 
     count: int
     profile: WorkerProfile = field(default_factory=WorkerProfile)
-    name: str = field(default="", compare=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.count, int) or isinstance(self.count, bool):
@@ -108,6 +107,14 @@ class WorkerClass:
             raise ValueError("count must be >= 1")
         if not isinstance(self.profile, WorkerProfile):
             raise TypeError(f"profile must be a WorkerProfile, got {self.profile!r}")
+
+
+def classes_of(segments: Iterable[tuple[WorkerProfile, int]]) -> tuple[WorkerClass, ...] | None:
+    """The ``worker_classes`` spelling ``segments``; ``None`` when all nominal."""
+    classes = tuple(WorkerClass(count, profile) for profile, count in segments)
+    if all(entry.profile == NOMINAL_PROFILE for entry in classes):
+        return None
+    return classes
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,19 +128,10 @@ class ClusterSpec:
         inter_node_nic: NIC connecting different machines.
         intra_node_nic: Interconnect between GPUs in the same machine
             (NVLink-like by default).
-        worker_profiles: Optional materialized per-rank heterogeneity; when
-            given, must hold exactly ``world_size`` entries.  Mutually
-            exclusive with ``worker_classes``.
-        worker_classes: Optional distributional heterogeneity: contiguous
-            :class:`WorkerClass` blocks whose counts sum to ``world_size``.
-            The fleet-scale representation -- profile queries stay
+        worker_classes: Optional heterogeneity: contiguous
+            :class:`WorkerClass` blocks whose counts sum to ``world_size``
+            (``None`` = every worker nominal).  Profile queries stay
             O(#classes) no matter the world size.
-        profile_overrides: Optional sparse per-rank profiles layered on top
-            of whichever base representation is in use (``{rank: profile}``
-            or ``((rank, profile), ...)``); normalised to a rank-sorted
-            tuple.  This is how single-rank perturbations
-            (:meth:`with_straggler`, :meth:`with_nic_tier`) stay O(k) for k
-            chained mutations instead of O(k * world_size).
         fabric: Optional multi-rack fabric the nodes hang off
             (:class:`~repro.topology.fabric.FabricSpec`).  ``None`` -- or a
             flat fabric (one rack, oversubscription 1.0) -- prices exactly
@@ -143,8 +141,7 @@ class ClusterSpec:
 
     Equality and hashing are *canonical*: two clusters are equal when their
     shapes, hardware models, fabrics, and effective per-rank profiles match,
-    regardless of which representation (materialized, distributional, or
-    implicit-nominal) describes the population.
+    however the class list splits or merges the population.
     """
 
     num_nodes: int = 2
@@ -152,9 +149,7 @@ class ClusterSpec:
     gpu: GpuModel = field(default_factory=GpuModel)
     inter_node_nic: NicModel = field(default_factory=NicModel)
     intra_node_nic: NicModel = NVLINK
-    worker_profiles: tuple[WorkerProfile, ...] | None = None
     worker_classes: tuple[WorkerClass, ...] | None = None
-    profile_overrides: tuple[tuple[int, WorkerProfile], ...] | None = None
     fabric: FabricSpec | None = None
 
     def __post_init__(self) -> None:
@@ -173,19 +168,6 @@ class ClusterSpec:
                     f"num_nodes ({self.num_nodes}) must divide evenly into "
                     f"{self.fabric.num_racks} racks"
                 )
-        if self.worker_profiles is not None and self.worker_classes is not None:
-            raise ValueError(
-                "worker_profiles and worker_classes are mutually exclusive; "
-                "pick one representation (profile_overrides layers on either)"
-            )
-        if self.worker_profiles is not None:
-            profiles = tuple(self.worker_profiles)
-            if len(profiles) != self.world_size:
-                raise ValueError(
-                    f"worker_profiles must have {self.world_size} entries, "
-                    f"got {len(profiles)}"
-                )
-            object.__setattr__(self, "worker_profiles", profiles)
         if self.worker_classes is not None:
             classes = tuple(self.worker_classes)
             for entry in classes:
@@ -198,37 +180,11 @@ class ClusterSpec:
                     f"workers, cover {covered}"
                 )
             object.__setattr__(self, "worker_classes", classes)
-        if self.profile_overrides is not None:
-            object.__setattr__(
-                self, "profile_overrides", self._normalize_overrides(self.profile_overrides)
-            )
-
-    def _normalize_overrides(
-        self, overrides: "Mapping[int, WorkerProfile] | tuple"
-    ) -> tuple[tuple[int, WorkerProfile], ...] | None:
-        items = (
-            list(overrides.items())
-            if isinstance(overrides, Mapping)
-            else [tuple(entry) for entry in overrides]
-        )
-        normalized: list[tuple[int, WorkerProfile]] = []
-        seen: set[int] = set()
-        for rank, profile in sorted(items, key=lambda entry: entry[0]):
-            if not isinstance(rank, int) or isinstance(rank, bool):
-                raise TypeError(f"override rank must be an int, got {rank!r}")
-            self._check_rank(rank)
-            if rank in seen:
-                raise ValueError(f"duplicate profile override for rank {rank}")
-            seen.add(rank)
-            if not isinstance(profile, WorkerProfile):
-                raise TypeError(f"override must map to a WorkerProfile, got {profile!r}")
-            normalized.append((rank, profile))
-        return tuple(normalized) or None
 
     def _cached(self, attr: str, build):
-        # Lazy derived state on a frozen dataclass (canonical segments, the
-        # override map, the hash).  Safe under concurrent access: builders
-        # are pure, so racing threads compute identical values.
+        # Lazy derived state on a frozen dataclass (canonical segments, their
+        # starts, the hash).  Safe under concurrent access: builders are
+        # pure, so racing threads compute identical values.
         cached = self.__dict__.get(attr)
         if cached is None:
             cached = build()
@@ -246,52 +202,21 @@ class ClusterSpec:
     def profile_segments(self) -> tuple[tuple[WorkerProfile, int], ...]:
         """Canonical run-length encoding of the per-rank profiles.
 
-        ``((profile, count), ...)`` in rank order, adjacent equal profiles
-        merged, overrides folded in by splitting the segment they land in.
-        This is the representation-independent form both the equality /
-        cache identity and every O(#classes) query are built on: a
-        distributional cluster and its materialized twin produce identical
-        segments.  O(#classes + #overrides) for distributional clusters,
-        O(world_size) for materialized ones (computed once and cached).
+        ``((profile, count), ...)`` in rank order with adjacent equal
+        classes merged: the form both the equality / cache identity and
+        every O(#segments) query are built on.  Computed once and cached.
         """
         return self._cached("_segments_cache", self._build_segments)
 
     def _build_segments(self) -> tuple[tuple[WorkerProfile, int], ...]:
-        if self.worker_profiles is not None:
-            base: list[tuple[WorkerProfile, int]] = []
-            for profile in self.worker_profiles:
-                if base and base[-1][0] == profile:
-                    base[-1] = (profile, base[-1][1] + 1)
-                else:
-                    base.append((profile, 1))
-        elif self.worker_classes is not None:
-            base = [(entry.profile, entry.count) for entry in self.worker_classes]
-        else:
-            base = [(NOMINAL_PROFILE, self.world_size)]
-        overrides = self.profile_overrides or ()
+        if self.worker_classes is None:
+            return ((NOMINAL_PROFILE, self.world_size),)
         merged: list[tuple[WorkerProfile, int]] = []
-
-        def push(profile: WorkerProfile, count: int) -> None:
-            if count <= 0:
-                return
-            if merged and merged[-1][0] == profile:
-                merged[-1] = (profile, merged[-1][1] + count)
+        for entry in self.worker_classes:
+            if merged and merged[-1][0] == entry.profile:
+                merged[-1] = (entry.profile, merged[-1][1] + entry.count)
             else:
-                merged.append((profile, count))
-
-        position = 0
-        cursor = 0  # index into the rank-sorted overrides
-        for profile, count in base:
-            start, end = position, position + count
-            position = end
-            at = start
-            while cursor < len(overrides) and overrides[cursor][0] < end:
-                rank, override = overrides[cursor]
-                cursor += 1
-                push(profile, rank - at)
-                push(override, 1)
-                at = rank + 1
-            push(profile, end - at)
+                merged.append((entry.profile, entry.count))
         return tuple(merged)
 
     def _canonical_profiles(self) -> tuple[tuple[WorkerProfile, int], ...] | None:
@@ -307,10 +232,10 @@ class ClusterSpec:
         Two clusters with the same shape but different GPUs, NICs, worker
         profiles, or fabrics produce different keys -- unlike the display
         label (``"2x2"``), which only encodes shape and rack count.  The
-        profile component is the canonical segment encoding, so a
-        distributional cluster and its materialized per-rank twin share one
-        key (and therefore one sweep memo entry, one service digest, one
-        scenario pricing slot).  Used by sweep memoization.
+        profile component is the canonical segment encoding, so class lists
+        spelling one population share one key (and therefore one sweep memo
+        entry, one service digest, one scenario pricing slot).  Used by
+        sweep memoization.
         """
         return (
             self.num_nodes,
@@ -333,41 +258,26 @@ class ClusterSpec:
         return self._cached("_hash_cache", lambda: hash(self.cache_key()))
 
     # ------------------------------------------------------------------ #
-    # Profile queries (O(#classes) on distributional clusters)
+    # Profile queries (O(#segments))
     # ------------------------------------------------------------------ #
     @property
     def is_heterogeneous(self) -> bool:
         """Whether any worker deviates from the nominal hardware."""
         return self._canonical_profiles() is not None
 
-    def _override_map(self) -> dict[int, WorkerProfile]:
+    def _segment_starts(self) -> list[int]:
         return self._cached(
-            "_override_map_cache", lambda: dict(self.profile_overrides or ())
+            "_segment_starts_cache",
+            lambda: list(
+                accumulate((count for _, count in self.profile_segments()[:-1]), initial=0)
+            ),
         )
 
-    def _class_starts(self) -> list[int]:
-        def build() -> list[int]:
-            starts = []
-            position = 0
-            for entry in self.worker_classes or ():
-                starts.append(position)
-                position += entry.count
-            return starts
-
-        return self._cached("_class_starts_cache", build)
-
     def profile_of(self, rank: int) -> WorkerProfile:
-        """The heterogeneity profile of worker ``rank`` (nominal if unset)."""
+        """The heterogeneity profile of worker ``rank``."""
         self._check_rank(rank)
-        override = self._override_map().get(rank)
-        if override is not None:
-            return override
-        if self.worker_profiles is not None:
-            return self.worker_profiles[rank]
-        if self.worker_classes is not None:
-            index = bisect_right(self._class_starts(), rank) - 1
-            return self.worker_classes[index].profile
-        return NOMINAL_PROFILE
+        index = bisect_right(self._segment_starts(), rank) - 1
+        return self.profile_segments()[index][0]
 
     def slowdown_of(self, rank: int) -> float:
         """Compute/kernel slowdown factor of worker ``rank``."""
@@ -407,68 +317,61 @@ class ClusterSpec:
         return self._cached("_slowdown_segments_cache", build)
 
     # ------------------------------------------------------------------ #
-    # Representation conversion
+    # Population rewrites (O(#segments + #edits))
     # ------------------------------------------------------------------ #
-    def materialize(self) -> "ClusterSpec":
-        """The equal per-rank twin: one explicit :class:`WorkerProfile` per rank.
+    def splice(
+        self, edits: Iterable[tuple[int, int, Callable[[WorkerProfile], WorkerProfile]]]
+    ) -> "ClusterSpec":
+        """A copy where every rank of each ``[start, stop)`` runs ``rewrite(profile)``.
 
-        Only the functional small-n paths (kernel backends, per-rank
-        bit-exactness tests) need this form; it refuses to expand beyond
-        :data:`MATERIALIZATION_LIMIT` workers so fleet-scale clusters cannot
-        silently fall back onto O(world_size) representations.
+        ``edits`` are ``(start, stop, rewrite)`` triples over ascending,
+        disjoint, non-empty rank ranges.  Each range is spliced into the
+        canonical segments -- at most two segments split per range, the rest
+        are reused -- and ``rewrite`` is called once per segment piece with
+        that piece's current profile.
         """
-        if self.worker_profiles is not None and self.profile_overrides is None:
-            return self
-        if self.world_size > MATERIALIZATION_LIMIT:
-            raise ValueError(
-                f"refusing to materialize {self.world_size} worker profiles "
-                f"(limit {MATERIALIZATION_LIMIT}); keep fleet-scale clusters "
-                "distributional"
-            )
-        expanded: list[WorkerProfile] = []
+        edits = list(edits)
+        previous = 0
+        for start, stop, _ in edits:
+            if not previous <= start < stop:
+                raise ValueError(
+                    "splice edits must be ascending, disjoint, non-empty rank ranges"
+                )
+            previous = stop
+        if previous > self.world_size:
+            self._check_rank(previous - 1)
+
+        # Empty pieces are dropped; a piece may repeat its neighbour's
+        # profile, which the new cluster's canonical segments merge.
+        spliced: list[tuple[WorkerProfile, int]] = []
+        cursor = 0  # index of the first edit not yet fully applied
+        position = 0
         for profile, count in self.profile_segments():
-            expanded.extend([profile] * count)
-        return replace(
-            self,
-            worker_profiles=tuple(expanded),
-            worker_classes=None,
-            profile_overrides=None,
-        )
+            end = position + count
+            at = position
+            while cursor < len(edits) and edits[cursor][0] < end:
+                start, stop, rewrite = edits[cursor]
+                low, high = max(start, at), min(stop, end)
+                spliced += [(profile, low - at), (rewrite(profile), high - low)]
+                at = high
+                if stop > end:  # the range runs on into the next segment
+                    break
+                cursor += 1
+            spliced.append((profile, end - at))
+            position = end
+        return replace(self, worker_classes=classes_of(piece for piece in spliced if piece[1]))
 
-    def as_distributional(self) -> "ClusterSpec":
-        """The equal class-based twin: RLE :class:`WorkerClass` blocks.
-
-        An all-nominal population collapses to the implicit representation
-        (no classes at all); either way the result compares and hashes equal
-        to ``self``.
-        """
-        segments = self._canonical_profiles()
-        classes = (
-            None
-            if segments is None
-            else tuple(WorkerClass(count, profile) for profile, count in segments)
-        )
-        return replace(
-            self, worker_profiles=None, worker_classes=classes, profile_overrides=None
-        )
-
-    # ------------------------------------------------------------------ #
-    # Single-rank perturbations (sparse: O(k) for k chained mutations)
-    # ------------------------------------------------------------------ #
     def with_straggler(self, rank: int, slowdown: float) -> "ClusterSpec":
         """A copy of this cluster where worker ``rank`` runs ``slowdown`` x slower."""
         self._check_rank(rank)
-        return self._with_override(rank, replace(self.profile_of(rank), slowdown=slowdown))
+        return self.splice([(rank, rank + 1, lambda profile: replace(profile, slowdown=slowdown))])
 
     def with_nic_tier(self, rank: int, nic_scale: float) -> "ClusterSpec":
         """A copy of this cluster where worker ``rank`` has a ``nic_scale`` x slower NIC."""
         self._check_rank(rank)
-        return self._with_override(rank, replace(self.profile_of(rank), nic_scale=nic_scale))
-
-    def _with_override(self, rank: int, profile: WorkerProfile) -> "ClusterSpec":
-        overrides = self._override_map().copy()
-        overrides[rank] = profile
-        return replace(self, profile_overrides=tuple(sorted(overrides.items())))
+        return self.splice(
+            [(rank, rank + 1, lambda profile: replace(profile, nic_scale=nic_scale))]
+        )
 
     def with_fabric(self, fabric: FabricSpec | None) -> "ClusterSpec":
         """A copy of this cluster behind the given multi-rack fabric."""

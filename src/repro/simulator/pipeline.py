@@ -26,10 +26,9 @@ tiers scale the priced collective times through the cost model.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (cluster is runtime-optional)
-    from repro.simulator.cluster import ClusterSpec
+from repro.simulator.cluster import PER_RANK_LIMIT, ClusterSpec
 
 
 @dataclass(frozen=True)
@@ -89,10 +88,10 @@ class PipelineResult:
         traces: Per-bucket scheduled times, in bucket order.
         worker_finish_seconds: Per-worker completion times (optimizer step
             included), in rank order.  On fleet-scale clusters (more than
-            :data:`WORKER_EXPANSION_LIMIT` workers) the tuple holds one
-            entry per slowdown *segment* instead of per rank -- workers
-            sharing a slowdown finish at identical times, so no information
-            is lost and the result stays O(#classes).
+            :data:`~repro.simulator.cluster.PER_RANK_LIMIT` workers) the
+            tuple holds one entry per slowdown *segment* instead of per rank
+            -- workers sharing a slowdown finish at identical times, so no
+            information is lost and the result stays O(#classes).
         aborted: Whether a ``deadline_seconds`` abort fired: the round ran
             past the deadline and was cut off there (the recovery layer's
             ``timeout`` rule).  The makespan is then exactly the deadline;
@@ -117,12 +116,6 @@ class PipelineResult:
         if self.makespan_seconds <= 0:
             raise ValueError("cannot compute throughput of an empty schedule")
         return 1.0 / self.makespan_seconds
-
-
-#: Above this many workers ``worker_finish_seconds`` is reported per
-#: slowdown segment rather than per rank (matches
-#: :data:`repro.simulator.cluster.MATERIALIZATION_LIMIT`).
-WORKER_EXPANSION_LIMIT = 4096
 
 
 def _worker_slowdowns(cluster: "ClusterSpec | None") -> tuple[tuple[float, int], ...]:
@@ -221,7 +214,7 @@ def simulate_schedule(
         finish_by_lane[slowdown] = kernels_done + optimizer_seconds * slowdown
 
     total_workers = sum(count for _, count in segments)
-    if total_workers <= WORKER_EXPANSION_LIMIT:
+    if total_workers <= PER_RANK_LIMIT:
         worker_finish = tuple(
             finish_by_lane[slowdown]
             for slowdown, count in segments

@@ -46,7 +46,7 @@ registry and both kernel backends).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import Callable, Sequence
 
 from repro.grammar import (
     Dialect,
@@ -56,15 +56,13 @@ from repro.grammar import (
     UnknownNameError,
     parse_terms,
 )
+from repro.simulator.cluster import ClusterSpec, WorkerProfile
 from repro.simulator.scenario import (
     DEGRADED_RELATIVE_TOLERANCE,
     Scenario,
     ScenarioMetrics,
     scenario_metrics,
 )
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.simulator.cluster import ClusterSpec
 
 __all__ = [
     "PolicyRule",
@@ -134,7 +132,7 @@ class TimeoutRule(PolicyRule):
     kind = "timeout"
 
     def __post_init__(self) -> None:
-        if self.k < 1:
+        if not self.k >= 1:
             raise ValueError(
                 f"k ({self.k:g}) must be >= 1: the deadline is k x the nominal "
                 "round time, and a sub-nominal deadline would abort every round"
@@ -160,7 +158,7 @@ class RetryRule(PolicyRule):
                 f"max ({self.max_attempts}) must be >= 0: a negative retry "
                 "budget is meaningless (0 disables retries)"
             )
-        if self.backoff < 0:
+        if not self.backoff >= 0:
             raise ValueError(
                 f"backoff ({self.backoff:g}) must be >= 0 (it is a delay, "
                 "in nominal round times, before each re-issue)"
@@ -446,8 +444,6 @@ def excuse_stragglers(
     Returns the rewritten cluster and the excused ranks (empty when no
     worker qualifies, e.g. membership changed or nothing is degraded).
     """
-    from repro.simulator.cluster import WorkerProfile
-
     if cluster.world_size != base.world_size:
         # Membership events changed the world: rank identities no longer
         # line up with the base population, so dropping is not defined.
@@ -462,28 +458,17 @@ def excuse_stragglers(
         return cluster, ()
     candidates.sort(key=lambda item: (-item[0], item[1]))
 
-    excused: list[int] = []
-    restored: dict[int, WorkerProfile] = {}
+    restored: list[tuple[int, int, Callable[[WorkerProfile], WorkerProfile]]] = []
     budget = max_workers
     for _, start, stop, ref in candidates:
         if budget <= 0:
             break
         take = min(budget, stop - start)
-        for rank in range(start, start + take):
-            excused.append(rank)
-            restored[rank] = ref
+        restored.append((start, start + take, lambda _, ref=ref: ref))
         budget -= take
-
-    if cluster.worker_profiles is not None:
-        profiles = list(cluster.worker_profiles)
-        for rank, ref in restored.items():
-            profiles[rank] = ref
-        rewritten = replace(cluster, worker_profiles=tuple(profiles))
-    else:
-        overrides = dict(cluster.profile_overrides or ())
-        overrides.update(restored)
-        rewritten = replace(cluster, profile_overrides=tuple(sorted(overrides.items())))
-    return rewritten, tuple(sorted(excused))
+    restored.sort(key=lambda edit: edit[0])
+    excused = tuple(rank for start, stop, _ in restored for rank in range(start, stop))
+    return cluster.splice(restored), excused
 
 
 # --------------------------------------------------------------------------- #

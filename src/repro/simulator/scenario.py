@@ -44,7 +44,7 @@ p50/p95/p99 round time, excess time attributable to events, recovery).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -57,9 +57,13 @@ from repro.grammar import (
     UnknownNameError,
     parse_terms,
 )
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.simulator.cluster import ClusterSpec
+from repro.simulator.cluster import (
+    NOMINAL_PROFILE,
+    PER_RANK_LIMIT,
+    ClusterSpec,
+    WorkerProfile,
+    classes_of,
+)
 
 
 class UnknownEventError(UnknownNameError):
@@ -139,94 +143,36 @@ class ScenarioEvent:
         return self.until_round if self.until_round is not None else self.start_round + 1
 
 
-def _scale_profiles(
-    cluster: "ClusterSpec", ranks: Iterable[int], *, slowdown: float = 1.0, nic: float = 1.0
+def _scale_ranks(
+    cluster: "ClusterSpec",
+    ranges: Iterable[tuple[int, int]],
+    *,
+    slowdown: float = 1.0,
+    nic: float = 1.0,
 ) -> "ClusterSpec":
-    """Multiply the given ranks' slowdown / nic_scale factors (compositional).
+    """Multiply the slowdown / nic_scale factors of ranks in ``[start, stop)`` ranges.
 
-    On a materialized cluster (explicit ``worker_profiles``) the per-rank
-    tuple is rewritten, preserving the historical representation.  On every
-    other representation -- implicit-nominal, class-based, overridden -- the
-    perturbation lands in the sparse ``profile_overrides`` map, so an event
-    touching k workers costs O(k log k) regardless of world size.  Both
-    paths multiply the same floats in the same order, so a distributional
-    cluster and its materialized twin stay bit-exactly equal.
+    ``ranges`` ascend and do not overlap.  They are spliced into the
+    canonical profile segments (:meth:`~repro.simulator.cluster.ClusterSpec.splice`),
+    so an event costs O(#segments + #ranges) whatever the world size: one
+    range per worker for single-rank events and per-rank churn, one per
+    rack or failure domain for flap and domain_fail.  Every scaled rank
+    gets the same two products of its old factors.
     """
-    from repro.simulator.cluster import WorkerProfile
+    ranges = list(ranges)
+    if ranges and ranges[-1][1] > cluster.world_size:
+        raise ScenarioApplicationError(
+            f"event targets worker {ranges[-1][1] - 1} but the effective cluster "
+            f"has world size {cluster.world_size}"
+        )
 
-    world_size = cluster.world_size
-
-    def check(rank: int) -> None:
-        if not 0 <= rank < world_size:
-            raise ScenarioApplicationError(
-                f"event targets worker {rank} but the effective cluster has "
-                f"world size {world_size}"
-            )
-
-    if cluster.worker_profiles is not None:
-        profiles = list(cluster.worker_profiles)
-        for rank in ranks:
-            check(rank)
-            profile = profiles[rank]
-            profiles[rank] = WorkerProfile(
-                slowdown=profile.slowdown * slowdown,
-                nic_scale=profile.nic_scale * nic,
-            )
-        return replace(cluster, worker_profiles=tuple(profiles))
-
-    overrides = dict(cluster.profile_overrides or ())
-    for rank in ranks:
-        check(rank)
-        profile = overrides.get(rank)
-        if profile is None:
-            profile = cluster.profile_of(rank)
-        overrides[rank] = WorkerProfile(
+    def scale(profile: WorkerProfile) -> WorkerProfile:
+        return WorkerProfile(
             slowdown=profile.slowdown * slowdown,
             nic_scale=profile.nic_scale * nic,
         )
-    return replace(cluster, profile_overrides=tuple(sorted(overrides.items())))
 
-
-def _scale_rank_range(
-    cluster: "ClusterSpec", start: int, stop: int, *, slowdown: float = 1.0, nic: float = 1.0
-) -> "ClusterSpec":
-    """Multiply a contiguous rank range's factors in O(#classes).
-
-    Rack- and domain-wide events (flap, domain_fail) always target
-    contiguous rank ranges (the layout is contiguous by construction), so
-    instead of writing one override per member the range is spliced into
-    the canonical profile segments: at most two segments split, everything
-    else is reused.  Per-rank float arithmetic is identical to
-    :func:`_scale_profiles`, keeping the materialized twin bit-exact.
-    """
-    from repro.simulator.cluster import WorkerClass, WorkerProfile
-
-    if cluster.worker_profiles is not None:
-        return _scale_profiles(cluster, range(start, stop), slowdown=slowdown, nic=nic)
-    spliced: list[tuple[WorkerProfile, int]] = []
-    position = 0
-    for profile, count in cluster.profile_segments():
-        seg_start, seg_end = position, position + count
-        position = seg_end
-        lo, hi = max(seg_start, start), min(seg_end, stop)
-        if lo >= hi:
-            spliced.append((profile, count))
-            continue
-        scaled = WorkerProfile(
-            slowdown=profile.slowdown * slowdown,
-            nic_scale=profile.nic_scale * nic,
-        )
-        if lo > seg_start:
-            spliced.append((profile, lo - seg_start))
-        spliced.append((scaled, hi - lo))
-        if seg_end > hi:
-            spliced.append((profile, seg_end - hi))
-    return replace(
-        cluster,
-        worker_classes=tuple(WorkerClass(count, profile) for profile, count in spliced),
-        profile_overrides=None,
-        worker_profiles=None,
-    )
+    return cluster.splice((start, stop, scale) for start, stop in ranges)
 
 
 @dataclass(frozen=True)
@@ -241,11 +187,11 @@ class SlowdownEvent(ScenarioEvent):
         super().__post_init__()
         if self.worker < 0:
             raise ValueError("worker must be non-negative")
-        if self.factor <= 0:
+        if not self.factor > 0:
             raise ValueError("factor must be positive")
 
     def apply(self, cluster, round_index, rng):
-        return _scale_profiles(cluster, [self.worker], slowdown=self.factor)
+        return _scale_ranks(cluster, [(self.worker, self.worker + 1)], slowdown=self.factor)
 
 
 @dataclass(frozen=True)
@@ -260,11 +206,11 @@ class NicDegradeEvent(ScenarioEvent):
         super().__post_init__()
         if self.worker < 0:
             raise ValueError("worker must be non-negative")
-        if self.factor <= 0:
+        if not self.factor > 0:
             raise ValueError("factor must be positive")
 
     def apply(self, cluster, round_index, rng):
-        return _scale_profiles(cluster, [self.worker], nic=self.factor)
+        return _scale_ranks(cluster, [(self.worker, self.worker + 1)], nic=self.factor)
 
 
 @dataclass(frozen=True)
@@ -279,7 +225,7 @@ class LinkFlapEvent(ScenarioEvent):
         super().__post_init__()
         if self.rack < 0:
             raise ValueError("rack must be non-negative")
-        if self.factor <= 0:
+        if not self.factor > 0:
             raise ValueError("factor must be positive")
 
     def apply(self, cluster, round_index, rng):
@@ -292,7 +238,7 @@ class LinkFlapEvent(ScenarioEvent):
         # (ranks fill nodes, nodes fill racks, in order) -- no per-rank scan.
         members_per_rack = cluster.workers_per_rack
         start = self.rack * members_per_rack
-        return _scale_rank_range(cluster, start, start + members_per_rack, nic=self.factor)
+        return _scale_ranks(cluster, [(start, start + members_per_rack)], nic=self.factor)
 
 
 @dataclass(frozen=True)
@@ -313,7 +259,7 @@ class DomainFailEvent(ScenarioEvent):
         super().__post_init__()
         if self.domain < 0:
             raise ValueError("domain must be non-negative")
-        if self.factor <= 0:
+        if not self.factor > 0:
             raise ValueError("factor must be positive")
 
     def apply(self, cluster, round_index, rng):
@@ -327,7 +273,7 @@ class DomainFailEvent(ScenarioEvent):
         racks_per_domain = fabric.racks_per_domain if fabric is not None else 1
         workers_per_domain = cluster.workers_per_rack * racks_per_domain
         start = self.domain * workers_per_domain
-        return _scale_rank_range(cluster, start, start + workers_per_domain, nic=self.factor)
+        return _scale_ranks(cluster, [(start, start + workers_per_domain)], nic=self.factor)
 
 
 @dataclass(frozen=True)
@@ -367,12 +313,11 @@ class ChurnEvent(ScenarioEvent):
     The draw is deterministic given the scenario seed, the event's position
     in the scenario, and the round index -- identical scenarios replay
     identical churn regardless of execution order or executor.  At or below
-    :data:`~repro.simulator.cluster.MATERIALIZATION_LIMIT` workers the draw
-    is per-rank (bit-exact across representations); above it one binomial
-    draw per canonical profile segment picks how many of that segment's
-    workers churn, keeping fleet-scale rounds O(#classes).  Both regimes
-    depend only on the canonical population, never on which representation
-    spells it.
+    :data:`~repro.simulator.cluster.PER_RANK_LIMIT` workers the draw is one
+    uniform per rank; above it one binomial draw per canonical profile
+    segment picks how many of that segment's workers (its first ones)
+    churn, keeping fleet-scale rounds O(#segments).  Both regimes scale the
+    hit ranks through one splice of the population.
     """
 
     p: float
@@ -383,55 +328,33 @@ class ChurnEvent(ScenarioEvent):
         super().__post_init__()
         if not 0 <= self.p <= 1:
             raise ValueError("p must be in [0, 1]")
-        if self.factor <= 0:
+        if not self.factor > 0:
             raise ValueError("factor must be positive")
 
     def apply(self, cluster, round_index, rng):
-        from repro.simulator.cluster import (
-            MATERIALIZATION_LIMIT,
-            WorkerClass,
-            WorkerProfile,
-        )
-
-        if cluster.world_size <= MATERIALIZATION_LIMIT:
-            hit = np.flatnonzero(rng.random(cluster.world_size) < self.p)
-            if hit.size == 0:
-                return cluster
-            return _scale_profiles(cluster, hit.tolist(), slowdown=self.factor)
-        segments: list[tuple[WorkerProfile, int]] = []
-        any_hit = False
-        for profile, count in cluster.profile_segments():
-            hits = int(rng.binomial(count, self.p))
-            if hits:
-                any_hit = True
-                scaled = replace(profile, slowdown=profile.slowdown * self.factor)
-                segments.append((scaled, hits))
-                if count > hits:
-                    segments.append((profile, count - hits))
-            else:
-                segments.append((profile, count))
-        if not any_hit:
+        if cluster.world_size <= PER_RANK_LIMIT:
+            hit = np.flatnonzero(rng.random(cluster.world_size) < self.p).tolist()
+            ranges = [(rank, rank + 1) for rank in hit]
+        else:
+            ranges = []
+            position = 0
+            for _, count in cluster.profile_segments():
+                hits = int(rng.binomial(count, self.p))
+                if hits:
+                    ranges.append((position, position + hits))
+                position += count
+        if not ranges:
             return cluster
-        return replace(
-            cluster,
-            worker_classes=tuple(
-                WorkerClass(count, profile) for profile, count in segments
-            ),
-            profile_overrides=None,
-            worker_profiles=None,
-        )
+        return _scale_ranks(cluster, ranges, slowdown=self.factor)
 
 
 def _resize_nodes(cluster: "ClusterSpec", new_num_nodes: int) -> "ClusterSpec":
     """A copy of the cluster with ``new_num_nodes`` nodes (profiles adjusted).
 
     Members keep their profiles in rank order: the last workers leave first,
-    joiners arrive nominal.  Materialized clusters truncate / extend the
-    per-rank tuple (the historical behaviour); distributional clusters
-    adjust class counts and drop out-of-range overrides in O(#classes).
+    joiners arrive nominal.  The canonical segments are cut or extended in
+    O(#segments).
     """
-    from repro.simulator.cluster import NOMINAL_PROFILE, WorkerClass, WorkerProfile
-
     if new_num_nodes < 1:
         raise ScenarioApplicationError("membership events cannot empty the cluster")
     if cluster.fabric is not None and cluster.fabric.num_racks > 1:
@@ -441,18 +364,8 @@ def _resize_nodes(cluster: "ClusterSpec", new_num_nodes: int) -> "ClusterSpec":
                 f"divide into the fabric's {cluster.fabric.num_racks} racks; "
                 "join/leave whole rack-multiples on multi-rack clusters"
             )
-    new_world = new_num_nodes * cluster.gpus_per_node
-    profiles = cluster.worker_profiles
-    if profiles is not None:
-        if new_world <= len(profiles):
-            profiles = tuple(profiles[:new_world])
-        else:
-            profiles = profiles + (WorkerProfile(),) * (new_world - len(profiles))
-        return replace(cluster, num_nodes=new_num_nodes, worker_profiles=profiles)
-    if cluster.worker_classes is None and cluster.profile_overrides is None:
-        return replace(cluster, num_nodes=new_num_nodes)
     segments: list[tuple[WorkerProfile, int]] = []
-    remaining = new_world
+    remaining = new_num_nodes * cluster.gpus_per_node
     for profile, count in cluster.profile_segments():
         if remaining <= 0:
             break
@@ -461,19 +374,7 @@ def _resize_nodes(cluster: "ClusterSpec", new_num_nodes: int) -> "ClusterSpec":
         remaining -= taken
     if remaining > 0:
         segments.append((NOMINAL_PROFILE, remaining))
-    if all(profile == NOMINAL_PROFILE for profile, _ in segments):
-        return replace(
-            cluster,
-            num_nodes=new_num_nodes,
-            worker_classes=None,
-            profile_overrides=None,
-        )
-    return replace(
-        cluster,
-        num_nodes=new_num_nodes,
-        worker_classes=tuple(WorkerClass(count, profile) for profile, count in segments),
-        profile_overrides=None,
-    )
+    return replace(cluster, num_nodes=new_num_nodes, worker_classes=classes_of(segments))
 
 
 @dataclass(frozen=True)

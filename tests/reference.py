@@ -17,7 +17,11 @@ check the kernels against an independent implementation:
 * :func:`quantize` / :func:`dequantize` are the per-vector stochastic
   quantizer the QSGD reference body draws with;
 * :func:`pack_ints` / :func:`unpack_ints` are the bit-matrix wire packer the
-  bridge's ``pack`` codec must match byte for byte.
+  bridge's ``pack`` codec must match byte for byte;
+* :func:`scale_profiles`, :func:`resize_profiles`, :func:`replay_scenario`
+  and :func:`excuse_profiles` rewrite a worker population as a list of one
+  :class:`~repro.simulator.cluster.WorkerProfile` per rank, the oracle of
+  the segment splices in :mod:`repro.simulator.cluster`.
 
 The reference bodies call ``ctx.backend.allreduce`` with one vector per
 worker; ``thc_legacy_pins.json`` pins their THC values byte for byte.
@@ -55,7 +59,9 @@ from repro.compression.topk import (
     topk_indices,
 )
 from repro.compression.topkc import STAGE_BITS, TopKChunkedCompressor, _as_fp16
+from repro.simulator.cluster import WorkerProfile
 from repro.simulator.gpu import Precision
+from repro.simulator.scenario import Scenario
 
 
 # --------------------------------------------------------------------------- #
@@ -741,3 +747,87 @@ def reference_scheme(spec: str) -> AggregationScheme:
     if isinstance(scheme, ErrorFeedback):
         return ErrorFeedback(Reference(scheme.scheme), decay=scheme.decay)
     return Reference(scheme)
+
+
+# --------------------------------------------------------------------------- #
+# Population oracle: per-rank profile lists
+# --------------------------------------------------------------------------- #
+def scale_profiles(
+    profiles: list[WorkerProfile], ranks, *, slowdown: float = 1.0, nic: float = 1.0
+) -> list[WorkerProfile]:
+    """Multiply the given ranks' slowdown / nic_scale factors, one rank at a time."""
+    profiles = list(profiles)
+    for rank in ranks:
+        profile = profiles[rank]
+        profiles[rank] = WorkerProfile(
+            slowdown=profile.slowdown * slowdown,
+            nic_scale=profile.nic_scale * nic,
+        )
+    return profiles
+
+
+def resize_profiles(profiles: list[WorkerProfile], world_size: int) -> list[WorkerProfile]:
+    """The last workers leave first; joiners arrive nominal."""
+    if world_size <= len(profiles):
+        return list(profiles[:world_size])
+    return list(profiles) + [WorkerProfile()] * (world_size - len(profiles))
+
+
+def replay_scenario(
+    scenario: Scenario,
+    profiles: list[WorkerProfile],
+    gpus_per_node: int,
+    round_index: int,
+    *,
+    attempt: int = 0,
+) -> list[WorkerProfile]:
+    """``Scenario.cluster_at`` on a fabric-less cluster's per-rank profiles.
+
+    Replays each active event rank by rank with the engine's seeding; flap
+    and domain_fail cover the whole cluster (its one rack and one domain).
+    """
+    for position, event in enumerate(scenario.events):
+        if not event.active_at(round_index):
+            continue
+        seed = (scenario.seed, position, round_index)
+        rng = np.random.default_rng(seed if attempt == 0 else (*seed, attempt))
+        if event.kind == "slowdown":
+            profiles = scale_profiles(profiles, [event.worker], slowdown=event.factor)
+        elif event.kind == "nic_degrade":
+            profiles = scale_profiles(profiles, [event.worker], nic=event.factor)
+        elif event.kind in ("flap", "domain_fail"):
+            profiles = scale_profiles(profiles, range(len(profiles)), nic=event.factor)
+        elif event.kind == "churn":
+            hit = np.flatnonzero(rng.random(len(profiles)) < event.p).tolist()
+            profiles = scale_profiles(profiles, hit, slowdown=event.factor)
+        elif event.kind == "join":
+            profiles = resize_profiles(profiles, len(profiles) + event.nodes * gpus_per_node)
+        elif event.kind == "leave":
+            profiles = resize_profiles(profiles, len(profiles) - event.nodes * gpus_per_node)
+        else:
+            raise NotImplementedError(f"no per-rank replay of {event.kind}")
+    return profiles
+
+
+def excuse_profiles(
+    profiles: list[WorkerProfile],
+    reference: list[WorkerProfile],
+    max_workers: int,
+    tolerance: float,
+) -> tuple[list[WorkerProfile], tuple[int, ...]]:
+    """Restore the ``max_workers`` worst workers (worst first, then lowest rank)."""
+    if len(profiles) != len(reference):
+        return list(profiles), ()
+    badness = {
+        rank: max(p.slowdown / r.slowdown, p.nic_scale / r.nic_scale)
+        for rank, (p, r) in enumerate(zip(profiles, reference))
+    }
+    stragglers = sorted(
+        (rank for rank, bad in badness.items() if bad > 1.0 + tolerance),
+        key=lambda rank: (-badness[rank], rank),
+    )
+    excused = sorted(stragglers[:max_workers])
+    profiles = list(profiles)
+    for rank in excused:
+        profiles[rank] = reference[rank]
+    return profiles, tuple(excused)

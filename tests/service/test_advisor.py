@@ -494,15 +494,20 @@ class TestFleetScaleRequests:
                     WorkerClass(5, WorkerProfile()),
                 ),
             )
-            materialized = distributional.materialize()
+            expanded = ClusterSpec(
+                num_nodes=4,
+                gpus_per_node=2,
+                worker_classes=(WorkerClass(1, WorkerProfile(slowdown=1.5)),) * 3
+                + (WorkerClass(1, WorkerProfile()),) * 5,
+            )
             async with make_service() as service:
                 cold = await service.advise(
                     AdviseRequest(specs=(THC,), workload="bert_large", cluster=distributional)
                 )
                 warm = await service.advise(
-                    AdviseRequest(specs=(THC,), workload="bert_large", cluster=materialized)
+                    AdviseRequest(specs=(THC,), workload="bert_large", cluster=expanded)
                 )
-            # Same canonical identity: the materialized twin is a cache hit.
+            # Same canonical identity: the one-class-per-rank spelling is a cache hit.
             assert cold.best.provenance == "computed"
             assert warm.best.provenance == "memory"
             assert warm.best.value == cold.best.value

@@ -1,9 +1,11 @@
 """Unit tests for the cluster description."""
 
+import math
+
 import pytest
 
+from repro.api import ExperimentSession
 from repro.simulator.cluster import (
-    MATERIALIZATION_LIMIT,
     ClusterSpec,
     WorkerClass,
     WorkerProfile,
@@ -96,18 +98,38 @@ class TestWorkerProfiles:
             cluster.inter_node_nic.bandwidth_gbps / 4.0
         )
 
-    def test_profile_count_must_match_world_size(self):
-        with pytest.raises(ValueError):
-            ClusterSpec(worker_profiles=(WorkerProfile(),))
-
     def test_profiles_validated(self):
         with pytest.raises(ValueError):
             WorkerProfile(slowdown=0.0)
         with pytest.raises(ValueError):
             WorkerProfile(nic_scale=-1.0)
 
+    @pytest.mark.parametrize("field", ["slowdown", "nic_scale"])
+    def test_nan_profile_rejected(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be positive"):
+            WorkerProfile(**{field: math.nan})
+
+    def test_nan_straggler_rejected(self):
+        # A NaN slowdown used to price as nominal on a non-first rank (and
+        # as NaN on rank 0), and a NaN cluster never equalled itself.
+        with pytest.raises(ValueError, match="slowdown must be positive"):
+            paper_testbed().with_straggler(1, math.nan)
+        with pytest.raises(ValueError, match="nic_scale must be positive"):
+            paper_testbed().with_nic_tier(1, math.nan)
+
+    def test_infinite_straggler_prices_a_dead_worker(self):
+        from repro.training import vgg19_tinyimagenet
+
+        dead = paper_testbed().with_straggler(1, math.inf)
+        assert dead.max_slowdown() == math.inf
+        assert dead == paper_testbed().with_straggler(1, math.inf)
+        estimate = ExperimentSession(cluster=dead).throughput(
+            "baseline(p=fp16)", vgg19_tinyimagenet()
+        )
+        assert estimate.rounds_per_second == 0.0
+
     def test_nominal_profiles_are_not_heterogeneous(self):
-        cluster = ClusterSpec(worker_profiles=(WorkerProfile(),) * 4)
+        cluster = ClusterSpec(worker_classes=(WorkerClass(1, WorkerProfile()),) * 4)
         assert not cluster.is_heterogeneous
 
 
@@ -116,29 +138,30 @@ DEGRADED = WorkerProfile(nic_scale=4.0)
 
 
 class TestDistributionalClusters:
-    def mat_and_dist(self):
-        materialized = ClusterSpec(
+    def twins(self):
+        """One population spelled as one class per rank and as two classes."""
+        expanded = ClusterSpec(
             num_nodes=4,
             gpus_per_node=2,
-            worker_profiles=(SLOW,) * 3 + (WorkerProfile(),) * 5,
+            worker_classes=(WorkerClass(1, SLOW),) * 3 + (WorkerClass(1, WorkerProfile()),) * 5,
         )
         distributional = ClusterSpec(
             num_nodes=4,
             gpus_per_node=2,
             worker_classes=(WorkerClass(3, SLOW), WorkerClass(5, WorkerProfile())),
         )
-        return materialized, distributional
+        return expanded, distributional
 
     def test_twins_are_equal_and_hash_equal(self):
-        materialized, distributional = self.mat_and_dist()
-        assert materialized == distributional
-        assert hash(materialized) == hash(distributional)
-        assert materialized.cache_key() == distributional.cache_key()
+        expanded, distributional = self.twins()
+        assert expanded == distributional
+        assert hash(expanded) == hash(distributional)
+        assert expanded.cache_key() == distributional.cache_key()
 
     def test_profile_queries_agree(self):
-        materialized, distributional = self.mat_and_dist()
-        for rank in range(materialized.world_size):
-            assert materialized.profile_of(rank) == distributional.profile_of(rank)
+        expanded, distributional = self.twins()
+        for rank in range(expanded.world_size):
+            assert expanded.profile_of(rank) == distributional.profile_of(rank)
         assert distributional.max_slowdown() == 2.0
         assert distributional.worst_nic_scale() == 1.0
         assert distributional.is_heterogeneous
@@ -156,53 +179,34 @@ class TestDistributionalClusters:
         with pytest.raises(ValueError, match="cover"):
             ClusterSpec(num_nodes=4, gpus_per_node=2, worker_classes=(WorkerClass(3, SLOW),))
 
-    def test_representations_are_mutually_exclusive(self):
-        with pytest.raises(ValueError, match="mutually exclusive"):
-            ClusterSpec(
-                num_nodes=1,
-                gpus_per_node=2,
-                worker_profiles=(WorkerProfile(),) * 2,
-                worker_classes=(WorkerClass(2, WorkerProfile()),),
-            )
-
     def test_nominal_classes_collapse_to_implicit_identity(self):
         explicit = ClusterSpec(worker_classes=(WorkerClass(4, WorkerProfile()),))
         assert explicit == paper_testbed()
         assert hash(explicit) == hash(paper_testbed())
         assert not explicit.is_heterogeneous
 
-    def test_materialize_round_trips(self):
-        materialized, distributional = self.mat_and_dist()
-        assert distributional.materialize().worker_profiles == materialized.worker_profiles
-        assert distributional.materialize() == distributional
-        assert materialized.as_distributional() == materialized
-        assert materialized.as_distributional().worker_classes == (
-            WorkerClass(3, SLOW),
-            WorkerClass(5, WorkerProfile()),
-        )
-
-    def test_materialize_refuses_fleet_scale(self):
-        fleet = fat_tree_cluster(128, gpus_per_node=2)
-        assert fleet.world_size > MATERIALIZATION_LIMIT
-        with pytest.raises(ValueError, match="refusing to materialize"):
-            fleet.materialize()
-
-    def test_overrides_are_sparse_and_rank_sorted(self):
+    def test_single_rank_mutations_splice_segments(self):
         cluster = paper_testbed().with_straggler(2, 1.5).with_nic_tier(1, 4.0)
-        assert cluster.worker_profiles is None
-        assert cluster.profile_overrides == (
-            (1, WorkerProfile(nic_scale=4.0)),
-            (2, WorkerProfile(slowdown=1.5)),
+        assert cluster.worker_classes == (
+            WorkerClass(1, WorkerProfile()),
+            WorkerClass(1, WorkerProfile(nic_scale=4.0)),
+            WorkerClass(1, WorkerProfile(slowdown=1.5)),
+            WorkerClass(1, WorkerProfile()),
         )
         assert cluster.profile_of(2).slowdown == 1.5
         assert cluster.profile_of(0) == WorkerProfile()
+
+    def test_undone_straggler_collapses_to_nominal(self):
+        cluster = paper_testbed().with_straggler(1, 2.0).with_straggler(1, 1.0)
+        assert cluster.worker_classes is None
+        assert cluster == paper_testbed()
 
     def test_chained_overrides_compose_on_one_rank(self):
         cluster = paper_testbed().with_straggler(1, 2.0).with_nic_tier(1, 4.0)
         assert cluster.profile_of(1) == WorkerProfile(slowdown=2.0, nic_scale=4.0)
 
     def test_override_splits_class_segment(self):
-        _, distributional = self.mat_and_dist()
+        expanded, distributional = self.twins()
         perturbed = distributional.with_straggler(1, 3.0)
         assert perturbed.profile_segments() == (
             (SLOW, 1),
@@ -210,13 +214,31 @@ class TestDistributionalClusters:
             (SLOW, 1),
             (WorkerProfile(), 5),
         )
-        assert perturbed == perturbed.materialize()
+        assert perturbed == expanded.with_straggler(1, 3.0)
 
-    def test_duplicate_override_ranks_rejected(self):
-        with pytest.raises(ValueError, match="duplicate"):
-            ClusterSpec(
-                profile_overrides=((0, SLOW), (0, DEGRADED)),
-            )
+    def test_splice_spans_segments(self):
+        _, distributional = self.twins()
+        spliced = distributional.splice(
+            [(0, 1, lambda _: DEGRADED), (2, 6, lambda p: WorkerProfile(slowdown=2 * p.slowdown))]
+        )
+        # Each piece is rewritten from its own profile; equal neighbours merge.
+        assert spliced.profile_segments() == (
+            (DEGRADED, 1),
+            (SLOW, 1),
+            (WorkerProfile(slowdown=4.0), 1),
+            (SLOW, 3),
+            (WorkerProfile(), 2),
+        )
+
+    @pytest.mark.parametrize(
+        "edits",
+        [[(2, 4), (3, 5)], [(3, 5), (0, 1)], [(2, 2)], [(7, 9)]],
+        ids=["overlapping", "descending", "empty", "past_the_end"],
+    )
+    def test_splice_rejects_bad_ranges(self, edits):
+        _, distributional = self.twins()
+        with pytest.raises(ValueError):
+            distributional.splice([(start, stop, lambda _: SLOW) for start, stop in edits])
 
     def test_override_on_fleet_stays_cheap_and_queryable(self):
         fleet = fat_tree_cluster(128, gpus_per_node=2)
@@ -289,7 +311,10 @@ class TestCacheKey:
             num_nodes=128, gpus_per_node=2
         ).cache_key()
 
-    def test_representation_not_part_of_identity(self):
+    def test_class_split_not_part_of_identity(self):
         straggler = paper_testbed().with_straggler(0, 2.0)
-        assert straggler.cache_key() == straggler.materialize().cache_key()
-        assert straggler.cache_key() == straggler.as_distributional().cache_key()
+        one_per_rank = ClusterSpec(
+            worker_classes=(WorkerClass(1, SLOW),) + (WorkerClass(1, WorkerProfile()),) * 3
+        )
+        coarse = ClusterSpec(worker_classes=(WorkerClass(1, SLOW), WorkerClass(3, WorkerProfile())))
+        assert straggler.cache_key() == one_per_rank.cache_key() == coarse.cache_key()

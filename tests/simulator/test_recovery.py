@@ -141,6 +141,15 @@ class TestPolicySpecs:
         with pytest.raises(ValueError):
             StaleRule(max_stale=-1)
 
+    def test_nan_timeout_rejected(self):
+        # NaN passes ``k < 1``; the deadline would compare False forever.
+        with pytest.raises(ValueError, match="must be >= 1"):
+            TimeoutRule(k=float("nan"))
+
+    def test_nan_backoff_rejected(self):
+        with pytest.raises(ValueError, match="must be >= 0"):
+            RetryRule(backoff=float("nan"))
+
     def test_available_rules(self):
         assert available_policy_rules() == ["drop", "retry", "stale", "timeout"]
 

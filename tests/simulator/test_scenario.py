@@ -344,6 +344,32 @@ class TestChurnEventValidation:
             switch_memory_pressure(0.0)
 
 
+NAN = float("nan")
+
+
+class TestNanFactorsRejected:
+    """NaN passes ``factor <= 0``; each factor event rejects it up front."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: slowdown(1, NAN),
+            lambda: nic_degrade(1, NAN),
+            lambda: link_flap(0, x=NAN),
+            lambda: domain_fail(0, x=NAN),
+            lambda: churn(0.1, x=NAN),
+        ],
+        ids=["slowdown", "nic_degrade", "flap", "domain_fail", "churn"],
+    )
+    def test_nan_factor_rejected(self, build):
+        with pytest.raises(ValueError, match="factor must be positive"):
+            build()
+
+    def test_infinite_factor_allowed(self):
+        effective = slowdown(1, float("inf")).apply(paper_testbed(), 0, None)
+        assert effective.max_slowdown() == float("inf")
+
+
 class TestDomainFail:
     def fleet(self):
         from repro.simulator.cluster import fat_tree_cluster
@@ -377,7 +403,7 @@ class TestDomainFail:
 
         fleet = fat_tree_cluster(128, gpus_per_node=2)  # 1M workers
         effective = domain_fail(0, x=2.0).apply(fleet, 0, None)
-        assert effective.worker_profiles is None
+        assert len(effective.profile_segments()) == 2
         assert effective.worst_nic_scale() == 2.0
 
     def test_out_of_range_domain_rejected(self):
