@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from repro.api.measures import paper_context
 from repro.compression.hadamard import HadamardRotation, _butterfly_passes
 from repro.compression.kernels import (
     LazyTransmitted,
@@ -17,6 +18,8 @@ from repro.compression.kernels import (
     round_stochastically,
     smallest_int_dtype,
 )
+from repro.compression.registry import make_scheme
+from repro.simulator.cluster import ClusterSpec
 
 
 class TestRoundWorkspace:
@@ -160,8 +163,9 @@ def _whole_matrix_rounding(rows, rng, max_level, scale):
 
 
 class TestRoundStochastically:
-    # (3, 30000): the first 2^16-element tile ends inside the third row.
-    @pytest.mark.parametrize("shape", [(3, 30000), (2, 1 << 16), (4, 7)])
+    # (3, 30000): the first 2^16-element tile ends inside the third row;
+    # (5, 1001): an odd number of uniforms.
+    @pytest.mark.parametrize("shape", [(3, 30000), (2, 1 << 16), (4, 7), (5, 1001)])
     @pytest.mark.parametrize("as_list", [False, True])
     @pytest.mark.parametrize("scale", [None, np.float32(2.5)])
     def test_matches_whole_matrix_rounding(self, shape, as_list, scale):
@@ -180,6 +184,30 @@ class TestRoundStochastically:
         expected = _whole_matrix_rounding(rows, reference_rng, 7.0, scale)
         np.testing.assert_array_equal(levels, expected)
         assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+    @pytest.mark.parametrize("shape", [(3, 30000), (2, 1 << 16), (4, 7), (5, 1001)])
+    @pytest.mark.parametrize(
+        "bit_generator", [np.random.PCG64, np.random.MT19937, np.random.Philox, np.random.PCG64DXSM]
+    )
+    @pytest.mark.parametrize("half_word_buffered", [False, True])
+    def test_matches_whole_matrix_rounding_from_any_entry_state(
+        self, shape, bit_generator, half_word_buffered
+    ):
+        rows = np.random.default_rng(0).standard_normal(shape).astype(np.float32) * 4
+        rng = np.random.Generator(bit_generator(5))
+        reference_rng = np.random.Generator(bit_generator(5))
+        if half_word_buffered:
+            # One float32 draw leaves half of a 64-bit word buffered.
+            rng.random(1, dtype=np.float32)
+            reference_rng.random(1, dtype=np.float32)
+        levels = np.empty(shape, dtype=np.int8)
+        round_stochastically(
+            rows, levels, rng, 7.0, workspace=RoundWorkspace(), label="test"
+        )
+        expected = _whole_matrix_rounding(rows, reference_rng, 7.0, None)
+        np.testing.assert_array_equal(levels, expected)
+        # MT19937 and Philox states hold arrays: compare the whole dict.
+        np.testing.assert_equal(rng.bit_generator.state, reference_rng.bit_generator.state)
 
     def test_reads_rows_only(self):
         rows = np.random.default_rng(2).standard_normal((2, 100)).astype(np.float32)
@@ -269,3 +297,27 @@ class TestNormalization:
             assert fwht_normalization(depth) == pytest.approx(
                 1.0 / math.sqrt(2.0**depth)
             )
+
+
+class TestReportOutlivesItsRound:
+    """A report read after the next round on the same context still shows
+    its own round, though the scheme reuses its buffers."""
+
+    @pytest.mark.parametrize(
+        "spec", ["thc(q=4, rot=full, agg=sat)", "qsgd(q=4, agg=sat)", "baseline(p=fp16)"]
+    )
+    def test_held_report_equals_report_read_at_once(self, spec):
+        def rounds():
+            ctx = paper_context(ClusterSpec(num_nodes=3, gpus_per_node=1), seed=9)
+            scheme = make_scheme(spec)
+            for index in range(2):
+                rows = np.random.default_rng(index).standard_normal((3, 5773), dtype=np.float32)
+                yield scheme.aggregate(list(rows), ctx)
+
+        control = rounds()
+        read_at_once = np.stack(list(next(control).per_worker_transmitted))
+        held = rounds()
+        first = next(held)
+        second = next(held)
+        np.testing.assert_array_equal(np.stack(list(first.per_worker_transmitted)), read_at_once)
+        assert not np.array_equal(np.stack(list(second.per_worker_transmitted)), read_at_once)
