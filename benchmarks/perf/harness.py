@@ -6,8 +6,8 @@ Times the three layers of the simulator's hot path and emits a
 compare against:
 
 * **Compression kernels** -- the paper's THC configuration at the scheme
-  level (compress + aggregate, 16 workers, d = 2^20) and the raw Hadamard
-  rotation kernel, as throughputs;
+  level (compress + aggregate, 16 workers, d = 2^20), the FP16 baseline's
+  aggregate and the raw Hadamard rotation kernel, as throughputs;
 * **Pipeline pricing** -- analytic per-round makespan pricing
   (:func:`repro.api.measures.estimate_throughput`) across the whole scheme
   registry and both paper workloads, serialized and bucketed;
@@ -100,10 +100,10 @@ def _median(samples: list[float]) -> float:
 # --------------------------------------------------------------------------- #
 # 1. Compression kernels
 # --------------------------------------------------------------------------- #
-def _bench_thc(
+def _bench_aggregate(
     spec: str, *, seed: int, num_workers: int, num_coordinates: int, repeats: int
 ) -> dict:
-    """Scheme-level compress + aggregate of one THC spec."""
+    """Scheme-level compress + aggregate of one spec."""
     cluster = _cluster(num_workers)
     rng = np.random.default_rng(seed)
     gradients = [
@@ -126,7 +126,7 @@ def bench_thc_microbench(
     *, num_workers: int, num_coordinates: int, repeats: int
 ) -> dict:
     """Scheme-level compress + aggregate on the paper's full-rotation THC."""
-    return _bench_thc(
+    return _bench_aggregate(
         MICROBENCH_SPEC,
         seed=0,
         num_workers=num_workers,
@@ -139,9 +139,23 @@ def bench_thc_partial(
     *, num_workers: int, num_coordinates: int, repeats: int
 ) -> dict:
     """Same microbenchmark on the partial-rotation (shared-memory) variant."""
-    return _bench_thc(
+    return _bench_aggregate(
         "thc(q=4, rot=partial, agg=sat)",
         seed=1,
+        num_workers=num_workers,
+        num_coordinates=num_coordinates,
+        repeats=repeats,
+    )
+
+
+def bench_fp16_baseline(
+    *, num_workers: int, num_coordinates: int, repeats: int
+) -> dict:
+    """The FP16 baseline's aggregate: the wire's half-precision rounding and
+    the ring fold, the bar every compressed scheme must clear."""
+    return _bench_aggregate(
+        "baseline(p=fp16)",
+        seed=3,
         num_workers=num_workers,
         num_coordinates=num_coordinates,
         repeats=repeats,
@@ -364,6 +378,15 @@ def run_harness(*, quick: bool) -> dict:
     print(
         "[perf]   partial rotation {batched_mcoords_per_s:.1f} Mcoord/s".format(
             **benches["thc_partial"]
+        )
+    )
+
+    benches["fp16_baseline"] = bench_fp16_baseline(
+        num_workers=scale["workers"], num_coordinates=scale["d"], repeats=scale["repeats"]
+    )
+    print(
+        "[perf]   FP16 baseline {batched_mcoords_per_s:.1f} Mcoord/s".format(
+            **benches["fp16_baseline"]
         )
     )
 

@@ -16,12 +16,18 @@ This module holds the shared building blocks:
   element passes, one block of rows at a time through block-sized scratch;
 * :func:`round_stochastically` -- the one stochastic-rounding kernel of the
   integer quantizers (THC, QSGD), walking the worker matrix in cache-sized
-  tiles instead of streaming whole-matrix temporaries;
+  tiles instead of streaming whole-matrix temporaries.  Its float32
+  uniforms are numpy's own (``rng.random(dtype=np.float32)`` is
+  ``next_uint32 >> 8`` times 2^-24), built from raw PCG64 words when the
+  generator is a ``PCG64`` on a little-endian host and drawn through
+  ``rng.random`` otherwise -- the same values and the same rng state
+  either way;
 * :func:`cached_signs` -- the shared random sign diagonals, generated once
   per (seed, size) instead of once per worker per round;
 * :class:`LazyTransmitted` -- a deferred ``per_worker_transmitted`` report
   that skips the per-worker decompression entirely unless someone (error
-  feedback, the property suite) actually reads it.
+  feedback, the property suite) actually reads it, and reads its round's
+  workspace buffer in place until a later round asks for that buffer.
 
 A kernel touches each ``(n, d)`` worker matrix as few times as its
 arithmetic needs: per-element work that follows a gather or precedes a cast
@@ -32,7 +38,9 @@ output, integer levels).
 
 from __future__ import annotations
 
+import sys
 import threading
+import weakref
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -47,6 +55,12 @@ class RoundWorkspace:
     hot path.  Buffers are returned *uninitialized* (whatever the previous
     round left in them) -- callers must fully overwrite what they read.
 
+    A deferred report may keep reading a buffer after its round
+    (:meth:`lend`).  Before :meth:`buf` hands that buffer out again, a
+    report that is still alive and not yet materialized takes a private copy
+    of it: copy on reuse, so a round whose result is dropped before the next
+    one (every vNMSE round) never copies.
+
     A workspace belongs to one :class:`~repro.compression.base.SimContext`
     and is not thread-safe; concurrent sweep points each build their own
     context (and therefore their own workspace).
@@ -54,6 +68,7 @@ class RoundWorkspace:
 
     def __init__(self) -> None:
         self._buffers: dict[tuple, np.ndarray] = {}
+        self._borrowers: dict[tuple, weakref.ref] = {}
         self.hits = 0
         self.misses = 0
 
@@ -63,15 +78,28 @@ class RoundWorkspace:
         found = self._buffers.get(key)
         if found is not None:
             self.hits += 1
+            borrower = self._borrowers.pop(key, None)
+            report = borrower() if borrower is not None else None
+            if report is not None and not report.materialized:
+                report.detach()
             return found
         self.misses += 1
         fresh = np.empty(shape, dtype=dtype)
         self._buffers[key] = fresh
         return fresh
 
+    def lend(self, buffer: np.ndarray, report: "LazyTransmitted") -> None:
+        """Let ``report`` read ``buffer`` until the buffer is handed out again."""
+        for key, held in self._buffers.items():
+            if held is buffer:
+                self._borrowers[key] = weakref.ref(report)
+                return
+        raise ValueError("the buffer was not handed out by this workspace")
+
     def clear(self) -> None:
         """Drop every cached buffer (e.g. between differently sized phases)."""
         self._buffers.clear()
+        self._borrowers.clear()
 
     @property
     def num_buffers(self) -> int:
@@ -259,13 +287,97 @@ def fwht_normalization(depth: int) -> float:
 # --------------------------------------------------------------------------- #
 # Tiled stochastic rounding
 # --------------------------------------------------------------------------- #
+#: numpy's float32 uniform is ``(next_uint32 >> 8) * 2^-24``.
+_UNIFORM_SHIFT = np.uint32(8)
+_UNIFORM_SCALE = np.float32(2.0**-24)
+
+#: Whether ``random_raw``'s 64-bit words, viewed as ``uint32`` pairs, come
+#: low half first -- the order in which PCG64's ``next_uint32`` hands them out.
+_LITTLE_ENDIAN = sys.byteorder == "little"
+
+
+class _UniformStream:
+    """The float32 uniforms ``rng.random(dtype=np.float32)`` would draw, in order.
+
+    For a ``PCG64`` bit generator on a little-endian host the bulk comes
+    from raw 64-bit words: numpy's float32 draw is ``next_uint32 >> 8``
+    times 2^-24, and ``next_uint32`` hands out the low, then the high half of
+    each word, so ``random_raw(k)`` viewed as ``2k`` ``uint32`` gives the
+    same uniforms without numpy's per-element float path.  Around the bulk,
+    ``rng.random`` draws:
+
+    * the head: the half word the generator holds buffered on entry, if any;
+    * the tail: the last two or three uniforms, so ``rng.random`` itself
+      leaves ``has_uint32`` and ``uinteger`` exactly as one draw over the
+      whole stream would (``random_raw`` never touches them).
+
+    The state is read once, on entry.  Any other generator (or host) draws
+    everything through ``rng.random``.  Fill calls may cut the stream
+    anywhere: a word split by a cut keeps its second half for the next call.
+    """
+
+    def __init__(self, rng: np.random.Generator, total: int):
+        self._rng = rng
+        self._head = 0
+        self._raw = 0
+        self._carry: np.uint32 | None = None
+        bit_generator = rng.bit_generator
+        if _LITTLE_ENDIAN and type(bit_generator) is np.random.PCG64 and total >= 4:
+            self._head = int(bit_generator.state["has_uint32"])
+            self._raw = 2 * max((total - self._head) // 2 - 1, 0)
+
+    def fill(self, out: np.ndarray) -> None:
+        """Fill ``out`` with the next ``out.size`` uniforms of the stream."""
+        filled = 0
+        if self._head:
+            self._rng.random(out=out[:1], dtype=np.float32)
+            self._head, filled = 0, 1
+        take = min(self._raw, out.size - filled)
+        if take:
+            self._fill_raw(out[filled : filled + take])
+            self._raw -= take
+            filled += take
+        if filled < out.size:
+            self._rng.random(out=out[filled:], dtype=np.float32)
+
+    def _fill_raw(self, out: np.ndarray) -> None:
+        if self._carry is not None:
+            out[0] = np.float32(self._carry) * _UNIFORM_SCALE
+            out = out[1:]
+            self._carry = None
+        halves = self._rng.bit_generator.random_raw(-(-out.size // 2)).view(np.uint32)
+        np.right_shift(halves, _UNIFORM_SHIFT, out=halves)
+        np.multiply(halves[: out.size], _UNIFORM_SCALE, out=out, dtype=np.float32)
+        if halves.size > out.size:
+            self._carry = halves[-1]
+
+
+def _scale_chunks(
+    value: np.ndarray, start: int, chunk_scales: np.ndarray, chunk: int
+) -> None:
+    """Scale the tile ``value`` at flat offset ``start`` by its chunks' factors."""
+    if chunk < value.size:
+        # The tile holds whole chunks (round_stochastically sizes it so).
+        first = start // chunk
+        shaped = value.reshape(-1, chunk)
+        indices = np.arange(first, first + shaped.shape[0])
+        np.multiply(shaped, chunk_scales.take(indices, mode="wrap")[:, None], out=shaped)
+        return
+    position, stop = start, start + value.size
+    while position < stop:
+        index = position // chunk
+        end = min((index + 1) * chunk, stop)
+        value[position - start : end - start] *= chunk_scales[index % chunk_scales.size]
+        position = end
+
+
 def round_stochastically(
     rows: "np.ndarray | Sequence[np.ndarray]",
     levels: np.ndarray,
     rng: np.random.Generator,
     max_level: float,
     *,
-    scale: np.float32 | None = None,
+    scale: "np.float32 | np.ndarray | None" = None,
     workspace: RoundWorkspace,
     label: str,
 ) -> None:
@@ -273,25 +385,45 @@ def round_stochastically(
 
     Each value ``v`` (scaled by ``scale`` when given, then clipped to
     ``[-max_level, max_level]``) becomes ``floor(v) + (u < v - floor(v))``
-    for a float32 uniform ``u``.  The copy, scale, clip and rounding run in
+    for a float32 uniform ``u``.  ``scale`` is one float32 factor, or a
+    float32 vector of per-chunk factors that splits every row into
+    ``scale.size`` equal chunks.  The copy, scale, clip and rounding run in
     float32 on tiles of :data:`TILE_ELEMENTS` consecutive elements of the
     C-order ``(n, d)`` matrix (a tile of short rows spans several), so the
     scratch is four tile buffers rather than whole-matrix temporaries, and
     ``rows`` (a matrix or a sequence of equal-length rows) is only read.
-    The uniforms are drawn tile after tile -- the same stream, and the same
-    rng state afterwards, as one draw over the whole matrix.
 
-    No clip follows the rounding: ``floor(v)`` of a clipped ``v`` already
-    lies in range, and ``v`` rounds up only when it is not an integer, so
-    below ``max_level``.
+    The uniforms are drawn tile after tile, and are bit for bit the stream
+    of one ``rng.random(size, dtype=np.float32)`` over the whole matrix,
+    leaving the same ``bit_generator.state`` (``uinteger`` included).  With
+    a ``PCG64`` generator on a little-endian host they come from raw 64-bit
+    words (``random_raw``, ``>> 8``, ``* 2^-24``), which skips numpy's
+    per-element float draw; any other generator (``MT19937``, ``Philox``,
+    ``PCG64DXSM``, ...) keeps ``rng.random`` (see :class:`_UniformStream`).
+
+    The levels are ``floor(v)`` cast to the levels dtype plus the round-up
+    bit, added in that dtype.  No clip follows the rounding: ``floor(v)`` of
+    a clipped ``v`` already lies in range, and ``v`` rounds up only when it
+    is not an integer, so below ``max_level``.
     """
     width = levels.shape[1]
     flat_levels = levels.reshape(-1)
     tile = min(TILE_ELEMENTS, flat_levels.size)
+    chunk_scales = scale if isinstance(scale, np.ndarray) and scale.ndim == 1 else None
+    if chunk_scales is not None:
+        if width % chunk_scales.size:
+            raise ValueError(
+                f"row length {width} is not a multiple of {chunk_scales.size} chunks"
+            )
+        chunk = width // chunk_scales.size
+        if chunk < tile:
+            # Whole chunks per tile, so each tile scales a (chunks, chunk) view.
+            tile -= tile % chunk
     values = workspace.buf(f"{label}.values", (tile,), np.float32)
     floors = workspace.buf(f"{label}.floor", (tile,), np.float32)
     uniforms = workspace.buf(f"{label}.uniform", (tile,), np.float32)
     round_up = workspace.buf(f"{label}.round_up", (tile,), np.bool_)
+    stream = _UniformStream(rng, flat_levels.size)
     for start in range(0, flat_levels.size, tile):
         size = min(tile, flat_levels.size - start)
         value, floor = values[:size], floors[:size]
@@ -307,15 +439,18 @@ def round_stochastically(
             )
             filled += take
             row, column = row + 1, 0
-        if scale is not None:
+        if chunk_scales is not None:
+            _scale_chunks(value, start, chunk_scales, chunk)
+        elif scale is not None:
             value *= scale
         np.clip(value, -max_level, max_level, out=value)
         np.floor(value, out=floor)
         value -= floor
-        rng.random(out=uniform, dtype=np.float32)
+        stream.fill(uniform)
         np.less(uniform, value, out=up)
-        np.add(floor, up, out=floor)
-        np.copyto(flat_levels[start : start + size], floor, casting="unsafe")
+        level = flat_levels[start : start + size]
+        np.copyto(level, floor, casting="unsafe")
+        np.add(level, up, out=level)
 
 
 # --------------------------------------------------------------------------- #
@@ -347,34 +482,60 @@ class LazyTransmitted(Sequence):
     actually consumes the report -- error feedback, the equivalence suite, or
     user code.  Plain aggregation rounds never pay for it.
 
-    The factory must return the stacked ``(n, d)`` float32 matrix of
-    transmitted contributions; it must capture copies of whatever state it
-    needs (workspace buffers may be overwritten by later rounds).
+    The factory must return a new stacked ``(n, d)`` float32 matrix of
+    transmitted contributions.  A factory that reads a workspace buffer (the
+    integer levels, the FP16 wire) takes it as its one argument: pass the
+    buffer as ``borrowed`` together with its ``workspace``, and the report
+    reads it in place until the workspace hands it out again, then from a
+    private copy (:meth:`RoundWorkspace.lend`).  A factory without
+    ``borrowed`` takes no argument and must capture copies of whatever state
+    it needs.
     """
 
-    def __init__(self, num_workers: int, factory: Callable[[], np.ndarray]):
+    def __init__(
+        self,
+        num_workers: int,
+        factory: Callable[..., np.ndarray],
+        *,
+        borrowed: np.ndarray | None = None,
+        workspace: RoundWorkspace | None = None,
+    ):
         if num_workers < 1:
             raise ValueError("num_workers must be >= 1")
+        if (borrowed is None) != (workspace is None):
+            raise ValueError("a borrowed buffer needs the workspace that lent it")
         self._num_workers = num_workers
-        self._factory: Callable[[], np.ndarray] | None = factory
+        self._factory: Callable[..., np.ndarray] | None = factory
+        self._borrowed = borrowed
         self._matrix: np.ndarray | None = None
+        if workspace is not None:
+            workspace.lend(borrowed, self)
 
     @property
     def materialized(self) -> bool:
         """Whether the report has been computed yet."""
         return self._matrix is not None
 
+    def detach(self) -> None:
+        """Read a private copy of the borrowed buffer from now on."""
+        if self._borrowed is not None:
+            self._borrowed = np.array(self._borrowed, copy=True)
+
     def matrix(self) -> np.ndarray:
         """The stacked ``(n, d)`` transmitted matrix (computing it if needed)."""
         if self._matrix is None:
             assert self._factory is not None
-            matrix = np.asarray(self._factory())
+            if self._borrowed is None:
+                matrix = np.asarray(self._factory())
+            else:
+                matrix = np.asarray(self._factory(self._borrowed))
             if matrix.ndim != 2 or matrix.shape[0] != self._num_workers:
                 raise ValueError(
                     "transmitted factory must return an (n_workers, d) matrix"
                 )
             self._matrix = matrix
             self._factory = None
+            self._borrowed = None
         return self._matrix
 
     def __len__(self) -> int:

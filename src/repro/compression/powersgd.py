@@ -33,6 +33,7 @@ from repro.compression.base import (
     SimContext,
 )
 from repro.compression.kernels import LazyTransmitted
+from repro.compression.precision import gather_fp16_rows
 from repro.compression.spec import Param, register
 
 
@@ -324,10 +325,12 @@ class PowerSGDCompressor(AggregationScheme):
         tail = d - covered
         if tail > 0:
             tail_matrix = np.empty((n, tail), dtype=np.float32)
-            self._gather_rows(
-                [np.asarray(rows_in[i])[covered:] for i in range(n)], tail_matrix
+            gather_fp16_rows(
+                [np.asarray(rows_in[i])[covered:] for i in range(n)],
+                tail_matrix,
+                workspace=ctx.workspace,
+                label="powersgd.tail",
             )
-            np.copyto(tail_matrix, tail_matrix.astype(np.float16), casting="unsafe")
             mean_estimate[covered:] = ctx.backend.allreduce_matrix(
                 tail_matrix, wire_bits_per_value=16.0, op=MeanOp()
             )

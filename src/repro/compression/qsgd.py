@@ -165,15 +165,15 @@ class QSGDCompressor(AggregationScheme):
         mean = level_sum.astype(np.float32)
         mean *= np.float32(scale * shared_norm / n)
 
-        levels_snapshot = np.array(levels, copy=True)
-
-        def materialize_transmitted() -> np.ndarray:
-            dense = levels_snapshot.astype(np.float32)
+        def materialize_transmitted(levels: np.ndarray) -> np.ndarray:
+            dense = levels.astype(np.float32)
             dense *= np.float32(scale * shared_norm)
             return dense
 
         return AggregationResult(
             mean_estimate=mean,
             bits_per_coordinate=self.expected_bits_per_coordinate(d, n),
-            per_worker_transmitted=LazyTransmitted(n, materialize_transmitted),
+            per_worker_transmitted=LazyTransmitted(
+                n, materialize_transmitted, borrowed=levels, workspace=workspace
+            ),
         )

@@ -277,17 +277,22 @@ class THCCompressor(AggregationScheme):
             collective=self.aggregation.collective(),
         )
 
-        # --- Quantize (clip and stochastic rounding in tiles) -------------- #
+        # --- Quantize (scale, clip and stochastic rounding in tiles) ------- #
         max_level = float(self.quantizer.max_level)
         inverse_scale = np.zeros(num_chunks, dtype=np.float32)
         np.divide(
             max_level, shared_ranges, out=inverse_scale, where=shared_ranges > 0
         )
-        chunked *= inverse_scale[None, :, None]
         wire_dtype = smallest_int_dtype(self._wire_headroom(n))
         levels = workspace.buf("thc.levels", (n, padded_size), wire_dtype)
         round_stochastically(
-            work, levels, ctx.rng, max_level, workspace=workspace, label="thc"
+            work,
+            levels,
+            ctx.rng,
+            max_level,
+            scale=inverse_scale,
+            workspace=workspace,
+            label="thc",
         )
 
         # --- Integer all-reduce (host rings or in-network switches) -------- #
@@ -321,15 +326,14 @@ class THCCompressor(AggregationScheme):
 
         # Per-worker transmitted contributions, deferred: plain rounds never
         # pay for the extra inverse rotation over the worker matrix.  The
-        # closure snapshots the (narrow) integer levels because the workspace
-        # buffers are recycled by later rounds.
-        levels_snapshot = np.array(levels, copy=True)
+        # report reads the workspace's levels, and copies them only if a
+        # later round asks for the buffer while the report is still unread.
         sign_vector = (
             rotation.signs(padded_size, np.float32) if rotation is not None else None
         )
 
-        def materialize_transmitted() -> np.ndarray:
-            dense = levels_snapshot.astype(np.float32)
+        def materialize_transmitted(levels: np.ndarray) -> np.ndarray:
+            dense = levels.astype(np.float32)
             shaped = dense.reshape(n, num_chunks, chunk_elements)
             shaped *= scales[None, :, None]
             if depth:
@@ -341,7 +345,9 @@ class THCCompressor(AggregationScheme):
         return AggregationResult(
             mean_estimate=mean,
             bits_per_coordinate=float(self.wire_bits),
-            per_worker_transmitted=LazyTransmitted(n, materialize_transmitted),
+            per_worker_transmitted=LazyTransmitted(
+                n, materialize_transmitted, borrowed=levels, workspace=workspace
+            ),
         )
 
     def saturation_probability(

@@ -34,6 +34,7 @@ from repro.compression.base import (
     SimContext,
 )
 from repro.compression.kernels import TILE_ELEMENTS, LazyTransmitted, RoundWorkspace
+from repro.compression.precision import gather_fp16_rows
 from repro.compression.spec import Param, register
 
 #: Wire width of the chunk-norm consensus stage and of the value stage (FP16).
@@ -247,7 +248,10 @@ class TopKChunkedCompressor(AggregationScheme):
         selected_mask = selected_mask[:d]
         selected_indices = np.flatnonzero(selected_mask)
 
-        payload = work[:, selected_indices].astype(np.float16).astype(np.float32)
+        # take() keeps the payload rows contiguous (work[:, indices] would
+        # lay them out column-major); they round to FP16 in place.
+        payload = np.take(work, selected_indices, axis=1)
+        gather_fp16_rows(payload, payload, workspace=workspace, label="topkc.payload")
         value_sum = ctx.backend.allreduce_matrix(
             payload, wire_bits_per_value=STAGE_BITS, op=SumOp()
         )

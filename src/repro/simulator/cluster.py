@@ -291,11 +291,19 @@ class ClusterSpec:
         return max(profile.slowdown for profile, _ in segments)
 
     def worst_nic_scale(self) -> float:
-        """Transfer-time multiplier of the slowest NIC tier in the cluster."""
-        segments = self._canonical_profiles()
-        if segments is None:
-            return 1.0
-        return max(profile.nic_scale for profile, _ in segments)
+        """Transfer-time multiplier of the slowest NIC tier in the cluster.
+
+        Cached: the collective cost model asks for it several times per
+        priced round.
+        """
+
+        def build() -> float:
+            segments = self._canonical_profiles()
+            if segments is None:
+                return 1.0
+            return max(profile.nic_scale for profile, _ in segments)
+
+        return self._cached("_worst_nic_scale_cache", build)
 
     def slowdown_segments(self) -> tuple[tuple[float, int], ...]:
         """Run-length encoded per-rank slowdowns, ``((slowdown, count), ...)``.

@@ -165,11 +165,11 @@ class TestBoundary:
 #: may reach: the rows are the caller's, so what is counted is the scheme's
 #: own buffers and temporaries.
 AGGREGATE_PEAK_BYTES_PER_COORDINATE = {
-    "thc(q=4, rot=full, agg=sat)": 13,
-    "qsgd(q=4, agg=sat)": 7,
+    "thc(q=4, rot=full, agg=sat)": 12,
+    "qsgd(q=4, agg=sat)": 6,
     "topkc(b=2)": 6.5,
     "powersgd(r=4)": 10,
-    "baseline(p=fp16)": 7,
+    "baseline(p=fp16)": 5.53,
 }
 
 

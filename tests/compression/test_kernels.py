@@ -321,3 +321,83 @@ class TestReportOutlivesItsRound:
         second = next(held)
         np.testing.assert_array_equal(np.stack(list(first.per_worker_transmitted)), read_at_once)
         assert not np.array_equal(np.stack(list(second.per_worker_transmitted)), read_at_once)
+
+
+class TestRoundStochasticallyChunkScales:
+    """A per-chunk scale vector equals scaling each chunk first."""
+
+    @pytest.mark.parametrize(
+        "shape,num_chunks",
+        [
+            ((3, 1 << 15), 8),  # chunks smaller than a tile
+            ((2, 1 << 17), 1),  # one chunk per row, larger than a tile
+            ((3, 150000), 3),  # chunks that do not divide a tile
+            ((5, 1001), 7),  # short rows: a tile spans several rows
+        ],
+    )
+    def test_matches_prescaled_rounding(self, shape, num_chunks):
+        rows = np.random.default_rng(0).standard_normal(shape).astype(np.float32)
+        scales = np.random.default_rng(1).uniform(0.5, 8, num_chunks).astype(np.float32)
+        scales[0] = 0.0
+        chunked = rows.reshape(shape[0], num_chunks, -1) * scales[None, :, None]
+        rng, reference_rng = np.random.default_rng(2), np.random.default_rng(2)
+        levels = np.empty(shape, dtype=np.int8)
+        round_stochastically(
+            rows, levels, rng, 7.0, scale=scales, workspace=RoundWorkspace(), label="test"
+        )
+        expected = _whole_matrix_rounding(chunked.reshape(shape), reference_rng, 7.0, None)
+        np.testing.assert_array_equal(levels, expected)
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+    def test_rejects_uneven_chunks(self):
+        with pytest.raises(ValueError, match="chunks"):
+            round_stochastically(
+                np.ones((2, 10), dtype=np.float32),
+                np.empty((2, 10), dtype=np.int8),
+                np.random.default_rng(0),
+                7.0,
+                scale=np.ones(3, dtype=np.float32),
+                workspace=RoundWorkspace(),
+                label="test",
+            )
+
+
+class TestCopyOnReuse:
+    def report(self, workspace, calls):
+        levels = workspace.buf("levels", (2, 4), np.int8)
+        levels[...] = 3
+
+        def factory(borrowed):
+            calls.append(borrowed)
+            return borrowed.astype(np.float32)
+
+        return levels, LazyTransmitted(2, factory, borrowed=levels, workspace=workspace)
+
+    def test_unread_report_copies_before_the_buffer_is_reused(self):
+        workspace, calls = RoundWorkspace(), []
+        levels, report = self.report(workspace, calls)
+        assert workspace.buf("levels", (2, 4), np.int8) is levels
+        levels[...] = -1
+        np.testing.assert_array_equal(report.matrix(), np.full((2, 4), 3.0))
+        assert calls[0] is not levels
+
+    def test_read_or_dropped_report_never_copies(self, monkeypatch):
+        copies = []
+        monkeypatch.setattr(
+            LazyTransmitted, "detach", lambda report: copies.append(report)
+        )
+        workspace, calls = RoundWorkspace(), []
+        levels, report = self.report(workspace, calls)
+        report.matrix()
+        assert calls[0] is levels
+        workspace.buf("levels", (2, 4), np.int8)
+        _, report = self.report(workspace, calls)
+        del report
+        workspace.buf("levels", (2, 4), np.int8)
+        assert copies == []
+
+    def test_lend_rejects_foreign_buffers(self):
+        with pytest.raises(ValueError, match="workspace"):
+            LazyTransmitted(
+                1, np.array, borrowed=np.zeros((1, 2)), workspace=RoundWorkspace()
+            )

@@ -5,7 +5,8 @@ import pytest
 
 from repro.collectives.api import CollectiveBackend
 from repro.compression.base import SimContext
-from repro.compression.precision import PrecisionBaseline
+from repro.compression.kernels import RoundWorkspace
+from repro.compression.precision import PrecisionBaseline, gather_fp16_rows
 from repro.compression.registry import make_scheme
 from repro.simulator.cluster import multirack_cluster
 from repro.simulator.gpu import Precision
@@ -91,3 +92,24 @@ class TestCostEstimates:
         ring = ctx.backend.cost_model.ring_allreduce(10_000_000 * float(precision.bits))
         assert estimate.communication_seconds == ring.seconds
         assert make_scheme(scheme.spec()).estimate_costs(10_000_000, ctx) == estimate
+
+
+class TestGatherFp16Rows:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_equals_numpy_round_trip(self, dtype):
+        rows = np.random.default_rng(0).standard_normal((3, 70001)).astype(dtype)
+        rows[1] *= 1e-6  # mostly float16 subnormals
+        rows[2, ::1000] = 7e4  # tiles that overflow go through numpy's cast
+        out = np.empty(rows.shape, dtype=np.float32)
+        with np.errstate(over="ignore"):
+            expected = rows.astype(np.float32).astype(np.float16).astype(np.float32)
+        gather_fp16_rows(list(rows), out, workspace=RoundWorkspace(), label="test")
+        np.testing.assert_array_equal(out.view(np.uint32), expected.view(np.uint32))
+
+    def test_reads_strided_rows_only(self):
+        matrix = np.random.default_rng(1).standard_normal((2, 200), dtype=np.float32)
+        rows = matrix[:, ::2]
+        rows.flags.writeable = False
+        out = np.empty((2, 100), dtype=np.float32)
+        gather_fp16_rows(rows, out, workspace=RoundWorkspace(), label="test")
+        np.testing.assert_array_equal(out, rows.astype(np.float16).astype(np.float32))
