@@ -9,14 +9,14 @@ backwards compatibility with the original driver-oriented layout.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
 from repro.collectives.api import CollectiveBackend
 from repro.compression.base import AggregationScheme, CostEstimate, SimContext, price_round
 from repro.compression.registry import configure_scheme_for_shapes
-from repro.core.metrics import vnmse
+from repro.core.metrics import squared_norm, vnmse
 from repro.simulator.cluster import ClusterSpec, paper_testbed
 from repro.simulator.gpu import Precision
 from repro.simulator.kernel_cost import KernelCostModel
@@ -231,8 +231,16 @@ def bert_like_gradients(
     return SyntheticGradientModel(num_coordinates, seed=seed, **BERT_GRADIENT_PRESET)
 
 
-#: One vNMSE gradient round: the ``(n, d)`` worker rows and their exact mean.
-GradientRound = tuple[np.ndarray, np.ndarray]
+class GradientRound(NamedTuple):
+    """One vNMSE gradient round: the ``(n, d)`` worker rows and their exact mean.
+
+    ``energy`` is the mean's squared norm, the vNMSE denominator, taken once
+    per round however many schemes are scored on it.
+    """
+
+    rows: np.ndarray
+    true_mean: np.ndarray
+    energy: float
 
 
 def check_vnmse_call(
@@ -254,7 +262,8 @@ def check_vnmse_call(
 def draw_round(generator: SyntheticGradientModel, num_workers: int) -> GradientRound:
     """The generator's next round of worker rows, with its true mean."""
     rows = generator.next_round(num_workers)
-    return rows, generator.true_mean(rows)
+    true_mean = generator.true_mean(rows)
+    return GradientRound(rows, true_mean, squared_norm(true_mean))
 
 
 def vnmse_over_rounds(
@@ -266,8 +275,8 @@ def vnmse_over_rounds(
     rest of the result is dropped before the next round is aggregated.
     """
     errors = [
-        vnmse(scheme.aggregate(rows, ctx).mean_estimate, true_mean)
-        for rows, true_mean in rounds
+        vnmse(scheme.aggregate(rows, ctx).mean_estimate, true_mean, energy=energy)
+        for rows, true_mean, energy in rounds
     ]
     return float(np.mean(errors))
 

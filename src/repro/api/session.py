@@ -95,8 +95,8 @@ class _GradientRounds:
     """The session's vNMSE rounds of one ``(d, gradient_seed, n)`` key.
 
     Holds the generator (so a longer call continues its stream) and every
-    round drawn so far, read-only: the rows and true means are shared by
-    every scheme the session measures.
+    round drawn so far, read-only: the rows, true means and vNMSE
+    denominators are shared by every scheme the session measures.
     """
 
     key: tuple[int, int, int]
@@ -105,10 +105,9 @@ class _GradientRounds:
 
 
 def _read_only(round_: GradientRound) -> GradientRound:
-    rows, true_mean = round_
-    for array in (rows, true_mean):
+    for array in (round_.rows, round_.true_mean):
         array.flags.writeable = False
-    return rows, true_mean
+    return round_
 
 
 def _run_sweep_task(task: _SweepTask) -> tuple[float, object]:

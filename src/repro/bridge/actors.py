@@ -2,24 +2,23 @@
 
 This is where a registered scheme stops being simulated and actually *runs*.
 Every worker executes the scheme's one implementation -- the same kernels
-``session.vnmse`` and ``tta`` run -- but the collective backend underneath it
-is a :class:`TransportBackend` that wire-encodes the worker's own row of each
-collective payload into real bytes, ships it to an :class:`AggregationServer`
-over a transport channel, and returns the reduced payload the server sends
-back.  The server stacks the decoded rows and folds them with the
-simulator's own matrix fold (:meth:`CollectiveBackend.allreduce_matrix` on
-the same cluster) and sends the aggregate back at its own dtype's width, so
-the only differences between a harness run and a monolithic simulation are
-the ones a real deployment has: wire-precision rounding and actual bytes on
-a channel.
+``session.vnmse`` and ``tta`` run -- on the one gradient row it holds, as a
+rank of a real deployment would.  Its collective backend is a
+:class:`TransportBackend` that holds just that rank
+(:attr:`~TransportBackend.local_ranks`): it wire-encodes the worker's row of
+each collective payload into real bytes, ships it to an
+:class:`AggregationServer` over a transport channel, and returns the reduced
+payload the server sends back.  The server stacks the decoded rows and folds
+them with the simulator's own matrix fold
+(:meth:`CollectiveBackend.allreduce_matrix` on the same cluster) and sends
+the aggregate back at its own dtype's width, so the only differences between
+a harness run and a monolithic simulation are the ones a real deployment
+has: wire-precision rounding and actual bytes on a channel.
 
-Execution is SPMD: worker ``i`` calls ``scheme.aggregate`` on a gradient
-list that is zero everywhere except its own rank.  Registered schemes derive
-their mean estimate exclusively from collective results (enforced by the
-exactness tests in ``tests/bridge/``), so the placeholder rows never leak
-into any output -- and every worker must finish the round holding the
-bit-identical mean estimate, which the harness asserts.  Workers share the
-seed, so every rank draws the same rng stream as the monolithic simulator.
+Workers share the seed, and a rank's stochastic kernels draw exactly its
+row's share of the stream the monolithic simulator draws for all rows, so
+every worker finishes the round holding the bit-identical mean estimate,
+which the harness asserts.
 
 Measured per round, per worker: real uplink payload bits/bytes (compared
 *exactly* against the simulator's traffic accounting), the scheme's VNMSE on
@@ -31,6 +30,7 @@ prices anything.
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing
 import tempfile
 import threading
@@ -81,10 +81,10 @@ class TransportBackend(CollectiveBackend):
     """A collective backend whose payloads cross a real transport channel.
 
     Drop-in replacement for :class:`CollectiveBackend` inside a
-    :class:`~repro.compression.base.SimContext`: each collective encodes
-    this rank's payload at its declared wire width, and the values it
-    returns come from the :class:`AggregationServer` at the other end of
-    ``endpoint``.
+    :class:`~repro.compression.base.SimContext` that holds one rank: each
+    collective is given that rank's payload row, encodes it at its declared
+    wire width, and returns the values the :class:`AggregationServer` at the
+    other end of ``endpoint`` folded from every rank's.
     """
 
     def __init__(
@@ -103,6 +103,11 @@ class TransportBackend(CollectiveBackend):
         self.timeout = timeout
         self.sequence = 0
         self.calls: list[CallRecord] = []
+
+    @property
+    def local_ranks(self) -> range:
+        """This backend holds its own rank's rows only."""
+        return range(self.rank, self.rank + 1)
 
     # -------------------------------------------------------------- #
     # Accounting
@@ -152,14 +157,10 @@ class TransportBackend(CollectiveBackend):
         op: ReduceOp | None = None,
         collective: Collective = Collective.RING_ALLREDUCE,
     ) -> np.ndarray:
-        """Send this rank's row; the server folds every rank's and replies.
-
-        The other rows are the rank's local placeholders and never leave it.
-        """
+        """Send this rank's one-row payload; the server folds every rank's and replies."""
         self._check_matrix(matrix)
         op = op or SumOp()
-        own = np.asarray(matrix[self.rank])
-        section = encode_section(own, wire_bits_per_value)
+        section = encode_section(np.asarray(matrix[0]), wire_bits_per_value)
         self._record("allreduce", [section])
         reply = self._exchange(
             {
@@ -177,14 +178,10 @@ class TransportBackend(CollectiveBackend):
         *,
         wire_bits_per_section: tuple[float, ...],
     ) -> list[tuple[np.ndarray, ...]]:
-        if len(worker_sections) != self.world_size:
-            raise ValueError(
-                f"expected {self.world_size} payloads, got {len(worker_sections)}"
-            )
-        own = worker_sections[self.rank]
+        self._check_count(len(worker_sections), "payloads")
         sections = [
             encode_section(np.asarray(array), bits)
-            for array, bits in zip(own, wire_bits_per_section)
+            for array, bits in zip(worker_sections[0], wire_bits_per_section)
         ]
         self._record("allgather", sections)
         reply = self._exchange({"kind": "allgather", "sections": sections})
@@ -338,18 +335,13 @@ class GradientWorker:
             rng=np.random.default_rng(self.seed),
         )
         scheme = make_scheme(self.spec)
-        world = self.cluster.world_size
         rounds = []
         for index, row in self.rows:
-            # SPMD: only this worker's own row carries data; peers'
-            # contributions arrive through the collective, never this list.
-            gradients = [np.zeros_like(row)] * world
-            gradients[self.rank] = row
             calls_before = len(backend.calls)
             bits_before = backend.uplink_bits
             bytes_before = backend.uplink_bytes
             started = time.perf_counter()
-            result = scheme.aggregate(gradients, ctx)
+            result = scheme.aggregate([row], ctx)
             wall_seconds = time.perf_counter() - started
             rounds.append(
                 {
@@ -547,16 +539,20 @@ def _run_multiprocess(
     cluster: ClusterSpec,
     seed: int,
     timeout: float,
-    trace_dir: str | None,
 ) -> HarnessResult:
     world = cluster.world_size
-    with tempfile.TemporaryDirectory(prefix="bridge-trace-") as scratch:
-        if trace_dir is None:
-            # Workers read their own rank's rows from disk -- the honest
-            # path: each process sees only the recorded artifact, not
-            # driver memory.
-            save_trace(trace, scratch)
-            trace_dir = scratch
+    # Workers read their own rank's rows from disk -- the honest path: each
+    # process sees only the recorded artifact, not driver memory.  A trace
+    # read from disk is read again from there; one built in memory is saved
+    # for the call.
+    saved = trace.source is None
+    with (
+        tempfile.TemporaryDirectory(prefix="bridge-trace-")
+        if saved
+        else contextlib.nullcontext(trace.source)
+    ) as trace_dir:
+        if saved:
+            save_trace(trace, trace_dir)
         channels = [multiprocess_channel() for _ in range(world)]
         mp_context = multiprocessing.get_context()
         processes = [
@@ -620,14 +616,14 @@ def run_harness(
             rounding (different seeds agree only in distribution).
         transport: ``"inprocess"`` (worker threads, the default) or
             ``"process"`` (one OS process per worker; payloads cross real
-            pipes and workers load the trace from disk).
+            pipes and each worker reads its rows from disk: from the
+            directory a loaded trace came from, else from a save made for
+            the call).
         timeout: Per-message channel timeout; a crashed or deadlocked actor
             surfaces as :class:`~repro.bridge.transport.BridgeTimeoutError`.
     """
-    trace_dir: str | None = None
     if isinstance(trace, (str, Path)):
-        trace_dir = str(trace)
-        trace = load_trace(trace_dir)
+        trace = load_trace(trace)
     cluster = cluster or paper_testbed()
     if cluster.world_size != trace.num_workers:
         raise ValueError(
@@ -637,5 +633,5 @@ def run_harness(
     if transport == "inprocess":
         return _run_inprocess(spec, trace, cluster, seed, timeout)
     if transport == "process":
-        return _run_multiprocess(spec, trace, cluster, seed, timeout, trace_dir)
+        return _run_multiprocess(spec, trace, cluster, seed, timeout)
     raise ValueError(f"unknown transport {transport!r}; use 'inprocess' or 'process'")

@@ -11,10 +11,11 @@ bit; the validation family and ``tests/bridge`` enforce it.
 The simulated run executes the same code as the harness and as
 ``session.vnmse``/``tta``: one kernel pass over all workers' rows, whose
 collective calls carry one row per worker -- exactly what each harness rank
-puts on its wire.  With the same seed every harness rank draws the same rng
-stream, so the two sides differ only by the wire's rounding (FP16 and FP32
-payloads).  The run's simulated seconds come from the scheme's
-``estimate_costs``, the one cost ledger, not from the aggregation.
+computes from its own row and puts on its wire.  With the same seed each
+harness rank draws its row's share of the simulator's rng stream, so the two
+sides differ only by the wire's rounding (FP16 and FP32 payloads).  The
+run's simulated seconds come from the scheme's ``estimate_costs``, the one
+cost ledger, not from the aggregation.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.bridge.trace import GradientTrace
+from repro.bridge.trace import GradientTrace, mean_row
 from repro.collectives.api import Collective, CollectiveBackend
 from repro.collectives.ops import ReduceOp
 from repro.compression.base import SimContext
@@ -168,8 +169,9 @@ def simulate_trace(
 
     rounds = []
     for step in trace.steps:
+        rows = step.flats()
         calls_before = len(backend.calls)
-        result = scheme.aggregate(step.flats(), ctx)
+        result = scheme.aggregate(rows, ctx)
         step_calls = backend.calls[calls_before:]
         per_worker = tuple(
             sum(call.per_worker_bits[rank] for call in step_calls)
@@ -179,7 +181,7 @@ def simulate_trace(
         rounds.append(
             SimulatedRound(
                 index=step.index,
-                vnmse=vnmse(mean, step.true_mean()),
+                vnmse=vnmse(mean, mean_row(rows)),
                 mean_estimate=mean,
                 per_worker_bits=per_worker,
                 collective_calls=len(step_calls),

@@ -118,16 +118,29 @@ class TraceStep:
 
     def true_mean(self) -> np.ndarray:
         """The exact mean gradient of this step (the harness's ground truth)."""
-        return np.mean(np.stack(self.flats()), axis=0)
+        return mean_row(self.flats())
+
+
+def mean_row(rows: Sequence[np.ndarray]) -> np.ndarray:
+    """The exact mean of equal-length rows: a step's true mean from its flats."""
+    return np.mean(np.stack(rows), axis=0)
 
 
 @dataclass
 class GradientTrace:
-    """An in-memory gradient trace: layer schema, steps, free-form metadata."""
+    """An in-memory gradient trace: layer schema, steps, free-form metadata.
+
+    ``source`` is the directory :func:`load_trace` read the trace from (None
+    for a trace built in memory, and for any copy made with
+    ``dataclasses.replace``).  The process transport's workers read their
+    rows from it instead of from a fresh save, so a loaded trace must not be
+    edited in place.
+    """
 
     layers: tuple[LayerSpec, ...]
     steps: list[TraceStep]
     metadata: dict = field(default_factory=dict)
+    source: Path | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         self.layers = tuple(self.layers)
@@ -346,6 +359,8 @@ def read_shards(
 def load_trace(directory: str | Path) -> GradientTrace:
     """Load a trace from ``directory``, validating it against its manifest.
 
+    The trace records ``directory`` as its :attr:`~GradientTrace.source`.
+
     Raises:
         TraceFormatError: The manifest is missing, unparseable, from an
             unknown format/version, or any shard array deviates from the
@@ -358,9 +373,11 @@ def load_trace(directory: str | Path) -> GradientTrace:
             manifest, range(manifest.num_workers)
         )
     ]
-    return GradientTrace(
+    trace = GradientTrace(
         layers=manifest.layers, steps=steps, metadata=manifest.metadata
     )
+    trace.source = manifest.root
+    return trace
 
 
 def load_rank_rows(directory: str | Path, rank: int) -> list[tuple[int, np.ndarray]]:

@@ -1,10 +1,13 @@
 """Unified collective backend: the fold every scheme's collectives run.
 
 :class:`CollectiveBackend` is what the schemes talk to.  Each call takes the
-per-worker payloads (one row per worker) plus the number of *wire bits per
-value* and returns the values every worker holds afterwards.  It computes
-values only: a round's simulated seconds come from the scheme's
-``estimate_costs``, which prices its collectives on :attr:`cost_model`.
+payloads of the ranks its caller holds (one row per rank of
+:attr:`~CollectiveBackend.local_ranks`) plus the number of *wire bits per
+value* and returns the values every worker holds afterwards.  The simulator
+holds every rank, so this backend folds all ``n`` rows; a bridge rank's
+backend holds and sends its own.  It computes values only: a round's
+simulated seconds come from the scheme's ``estimate_costs``, which prices
+its collectives on :attr:`cost_model`.
 """
 
 from __future__ import annotations
@@ -54,6 +57,15 @@ class CollectiveBackend:
         """Number of workers participating in every collective."""
         return self.cluster.world_size
 
+    @property
+    def local_ranks(self) -> range:
+        """The ranks whose rows the caller holds and passes in: all of them.
+
+        Schemes run their kernels over exactly these rows; a backend that
+        stands for one rank of a real deployment holds only that rank.
+        """
+        return range(self.world_size)
+
     # ------------------------------------------------------------------ #
     def allreduce_matrix(
         self,
@@ -63,7 +75,7 @@ class CollectiveBackend:
         op: ReduceOp | None = None,
         collective: Collective = Collective.RING_ALLREDUCE,
     ) -> np.ndarray:
-        """All-reduce a stacked ``(n_workers, d)`` matrix, one row per worker.
+        """All-reduce a stacked ``(len(local_ranks), d)`` matrix, one row per rank.
 
         Returns the aggregate every worker holds.  The folds of
         :mod:`repro.collectives.batched` apply the operator in the
@@ -91,15 +103,13 @@ class CollectiveBackend:
         """All-gather payloads made of heterogeneous sections per worker.
 
         Sparsification payloads are not one homogeneous array: TopK ships
-        32-bit indices next to 16-bit values.  Each worker contributes a tuple
-        of section arrays; section ``j`` travels at ``wire_bits_per_section[j]``
-        bits per element.  Returns, per worker, the tuple of section arrays
+        32-bit indices next to 16-bit values.  Each rank of
+        :attr:`local_ranks` contributes a tuple of section arrays; section
+        ``j`` travels at ``wire_bits_per_section[j]`` bits per element.
+        Returns, for every worker of the world, the tuple of section arrays
         that worker sent -- exactly what every worker ends up holding.
         """
-        if len(worker_sections) != self.world_size:
-            raise ValueError(
-                f"expected {self.world_size} payloads, got {len(worker_sections)}"
-            )
+        self._check_count(len(worker_sections), "payloads")
         num_sections = len(wire_bits_per_section)
         for sections in worker_sections:
             if len(sections) != num_sections:
@@ -113,10 +123,12 @@ class CollectiveBackend:
         ]
 
     # ------------------------------------------------------------------ #
+    def _check_count(self, count: int, what: str) -> None:
+        expected = len(self.local_ranks)
+        if count != expected:
+            raise ValueError(f"expected {expected} {what}, got {count}")
+
     def _check_matrix(self, matrix: np.ndarray) -> None:
         if matrix.ndim != 2:
             raise ValueError("matrix must be 2-D (one row per worker)")
-        if matrix.shape[0] != self.world_size:
-            raise ValueError(
-                f"expected {self.world_size} worker rows, got {matrix.shape[0]}"
-            )
+        self._check_count(matrix.shape[0], "worker rows")

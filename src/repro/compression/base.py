@@ -59,6 +59,11 @@ class SimContext:
         """Number of workers whose gradients are aggregated."""
         return self.backend.world_size
 
+    @property
+    def local_ranks(self) -> range:
+        """The ranks whose gradient rows the caller holds (the backend's)."""
+        return self.backend.local_ranks
+
     def for_cluster(
         self, cluster: ClusterSpec, *, rng: np.random.Generator | None = None
     ) -> SimContext:
@@ -93,9 +98,10 @@ class AggregationResult:
         bits_per_coordinate: Communication volume ``b``: all-reduce (or
             all-gather / PS) input bits per gradient coordinate, summed over
             all communication stages of the protocol.
-        per_worker_transmitted: For error feedback -- what each worker's own
-            contribution became after compression, expressed in the original
-            gradient space.  ``None`` when the scheme is lossless from the
+        per_worker_transmitted: For error feedback -- what each held
+            worker's own contribution became after compression, expressed in
+            the original gradient space, one row per rank of
+            ``ctx.local_ranks``.  ``None`` when the scheme is lossless from the
             worker's perspective (precision baselines) or when the notion
             does not apply.  A scheme may return a
             :class:`~repro.compression.kernels.LazyTransmitted` sequence that
@@ -194,34 +200,38 @@ class AggregationScheme(abc.ABC):
     def aggregate(
         self, worker_gradients: list[np.ndarray], ctx: SimContext
     ) -> AggregationResult:
-        """Aggregate one gradient per worker into a mean estimate.
+        """Aggregate the held workers' gradients into a mean estimate.
 
-        Validates the list and runs :meth:`aggregate_rows` on it.
-        Implementations must not modify the input gradients.
+        ``worker_gradients`` holds one gradient per rank of
+        ``ctx.local_ranks``: every worker's in the simulator, the rank's own
+        on a bridge rank.  Validates the list and runs :meth:`aggregate_rows`
+        on it.  Implementations must not modify the input gradients.
         """
-        d, _ = self._validate_gradients(worker_gradients, ctx.world_size)
+        d, _ = self._validate_gradients(worker_gradients, len(ctx.local_ranks))
         return self.aggregate_rows(worker_gradients, ctx, d)
 
     def aggregate_matrix(
         self, matrix: np.ndarray, ctx: SimContext
     ) -> AggregationResult:
-        """Aggregate a stacked ``(n_workers, d)`` gradient matrix.
+        """Aggregate a stacked ``(len(ctx.local_ranks), d)`` gradient matrix.
 
         Validates the matrix and runs :meth:`aggregate_rows` on it; wrappers
-        (error feedback) hand the whole worker matrix over in one piece.
+        (error feedback) hand their held rows over in one piece.
         Implementations must not modify ``matrix``.
         """
-        _, d = self._validate_matrix(matrix, ctx.world_size)
+        _, d = self._validate_matrix(matrix, len(ctx.local_ranks))
         return self.aggregate_rows(matrix, ctx, d)
 
     @abc.abstractmethod
     def aggregate_rows(self, rows, ctx: SimContext, d: int) -> AggregationResult:
-        """The scheme's one aggregation body, over validated worker rows.
+        """The scheme's one aggregation body, over validated held rows.
 
-        ``rows`` is an ``(n, d)`` matrix or a list of ``n`` length-``d``
-        vectors, only read.  The body runs unchanged on a bridge rank, where
-        every row but the rank's own is a zero placeholder: the mean estimate
-        must come only from collective results.
+        ``rows`` is a ``(len(ctx.local_ranks), d)`` matrix or a list of
+        length-``d`` vectors, one per held rank, only read.  The body encodes
+        just those rows and learns the others' contributions only through
+        the collectives; every ``n`` it divides a mean by, sizes a
+        saturation headroom or a wire dtype with is ``ctx.world_size``.  A
+        ``per_worker_transmitted`` report covers the held rows.
         """
 
     @abc.abstractmethod
@@ -283,13 +293,13 @@ class AggregationScheme(abc.ABC):
     # Shared validation helpers
     # ------------------------------------------------------------------ #
     @staticmethod
-    def _validate_matrix(matrix: np.ndarray, world_size: int) -> tuple[int, int]:
-        """Check a stacked worker matrix and return ``(n_workers, d)``."""
+    def _validate_matrix(matrix: np.ndarray, num_rows: int) -> tuple[int, int]:
+        """Check a stacked worker matrix and return ``(num_rows, d)``."""
         if matrix.ndim != 2:
             raise ValueError("matrix must be 2-D (one row per worker)")
-        if matrix.shape[0] != world_size:
+        if matrix.shape[0] != num_rows:
             raise ValueError(
-                f"expected {world_size} worker rows, got {matrix.shape[0]}"
+                f"expected {num_rows} worker rows, got {matrix.shape[0]}"
             )
         if matrix.shape[1] == 0:
             raise ValueError("gradients must be non-empty")
@@ -316,12 +326,12 @@ class AggregationScheme(abc.ABC):
 
     @staticmethod
     def _validate_gradients(
-        worker_gradients: list[np.ndarray], world_size: int
+        worker_gradients: list[np.ndarray], num_rows: int
     ) -> tuple[int, np.dtype]:
         """Check shapes/ranks and return (num_coordinates, dtype)."""
-        if len(worker_gradients) != world_size:
+        if len(worker_gradients) != num_rows:
             raise ValueError(
-                f"expected {world_size} worker gradients, got {len(worker_gradients)}"
+                f"expected {num_rows} worker gradients, got {len(worker_gradients)}"
             )
         first = worker_gradients[0]
         if first.ndim != 1:

@@ -48,7 +48,7 @@ class ErrorFeedback(AggregationScheme):
             raise ValueError("decay must be in [0, 1]")
         self.scheme = scheme
         self.decay = decay
-        #: Residual state, stored as one (n_workers, d) float32 matrix.
+        #: Residual state, stored as one (held workers, d) float32 matrix.
         self._residual_matrix: np.ndarray | None = None
         self.name = f"ef({scheme.name})"
 
@@ -94,17 +94,17 @@ class ErrorFeedback(AggregationScheme):
 
     @property
     def residuals(self) -> list[np.ndarray] | None:
-        """The per-worker residuals carried to the next round (None before the first)."""
+        """The held workers' residuals carried to the next round (None before the first)."""
         if self._residual_matrix is None:
             return None
         return list(self._residual_matrix)
 
     def _residuals_for(self, n: int, d: int) -> np.ndarray:
-        """The residual matrix, initialised on first use and shape-checked.
+        """The ``(n, d)`` residual matrix of the held rows, initialised on first use.
 
-        A changed *worker count* (elastic membership: a scenario's join/leave
-        events) resets the residuals -- a real elastic job cannot carry a
-        departed worker's residual, and a joiner starts with none.  A changed
+        A changed *held-worker count* (elastic membership: a scenario's
+        join/leave events) resets the residuals -- a real elastic job cannot
+        carry a departed worker's residual, and a joiner starts with none.  A changed
         gradient *size* is still an error: that is a different model, not a
         membership change.
         """
@@ -123,12 +123,12 @@ class ErrorFeedback(AggregationScheme):
     def aggregate_rows(self, rows, ctx: SimContext, d: int) -> AggregationResult:
         """Run the wrapped scheme on gradient plus residual; fold the new residual.
 
-        The residual update is two fused elementwise passes over the
-        ``(n, d)`` matrix -- and when the wrapped scheme reports its
-        transmitted payloads lazily, this is the single place that pays for
-        materializing them.
+        Residuals are kept for the held rows only (a bridge rank keeps its
+        own).  The residual update is two fused elementwise passes over those
+        rows -- and when the wrapped scheme reports its transmitted payloads
+        lazily, this is the single place that pays for materializing them.
         """
-        n = ctx.world_size
+        n = len(ctx.local_ranks)
         residuals = self._residuals_for(n, d)
         # The label is instance-unique so nested wrappers never alias each
         # other's adjusted-gradient buffers.

@@ -1,10 +1,10 @@
 """Kernel primitives of the compression hot path.
 
-Every aggregation scheme stacks the ``n_workers`` gradients into one
-``(n, d)`` float32 matrix and runs each kernel (Hadamard rotation,
-quantization, residual updates, saturating folds) as one fused array pass
-over all workers.  The same code runs in the monolithic simulator and on
-every rank of the real-tensor bridge (:mod:`repro.bridge`).
+Every aggregation scheme stacks the gradients its caller holds into one
+float32 matrix -- all ``n`` workers' in the monolithic simulator, its own
+row on a rank of the real-tensor bridge (:mod:`repro.bridge`) -- and runs
+each kernel (Hadamard rotation, quantization, residual updates, saturating
+folds) as one fused array pass over those rows.
 
 This module holds the shared building blocks:
 
@@ -15,13 +15,14 @@ This module holds the shared building blocks:
   ``H_{2^depth}``), which runs at BLAS speed instead of ``depth`` strided
   element passes, one block of rows at a time through block-sized scratch;
 * :func:`round_stochastically` -- the one stochastic-rounding kernel of the
-  integer quantizers (THC, QSGD), walking the worker matrix in cache-sized
+  integer quantizers (THC, QSGD), walking the held rows in cache-sized
   tiles instead of streaming whole-matrix temporaries.  Its float32
   uniforms are numpy's own (``rng.random(dtype=np.float32)`` is
-  ``next_uint32 >> 8`` times 2^-24), built from raw PCG64 words when the
-  generator is a ``PCG64`` on a little-endian host and drawn through
-  ``rng.random`` otherwise -- the same values and the same rng state
-  either way;
+  ``next_uint32 >> 8`` times 2^-24), the held rows' share of one draw over
+  all ``n`` rows: built from raw PCG64 words (other rows' words skipped
+  with ``advance``) when the generator is a ``PCG64`` on a little-endian
+  host, drawn through ``rng.random`` otherwise -- the same values and the
+  same rng state either way;
 * :func:`cached_signs` -- the shared random sign diagonals, generated once
   per (seed, size) instead of once per worker per round;
 * :class:`LazyTransmitted` -- a deferred ``per_worker_transmitted`` report
@@ -297,59 +298,90 @@ _LITTLE_ENDIAN = sys.byteorder == "little"
 
 
 class _UniformStream:
-    """The float32 uniforms ``rng.random(dtype=np.float32)`` would draw, in order.
+    """The uniforms of one ``rng.random(total, dtype=np.float32)``, from ``start`` on.
 
-    For a ``PCG64`` bit generator on a little-endian host the bulk comes
-    from raw 64-bit words: numpy's float32 draw is ``next_uint32 >> 8``
-    times 2^-24, and ``next_uint32`` hands out the low, then the high half of
-    each word, so ``random_raw(k)`` viewed as ``2k`` ``uint32`` gives the
-    same uniforms without numpy's per-element float path.  Around the bulk,
-    ``rng.random`` draws:
+    The stream is the one a single draw of ``total`` float32 uniforms would
+    give; :meth:`fill` hands out its uniforms from ``start`` on, in order,
+    and :meth:`finish` skips the rest, leaving the generator exactly where
+    that whole draw leaves it (``has_uint32`` and ``uinteger`` included).
 
-    * the head: the half word the generator holds buffered on entry, if any;
-    * the tail: the last two or three uniforms, so ``rng.random`` itself
-      leaves ``has_uint32`` and ``uinteger`` exactly as one draw over the
-      whole stream would (``random_raw`` never touches them).
-
-    The state is read once, on entry.  Any other generator (or host) draws
-    everything through ``rng.random``.  Fill calls may cut the stream
-    anywhere: a word split by a cut keeps its second half for the next call.
+    For a ``PCG64`` bit generator on a little-endian host numpy's float32
+    draw is ``next_uint32 >> 8`` times 2^-24, and ``next_uint32`` hands out
+    the low, then the high half of each 64-bit word.  So whole words inside
+    the stream come from ``random_raw`` (viewed as ``uint32`` pairs) when
+    they are wanted and are skipped with ``bit_generator.advance`` when they
+    are not.  Neither touches the half word the generator buffers, so
+    ``rng.random`` itself draws the rest: the buffered half on entry, a
+    single uniform at an odd cut (which buffers the word's high half for the
+    next uniform), and the stream's last word, after which the buffered-half
+    fields are the whole draw's.  Any other generator (or host) draws every
+    uniform through ``rng.random`` and discards the ones it skips.
     """
 
-    def __init__(self, rng: np.random.Generator, total: int):
+    def __init__(
+        self,
+        rng: np.random.Generator,
+        total: int,
+        start: int,
+        scratch: np.ndarray,
+    ):
         self._rng = rng
-        self._head = 0
-        self._raw = 0
-        self._carry: np.uint32 | None = None
+        self._total = total
+        self._scratch = scratch
+        self._position = 0
         bit_generator = rng.bit_generator
-        if _LITTLE_ENDIAN and type(bit_generator) is np.random.PCG64 and total >= 4:
+        self._fast = _LITTLE_ENDIAN and type(bit_generator) is np.random.PCG64
+        self._head = 0
+        self._raw_stop = 0
+        if self._fast:
+            # Whole words run over [head, raw_stop): past the buffered half
+            # word, up to the stream's last word.
             self._head = int(bit_generator.state["has_uint32"])
-            self._raw = 2 * max((total - self._head) // 2 - 1, 0)
+            words = -(-(total - self._head) // 2)
+            self._raw_stop = self._head + 2 * max(words - 1, 0)
+        self._walk(start)
 
     def fill(self, out: np.ndarray) -> None:
         """Fill ``out`` with the next ``out.size`` uniforms of the stream."""
-        filled = 0
-        if self._head:
-            self._rng.random(out=out[:1], dtype=np.float32)
-            self._head, filled = 0, 1
-        take = min(self._raw, out.size - filled)
-        if take:
-            self._fill_raw(out[filled : filled + take])
-            self._raw -= take
-            filled += take
-        if filled < out.size:
-            self._rng.random(out=out[filled:], dtype=np.float32)
+        self._walk(out.size, out)
 
-    def _fill_raw(self, out: np.ndarray) -> None:
-        if self._carry is not None:
-            out[0] = np.float32(self._carry) * _UNIFORM_SCALE
-            out = out[1:]
-            self._carry = None
-        halves = self._rng.bit_generator.random_raw(-(-out.size // 2)).view(np.uint32)
-        np.right_shift(halves, _UNIFORM_SHIFT, out=halves)
-        np.multiply(halves[: out.size], _UNIFORM_SCALE, out=out, dtype=np.float32)
-        if halves.size > out.size:
-            self._carry = halves[-1]
+    def finish(self) -> None:
+        """Skip the rest of the stream, leaving the whole draw's generator state."""
+        self._walk(self._total - self._position)
+
+    def _walk(self, count: int, out: np.ndarray | None = None) -> None:
+        """Move ``count`` uniforms on, writing them to ``out`` when given."""
+        first = self._position
+        position, end = first, first + count
+        while position < end:
+            if (
+                self._fast
+                and self._head <= position < self._raw_stop
+                and not (position - self._head) % 2
+                and end - position >= 2
+            ):
+                words = (min(end, self._raw_stop) - position) // 2
+                if out is None:
+                    self._rng.bit_generator.advance(words)
+                else:
+                    halves = self._rng.bit_generator.random_raw(words).view(np.uint32)
+                    np.right_shift(halves, _UNIFORM_SHIFT, out=halves)
+                    target = out[position - first : position - first + 2 * words]
+                    np.multiply(halves, _UNIFORM_SCALE, out=target, dtype=np.float32)
+                position += 2 * words
+                continue
+            if self._fast and position < self._raw_stop:
+                take = 1
+            else:
+                take = end - position
+            if out is None:
+                take = min(take, self._scratch.size)
+                target = self._scratch[:take]
+            else:
+                target = out[position - first : position - first + take]
+            self._rng.random(out=target, dtype=np.float32)
+            position += take
+        self._position = position
 
 
 def _scale_chunks(
@@ -380,6 +412,8 @@ def round_stochastically(
     scale: "np.float32 | np.ndarray | None" = None,
     workspace: RoundWorkspace,
     label: str,
+    first_row: int = 0,
+    stream_rows: int | None = None,
 ) -> None:
     """Stochastically round ``clip(rows * scale)`` onto integer ``levels``.
 
@@ -393,13 +427,18 @@ def round_stochastically(
     scratch is four tile buffers rather than whole-matrix temporaries, and
     ``rows`` (a matrix or a sequence of equal-length rows) is only read.
 
-    The uniforms are drawn tile after tile, and are bit for bit the stream
-    of one ``rng.random(size, dtype=np.float32)`` over the whole matrix,
-    leaving the same ``bit_generator.state`` (``uinteger`` included).  With
-    a ``PCG64`` generator on a little-endian host they come from raw 64-bit
-    words (``random_raw``, ``>> 8``, ``* 2^-24``), which skips numpy's
-    per-element float draw; any other generator (``MT19937``, ``Philox``,
-    ``PCG64DXSM``, ...) keeps ``rng.random`` (see :class:`_UniformStream`).
+    ``rows`` and ``levels`` are rows ``[first_row, first_row + len(levels))``
+    of a ``stream_rows``-row matrix (by default, the whole of it): a bridge
+    rank rounds its own row of the world's.  The uniforms are drawn tile
+    after tile, and are bit for bit those rows' share of one
+    ``rng.random(stream_rows * width, dtype=np.float32)`` over the whole
+    matrix, leaving the same ``bit_generator.state`` (``uinteger``
+    included).  With a ``PCG64`` generator on a little-endian host they come
+    from raw 64-bit words (``random_raw``, ``>> 8``, ``* 2^-24``), which
+    skips numpy's per-element float draw, and the other rows' words are
+    skipped with ``advance``; any other generator (``MT19937``, ``Philox``,
+    ``PCG64DXSM``, ...) draws them all through ``rng.random`` (see
+    :class:`_UniformStream`).
 
     The levels are ``floor(v)`` cast to the levels dtype plus the round-up
     bit, added in that dtype.  No clip follows the rounding: ``floor(v)`` of
@@ -423,7 +462,14 @@ def round_stochastically(
     floors = workspace.buf(f"{label}.floor", (tile,), np.float32)
     uniforms = workspace.buf(f"{label}.uniform", (tile,), np.float32)
     round_up = workspace.buf(f"{label}.round_up", (tile,), np.bool_)
-    stream = _UniformStream(rng, flat_levels.size)
+    if stream_rows is None:
+        stream_rows = levels.shape[0]
+    if not 0 <= first_row <= stream_rows - levels.shape[0]:
+        raise ValueError(
+            f"rows [{first_row}, {first_row + levels.shape[0]}) lie outside "
+            f"a {stream_rows}-row stream"
+        )
+    stream = _UniformStream(rng, stream_rows * width, first_row * width, uniforms)
     for start in range(0, flat_levels.size, tile):
         size = min(tile, flat_levels.size - start)
         value, floor = values[:size], floors[:size]
@@ -451,6 +497,7 @@ def round_stochastically(
         level = flat_levels[start : start + size]
         np.copyto(level, floor, casting="unsafe")
         np.add(level, up, out=level)
+    stream.finish()
 
 
 # --------------------------------------------------------------------------- #

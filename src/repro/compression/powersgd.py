@@ -259,21 +259,23 @@ class PowerSGDCompressor(AggregationScheme):
 
     # ------------------------------------------------------------------ #
     def aggregate_rows(self, rows_in, ctx: SimContext, d: int) -> AggregationResult:
-        """Per-layer power iteration with the workers stacked on a batch axis.
+        """Per-layer power iteration with the held rows stacked on a batch axis.
 
         ``P_i = M_i Q`` and ``Q_i = M_i^T P`` become single batched float64
-        matmuls over an ``(n, rows, cols)`` tensor (a workspace block reused
-        across rounds) instead of per-worker GEMM calls, and the factor
-        all-reduces fold the stacked factors in the ring's per-hop order.
-        The per-worker report is deferred.
+        matmuls over an ``(m, rows, cols)`` tensor of the ``m`` held rows (a
+        workspace block reused across rounds) instead of per-worker GEMM
+        calls, and the factor all-reduces fold the stacked factors in the
+        ring's per-hop order.  The initial ``Q`` and the orthogonalization of
+        the all-reduced ``P`` are replicated on every rank.  The per-worker
+        report is deferred.
         """
-        n = ctx.world_size
+        m = len(ctx.local_ranks)
         shapes = self._shapes_for(d)
         covered = sum(rows * cols for rows, cols in shapes)
 
         mean_estimate = np.zeros(d, dtype=np.float32)
         largest = max(rows * cols for rows, cols in shapes)
-        block = ctx.workspace.buf("powersgd.block", (n * largest,), np.float64)  # reprolint: disable=RPL002 - float64 power iteration keeps the factors' orthogonalization stable
+        block = ctx.workspace.buf("powersgd.block", (m * largest,), np.float64)  # reprolint: disable=RPL002 - float64 power iteration keeps the factors' orthogonalization stable
 
         offset = 0
         for layer_index, (rows, cols) in enumerate(shapes):
@@ -282,21 +284,21 @@ class PowerSGDCompressor(AggregationScheme):
             # One float64 block, sized for the largest layer, is reused by
             # every layer and round; only the part no gradient coordinate
             # covers is zeroed.
-            stacked = block[: n * size].reshape(n, size)
+            stacked = block[: m * size].reshape(m, size)
             self._gather_rows(
-                [np.asarray(rows_in[i])[offset : offset + segment] for i in range(n)],
+                [np.asarray(rows_in[i])[offset : offset + segment] for i in range(m)],
                 stacked,
                 columns=segment,
             )
             stacked[:, segment:] = 0.0
-            tensor = stacked.reshape(n, rows, cols)
+            tensor = stacked.reshape(m, rows, cols)
 
             q = self._initial_q(layer_index, cols, ctx.rng)
 
             # Step 1: P_i = M_i Q, all-reduce P (mean).
             p_locals = np.matmul(tensor, q)
             p_mean = ctx.backend.allreduce_matrix(
-                p_locals.reshape(n, rows * self.rank),
+                p_locals.reshape(m, rows * self.rank),
                 wire_bits_per_value=float(self.factor_bits),
                 op=MeanOp(),
             ).reshape(rows, self.rank)
@@ -307,7 +309,7 @@ class PowerSGDCompressor(AggregationScheme):
             # Step 3: Q_i = M_i^T P_hat, all-reduce Q (mean).
             q_locals = np.matmul(tensor.transpose(0, 2, 1), p_hat)
             q_mean = ctx.backend.allreduce_matrix(
-                q_locals.reshape(n, cols * self.rank),
+                q_locals.reshape(m, cols * self.rank),
                 wire_bits_per_value=float(self.factor_bits),
                 op=MeanOp(),
             ).reshape(cols, self.rank)
@@ -324,9 +326,9 @@ class PowerSGDCompressor(AggregationScheme):
         # Uncompressed tail (coordinates not covered by any layer matrix).
         tail = d - covered
         if tail > 0:
-            tail_matrix = np.empty((n, tail), dtype=np.float32)
+            tail_matrix = np.empty((m, tail), dtype=np.float32)
             gather_fp16_rows(
-                [np.asarray(rows_in[i])[covered:] for i in range(n)],
+                [np.asarray(rows_in[i])[covered:] for i in range(m)],
                 tail_matrix,
                 workspace=ctx.workspace,
                 label="powersgd.tail",
@@ -336,12 +338,12 @@ class PowerSGDCompressor(AggregationScheme):
             )
 
         # Every worker transmits the shared low-rank mean; the report is
-        # deferred and holds one copy of it, not n.
+        # deferred and holds one copy of it, not one per held row.
         mean_copy = np.array(mean_estimate, copy=True)
         return AggregationResult(
             mean_estimate=mean_estimate,
             bits_per_coordinate=self.expected_bits_per_coordinate(d, ctx.world_size),
             per_worker_transmitted=LazyTransmitted(
-                n, lambda: np.repeat(mean_copy[None, :], n, axis=0)
+                m, lambda: np.repeat(mean_copy[None, :], m, axis=0)
             ),
         )

@@ -164,10 +164,10 @@ class PrecisionBaseline(AggregationScheme):
     estimate_bucket_costs = AggregationScheme.estimate_bucket_costs
 
     def aggregate_rows(self, rows, ctx: SimContext, d: int) -> AggregationResult:
-        """One float32 matrix fold (bit-identical to the per-worker path)."""
-        n = ctx.world_size
+        """One float32 matrix fold over the held rows' wire."""
+        held = ctx.local_ranks
         workspace = ctx.workspace
-        wire = workspace.buf("baseline.wire", (n, d), np.float32)
+        wire = workspace.buf("baseline.wire", (len(held), d), np.float32)
         fp16 = self.wire_precision is Precision.FP16
         if fp16:
             gather_fp16_rows(rows, wire, workspace=workspace, label="baseline")
@@ -181,7 +181,7 @@ class PrecisionBaseline(AggregationScheme):
         # The FP16 report reads the workspace wire (copied only if a later
         # round asks for the buffer while the report is still unread).
         transmitted = (
-            LazyTransmitted(n, np.array, borrowed=wire, workspace=workspace)
+            LazyTransmitted(len(held), np.array, borrowed=wire, workspace=workspace)
             if fp16
             else None
         )

@@ -115,8 +115,9 @@ class QSGDCompressor(AggregationScheme):
         return 2 * ((1 << (self.wire_bits - 1)) - 1)
 
     def aggregate_rows(self, rows, ctx: SimContext, d: int) -> AggregationResult:
-        """Tiled float32 quantization over the stacked worker matrix."""
+        """Tiled float32 quantization over the stacked held rows."""
         n = ctx.world_size
+        held = ctx.local_ranks
         workspace = ctx.workspace
         collective = self.aggregation.collective()
 
@@ -124,8 +125,8 @@ class QSGDCompressor(AggregationScheme):
         # every worker -- the adaptation that makes QSGD all-reduce compatible
         # (the original scheme sends per-worker norms, which only a parameter
         # server can combine).
-        per_worker_norms = np.array(  # reprolint: disable=RPL002 - n float64 norm scalars, one per worker
-            [[float(np.linalg.norm(rows[i]))] for i in range(n)]
+        per_worker_norms = np.array(  # reprolint: disable=RPL002 - float64 norm scalars, one per held worker
+            [[float(np.linalg.norm(rows[i]))] for i in range(len(held))]
         )
         max_norm = ctx.backend.allreduce_matrix(
             per_worker_norms, wire_bits_per_value=32.0, op=MaxOp(), collective=collective
@@ -136,14 +137,16 @@ class QSGDCompressor(AggregationScheme):
             return AggregationResult(
                 mean_estimate=zero,
                 bits_per_coordinate=self.expected_bits_per_coordinate(d, n),
-                per_worker_transmitted=[zero.copy() for _ in range(n)],
+                per_worker_transmitted=[zero.copy() for _ in held],
             )
 
         max_level = float(self.quantizer.max_level)
         scale = 1.0 / max_level  # value_range is exactly 1 after norm scaling
         # Copy, scale, clip and rounding run tile by tile straight from the
         # worker rows: the only (n, d) buffer is the integer levels.
-        levels = workspace.buf("qsgd.levels", (n, d), smallest_int_dtype(self._wire_headroom(n)))
+        levels = workspace.buf(
+            "qsgd.levels", (len(held), d), smallest_int_dtype(self._wire_headroom(n))
+        )
         round_stochastically(
             rows,
             levels,
@@ -152,6 +155,8 @@ class QSGDCompressor(AggregationScheme):
             scale=np.float32(max_level / shared_norm),
             workspace=workspace,
             label="qsgd",
+            first_row=held.start,
+            stream_rows=n,
         )
 
         op = self.aggregation.reduce_op(self.wire_bits)
@@ -174,6 +179,6 @@ class QSGDCompressor(AggregationScheme):
             mean_estimate=mean,
             bits_per_coordinate=self.expected_bits_per_coordinate(d, n),
             per_worker_transmitted=LazyTransmitted(
-                n, materialize_transmitted, borrowed=levels, workspace=workspace
+                len(held), materialize_transmitted, borrowed=levels, workspace=workspace
             ),
         )

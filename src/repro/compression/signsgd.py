@@ -87,17 +87,17 @@ class SignSGDCompressor(AggregationScheme):
     estimate_bucket_costs = AggregationScheme.estimate_bucket_costs
 
     def aggregate_rows(self, rows, ctx: SimContext, d: int) -> AggregationResult:
-        """Vectorized sign voting over the stacked worker matrix.
+        """Vectorized sign voting over the stacked held rows.
 
         Sign values and vote counts are small exact integers, so the float32
         matrix fold is value-identical to a float64 per-worker fold; only the
         mean-magnitude scalar can differ in its last float32 bits.
         """
-        n = ctx.world_size
-        bits = self.wire_bits_for(n)
+        held = ctx.local_ranks
+        bits = self.wire_bits_for(ctx.world_size)
         workspace = ctx.workspace
 
-        signs = np.empty((n, d), dtype=np.float32)
+        signs = np.empty((len(held), d), dtype=np.float32)
         self._gather_rows(rows, signs)
         np.sign(signs, out=signs)
 
@@ -108,8 +108,8 @@ class SignSGDCompressor(AggregationScheme):
 
         magnitude = 1.0
         if self.scale_by_mean_magnitude:
-            magnitudes = workspace.buf("signsgd.magnitude", (n, 1), np.float64)  # reprolint: disable=RPL002 - n float64 magnitude scalars, one per worker
-            for index in range(n):
+            magnitudes = workspace.buf("signsgd.magnitude", (len(held), 1), np.float64)  # reprolint: disable=RPL002 - float64 magnitude scalars, one per held worker
+            for index in range(len(held)):
                 magnitudes[index, 0] = float(np.mean(np.abs(rows[index])))
             mean_magnitude = ctx.backend.allreduce_matrix(
                 magnitudes, wire_bits_per_value=32.0, op=MeanOp()

@@ -224,20 +224,22 @@ class THCCompressor(AggregationScheme):
     def aggregate_rows(
         self, rows, ctx: SimContext, d: int
     ) -> AggregationResult:
-        """Vectorized float32 passes over the stacked ``(n, d)`` worker matrix.
+        """Vectorized float32 passes over the stacked held rows.
 
-        The rotation runs unnormalized (the ``2^(-depth/2)`` factors are
-        folded into the quantization scales), stochastic rounding runs in
-        tiles, and the integer payloads travel in the narrowest dtype that
-        cannot overflow the fold.
+        Only the held rows are rotated and quantized, drawing their share of
+        the world's uniform stream.  The rotation runs unnormalized (the
+        ``2^(-depth/2)`` factors are folded into the quantization scales),
+        stochastic rounding runs in tiles, and the integer payloads travel in
+        the narrowest dtype that cannot overflow the world's fold.
         """
         n = ctx.world_size
+        held = ctx.local_ranks
         workspace = ctx.workspace
         rotation = self._make_rotation(ctx)
         padded_size = padded_size_for(d)
-        wire = workspace.buf("thc.wire", (n, padded_size), np.float32)
+        wire = workspace.buf("thc.wire", (len(held), padded_size), np.float32)
 
-        # --- Rotation (unnormalized; one matmul chain for all workers) ----- #
+        # --- Rotation (unnormalized; one matmul chain for the held rows) --- #
         if rotation is None:
             depth = 0
             chunk_elements = padded_size
@@ -251,7 +253,7 @@ class THCCompressor(AggregationScheme):
             # to float32 first, as a gather-then-multiply would); the padded
             # tail holds 0 * signs.
             signs = rotation.signs(padded_size, np.float32)
-            for index in range(n):
+            for index in range(len(held)):
                 np.multiply(
                     rows[index],
                     signs[:d],
@@ -263,7 +265,7 @@ class THCCompressor(AggregationScheme):
             work = fwht_rows(wire, depth, workspace=workspace, label="thc")
         normalization = np.float32(fwht_normalization(depth))
         num_chunks = padded_size // chunk_elements
-        chunked = work.reshape(n, num_chunks, chunk_elements)
+        chunked = work.reshape(len(held), num_chunks, chunk_elements)
 
         # --- Agree on a per-chunk quantization range ----------------------- #
         # max(|.|) per chunk without materializing |work|; the shared range is
@@ -284,7 +286,7 @@ class THCCompressor(AggregationScheme):
             max_level, shared_ranges, out=inverse_scale, where=shared_ranges > 0
         )
         wire_dtype = smallest_int_dtype(self._wire_headroom(n))
-        levels = workspace.buf("thc.levels", (n, padded_size), wire_dtype)
+        levels = workspace.buf("thc.levels", (len(held), padded_size), wire_dtype)
         round_stochastically(
             work,
             levels,
@@ -293,6 +295,8 @@ class THCCompressor(AggregationScheme):
             scale=inverse_scale,
             workspace=workspace,
             label="thc",
+            first_row=held.start,
+            stream_rows=n,
         )
 
         # --- Integer all-reduce (host rings or in-network switches) -------- #
@@ -314,11 +318,13 @@ class THCCompressor(AggregationScheme):
         if rotation is None:
             mean = np.array(mean_rotated[:d], copy=True)
         else:
+            # The forward transform's output is dead by now: a rank holding
+            # one row transforms the mean in the same buffers.
             unrotated = fwht_rows(
                 mean_rotated.reshape(1, padded_size),
                 depth,
                 workspace=workspace,
-                label="thc.mean",
+                label="thc",
             ).reshape(-1)
             unrotated *= normalization
             unrotated *= rotation.signs(padded_size, np.float32)
@@ -334,7 +340,7 @@ class THCCompressor(AggregationScheme):
 
         def materialize_transmitted(levels: np.ndarray) -> np.ndarray:
             dense = levels.astype(np.float32)
-            shaped = dense.reshape(n, num_chunks, chunk_elements)
+            shaped = dense.reshape(len(held), num_chunks, chunk_elements)
             shaped *= scales[None, :, None]
             if depth:
                 dense = fwht_rows(dense, depth)
@@ -346,7 +352,7 @@ class THCCompressor(AggregationScheme):
             mean_estimate=mean,
             bits_per_coordinate=float(self.wire_bits),
             per_worker_transmitted=LazyTransmitted(
-                n, materialize_transmitted, borrowed=levels, workspace=workspace
+                len(held), materialize_transmitted, borrowed=levels, workspace=workspace
             ),
         )
 

@@ -120,26 +120,26 @@ class TopKCompressor(AggregationScheme):
     def aggregate_rows(self, rows, ctx: SimContext, d: int) -> AggregationResult:
         """One axis-wise top-k selection, a gather, and a scatter of what arrived."""
         n = ctx.world_size
+        held = ctx.local_ranks
         k = self.select_k(d)
         workspace = ctx.workspace
 
-        work = workspace.buf("topk.work", (n, d), np.float32)
+        work = workspace.buf("topk.work", (len(held), d), np.float32)
         self._gather_rows(rows, work)
-        magnitudes = workspace.buf("topk.abs", (n, d), np.float32)
+        magnitudes = workspace.buf("topk.abs", (len(held), d), np.float32)
         np.abs(work, out=magnitudes)
         if k < d:
             indices = np.argpartition(magnitudes, -k, axis=1)[:, -k:]
         else:
-            indices = np.tile(np.arange(d, dtype=np.int64), (n, 1))
+            indices = np.tile(np.arange(d, dtype=np.int64), (len(held), 1))
         values = np.take_along_axis(work, indices, axis=1).astype(self.value_dtype)
 
         # All-gather of the packed payloads: indices and values travel as two
         # sections of one payload (32-bit indices next to FP16 values), priced
-        # as a single gather of the combined 48k-bit volume.  The mean is
-        # built from what the gather delivered, so on a bridge rank it never
-        # reads the placeholder rows.
+        # as a single gather of the combined 48k-bit volume.  Each held row
+        # sends its own sections; the mean is built from every worker's.
         gathered = ctx.backend.allgather_sections(
-            [(indices[worker], values[worker]) for worker in range(n)],
+            [(indices[row], values[row]) for row in range(len(held))],
             wire_bits_per_section=(INDEX_BITS, VALUE_BITS),
         )
         dense = np.zeros((n, d), dtype=np.float32)
@@ -153,7 +153,7 @@ class TopKCompressor(AggregationScheme):
         return AggregationResult(
             mean_estimate=mean,
             bits_per_coordinate=self.expected_bits_per_coordinate(d, n),
-            per_worker_transmitted=list(dense),
+            per_worker_transmitted=list(dense[held.start : held.stop]),
         )
 
 

@@ -203,7 +203,7 @@ class TopKChunkedCompressor(AggregationScheme):
     estimate_bucket_costs = AggregationScheme.estimate_bucket_costs
 
     def aggregate_rows(self, rows, ctx: SimContext, d: int) -> AggregationResult:
-        """Vectorized chunk-norm consensus over the stacked worker matrix.
+        """Vectorized chunk-norm consensus over the stacked held rows.
 
         Chunk norms are computed in float64 so the FP16-rounded consensus --
         and therefore the selected chunk set -- is bit-identical to a
@@ -213,16 +213,17 @@ class TopKChunkedCompressor(AggregationScheme):
         report is deferred.
         """
         n = ctx.world_size
+        held = ctx.local_ranks
         chunk = self.chunk_size
         num_chunks = self.num_chunks(d)
         j = self.num_top_chunks(d)
         workspace = ctx.workspace
 
-        work = workspace.buf("topkc.work", (n, d), np.float32)
+        work = workspace.buf("topkc.work", (len(held), d), np.float32)
         if self.permute:
             permutation = self._permutation(d)
             inverse = np.argsort(permutation)
-            for index in range(n):
+            for index in range(len(held)):
                 row = np.asarray(rows[index], dtype=np.float32)
                 np.take(row, permutation, out=work[index])
         else:
@@ -263,7 +264,7 @@ class TopKChunkedCompressor(AggregationScheme):
         # Per-worker transmitted contributions, deferred: the closure holds
         # only the payload and the indices it scatters back to.
         def materialize_transmitted() -> np.ndarray:
-            transmitted = np.zeros((n, d), dtype=np.float32)
+            transmitted = np.zeros((len(held), d), dtype=np.float32)
             transmitted[:, selected_indices] = payload
             if inverse is not None:
                 transmitted = transmitted[:, inverse]
@@ -272,7 +273,7 @@ class TopKChunkedCompressor(AggregationScheme):
         return AggregationResult(
             mean_estimate=mean,
             bits_per_coordinate=self.expected_bits_per_coordinate(d, n),
-            per_worker_transmitted=LazyTransmitted(n, materialize_transmitted),
+            per_worker_transmitted=LazyTransmitted(len(held), materialize_transmitted),
         )
 
     def _chunk_norms_rows(

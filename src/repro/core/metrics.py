@@ -12,12 +12,21 @@ from __future__ import annotations
 import numpy as np
 
 
-def vnmse(estimate: np.ndarray, true_mean: np.ndarray) -> float:
+def squared_norm(vector: np.ndarray) -> float:
+    """``||vector||^2``, accumulated in float64: the vNMSE denominator."""
+    return float(np.sum(np.square(vector, dtype=np.float64)))
+
+
+def vnmse(
+    estimate: np.ndarray, true_mean: np.ndarray, *, energy: float | None = None
+) -> float:
     """Vector normalized mean squared error of an aggregated-gradient estimate.
 
     Defined as ``||estimate - true_mean||^2 / ||true_mean||^2``: the squared
     error of the estimate normalised by the energy of the true mean gradient.
     A lossless aggregation has vNMSE 0; an estimate of all zeros has vNMSE 1.
+    ``energy`` is ``squared_norm(true_mean)`` when the caller has it already
+    (a true mean scored against several estimates pays for it once).
 
     Raises:
         ValueError: If shapes differ or the true mean has zero norm.
@@ -26,15 +35,15 @@ def vnmse(estimate: np.ndarray, true_mean: np.ndarray) -> float:
     true_mean = np.asarray(true_mean)
     if estimate.shape != true_mean.shape:
         raise ValueError("estimate and true_mean must have the same shape")
-    # One float64 scratch vector serves both sums: the inputs are widened
-    # element by element inside the ufuncs, as a float64 copy would be.
-    scratch = np.square(true_mean, dtype=np.float64)
-    denominator = float(np.sum(scratch))
-    if denominator == 0.0:
+    if energy is None:
+        energy = squared_norm(true_mean)
+    if energy == 0.0:
         raise ValueError("true_mean has zero norm; vNMSE is undefined")
-    np.subtract(estimate, true_mean, dtype=np.float64, out=scratch)
+    # The inputs are widened element by element inside the ufuncs, as a
+    # float64 copy would be.
+    scratch = np.subtract(estimate, true_mean, dtype=np.float64)
     np.square(scratch, out=scratch)
-    return float(np.sum(scratch)) / denominator
+    return float(np.sum(scratch)) / energy
 
 
 def normalized_mean_squared_error(estimate: np.ndarray, reference: np.ndarray) -> float:

@@ -22,6 +22,7 @@ import pytest
 from repro.api import ExperimentSession, bert_like_gradients, mean_vnmse, paper_context
 from repro.compression.hadamard import padded_size_for
 from repro.compression.registry import make_scheme
+from repro.core.metrics import squared_norm
 from repro.simulator.cluster import ClusterSpec
 from repro.training.gradients import SyntheticGradientModel
 
@@ -117,7 +118,7 @@ class TestReadOnly:
         session = ExperimentSession()
         rounds = session._gradient_rounds(4099, 3, 4, 2)
         assert len(rounds) == 2
-        for rows, true_mean in rounds:
+        for rows, true_mean, _ in rounds:
             for array in (*rows, true_mean):
                 with pytest.raises(ValueError):
                     array[0] = 1.0
@@ -125,11 +126,12 @@ class TestReadOnly:
     def test_rounds_equal_a_fresh_generator(self):
         session = ExperimentSession()
         generator = bert_like_gradients(4099, seed=3)
-        for rows, true_mean in session._gradient_rounds(4099, 3, 4, 2):
+        for rows, true_mean, energy in session._gradient_rounds(4099, 3, 4, 2):
             expected = generator.next_round(4)
             for row, expected_row in zip(rows, expected):
                 np.testing.assert_array_equal(row, expected_row)
             np.testing.assert_array_equal(true_mean, generator.true_mean(expected))
+            assert energy == squared_norm(true_mean)
 
 
 class TestBoundary:

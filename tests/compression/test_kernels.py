@@ -209,6 +209,54 @@ class TestRoundStochastically:
         # MT19937 and Philox states hold arrays: compare the whole dict.
         np.testing.assert_equal(rng.bit_generator.state, reference_rng.bit_generator.state)
 
+    # 148097 is the bridge benchmark's width: at an odd width, every other
+    # rank's first uniform is the high half of a 64-bit word.
+    @pytest.mark.parametrize("width", [7, 1024, 1001, 148097])
+    @pytest.mark.parametrize("num_rows", [1, 2, 3, 5])
+    @pytest.mark.parametrize(
+        "bit_generator", [np.random.PCG64, np.random.MT19937, np.random.Philox, np.random.PCG64DXSM]
+    )
+    @pytest.mark.parametrize("half_word_buffered", [False, True])
+    def test_one_row_of_the_stream(self, width, num_rows, bit_generator, half_word_buffered):
+        """Rounding row ``r`` alone as row ``r`` of an n-row stream gives that
+        row of the whole-matrix rounding, and leaves the whole draw's state."""
+        rows = np.random.default_rng(0).standard_normal((num_rows, width)).astype(np.float32) * 4
+        reference_rng = np.random.Generator(bit_generator(5))
+        if half_word_buffered:
+            reference_rng.random(1, dtype=np.float32)
+        entry_state = reference_rng.bit_generator.state
+        expected = _whole_matrix_rounding(rows, reference_rng, 7.0, None)
+        for rank in range(num_rows):
+            rng = np.random.Generator(bit_generator(5))
+            rng.bit_generator.state = entry_state
+            levels = np.empty((1, width), dtype=np.int8)
+            round_stochastically(
+                rows[rank : rank + 1],
+                levels,
+                rng,
+                7.0,
+                workspace=RoundWorkspace(),
+                label="test",
+                first_row=rank,
+                stream_rows=num_rows,
+            )
+            np.testing.assert_array_equal(levels[0], expected[rank])
+            # MT19937 and Philox states hold arrays: compare the whole dict.
+            np.testing.assert_equal(rng.bit_generator.state, reference_rng.bit_generator.state)
+
+    def test_rejects_rows_outside_the_stream(self):
+        with pytest.raises(ValueError, match="outside"):
+            round_stochastically(
+                np.ones((1, 10), dtype=np.float32),
+                np.empty((1, 10), dtype=np.int8),
+                np.random.default_rng(0),
+                7.0,
+                workspace=RoundWorkspace(),
+                label="test",
+                first_row=2,
+                stream_rows=2,
+            )
+
     def test_reads_rows_only(self):
         rows = np.random.default_rng(2).standard_normal((2, 100)).astype(np.float32)
         rows.flags.writeable = False
