@@ -9,7 +9,6 @@ than surface spelling.
 from __future__ import annotations
 
 import ast
-from typing import Iterator
 
 
 def import_aliases(tree: ast.AST) -> dict[str, str]:
@@ -72,15 +71,6 @@ def call_name(
 ) -> str | None:
     """The resolved dotted name of a call's target, if resolvable."""
     return qualified_name(node.func, aliases, require_import=require_import)
-
-
-def walk_functions(
-    tree: ast.AST,
-) -> Iterator[ast.FunctionDef | ast.AsyncFunctionDef]:
-    """Every function definition in the tree, nested ones included."""
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node
 
 
 def module_level_targets(tree: ast.Module) -> set[str]:

@@ -341,7 +341,7 @@ class GradientWorker:
             bits_before = backend.uplink_bits
             bytes_before = backend.uplink_bytes
             started = time.perf_counter()
-            result = scheme.aggregate([row], ctx)
+            result = scheme.aggregate(row[np.newaxis], ctx)
             wall_seconds = time.perf_counter() - started
             rounds.append(
                 {
@@ -399,10 +399,6 @@ class HarnessResult:
     @property
     def mean_vnmse(self) -> float:
         return float(np.mean([round_.vnmse for round_ in self.rounds]))
-
-    @property
-    def total_uplink_bits(self) -> int:
-        return sum(sum(round_.per_worker_bits) for round_ in self.rounds)
 
     @property
     def total_wall_seconds(self) -> float:

@@ -134,10 +134,6 @@ class SimulatedRun:
     def mean_vnmse(self) -> float:
         return float(np.mean([round_.vnmse for round_ in self.rounds]))
 
-    @property
-    def total_bits(self) -> int:
-        return sum(sum(round_.per_worker_bits) for round_ in self.rounds)
-
 
 def simulate_trace(
     spec: str,
@@ -169,7 +165,7 @@ def simulate_trace(
 
     rounds = []
     for step in trace.steps:
-        rows = step.flats()
+        rows = np.stack(step.flats())
         calls_before = len(backend.calls)
         result = scheme.aggregate(rows, ctx)
         step_calls = backend.calls[calls_before:]

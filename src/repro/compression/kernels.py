@@ -13,7 +13,9 @@ This module holds the shared building blocks:
 * :func:`fwht_rows` -- the randomized-Hadamard butterfly network expressed
   as a chain of small dense Hadamard matmuls (a Kronecker factorization of
   ``H_{2^depth}``), which runs at BLAS speed instead of ``depth`` strided
-  element passes, one block of rows at a time through block-sized scratch;
+  element passes, one block of rows at a time through block-sized scratch:
+  each block is gathered (cast, sign-multiplied, zero-padded) on entry and
+  its per-chunk ranges are taken as it leaves;
 * :func:`round_stochastically` -- the one stochastic-rounding kernel of the
   integer quantizers (THC, QSGD), walking the held rows in cache-sized
   tiles instead of streaming whole-matrix temporaries.  Its float32
@@ -32,9 +34,11 @@ This module holds the shared building blocks:
 
 A kernel touches each ``(n, d)`` worker matrix as few times as its
 arithmetic needs: per-element work that follows a gather or precedes a cast
-runs tile by tile on cache-resident scratch, so the only full-size buffers
-are the ones a scheme's arithmetic needs whole (a wire matrix, a transform's
-output, integer levels).
+runs tile by tile (or row block by row block) on cache-resident scratch, so
+the only full-size buffers are the ones a collective or a scheme's
+arithmetic needs whole (FP16 values for the fold, a transform's output,
+integer levels).  Signs are applied and ranges taken inside the transform's
+row blocks, so no signed copy of the rows is ever written.
 """
 
 from __future__ import annotations
@@ -204,43 +208,62 @@ def factorize_depth(depth: int, max_bits: int = _MAX_FACTOR_BITS) -> list[int]:
 
 
 def fwht_rows(
-    matrix: np.ndarray,
+    rows: "np.ndarray | Sequence[np.ndarray]",
     depth: int,
     *,
+    signs: np.ndarray | None = None,
+    length: int | None = None,
+    ranges: np.ndarray | None = None,
     workspace: RoundWorkspace | None = None,
     label: str = "fwht",
 ) -> np.ndarray:
     """Unnormalized Walsh-Hadamard transform of every ``2^depth`` chunk.
 
-    Each row of ``matrix`` is partitioned into contiguous chunks of
-    ``2^depth`` elements (the row length must be a multiple of that) and each
-    chunk is transformed independently -- exactly the semantics of ``depth``
-    butterfly passes, i.e. of the paper's partial rotation.  The transform is
-    *unnormalized*: the result is ``2^(depth/2)`` times the orthonormal
-    transform, callers fold the normalization into their scale factors (one
-    multiply instead of one per butterfly pass).
+    ``rows`` (a matrix or a sequence of equal-length rows, of any float
+    dtype) are gathered into float32 rows of ``length`` elements (by
+    default their own length), times the ``signs`` diagonal when one is
+    given, zero-padded: the padded tail holds ``0 * signs``, as a padded
+    row times the signs would.  Each row is then partitioned into
+    contiguous chunks of ``2^depth`` elements (``length`` must be a multiple
+    of that) and each chunk is transformed independently -- exactly the
+    semantics of ``depth`` butterfly passes, i.e. of the paper's partial
+    rotation.  The transform is *unnormalized*: the result is
+    ``2^(depth/2)`` times the orthonormal transform, callers fold the
+    normalization into their scale factors (one multiply instead of one per
+    butterfly pass).
 
     The transform is computed as a chain of dense Hadamard matmuls over a
     Kronecker factorization of ``H_{2^depth}``, which runs at BLAS speed.
     The chain runs one block of rows at a time -- one row when a row holds
     :data:`TILE_ELEMENTS` or more, else as many rows as fit in that many
-    elements: its intermediate stages ping-pong between two block-sized
-    scratch buffers that stay in cache, and only the last stage writes into
-    the full-size output, so the transform streams the matrix once in and
-    once out.  Returns the output (a workspace buffer when a workspace is
-    given); ``matrix`` is never modified, and never aliased by the result
-    unless ``depth == 0``.
+    elements.  The block is gathered (cast, signed and padded) into the
+    first of two block-sized scratch buffers, its intermediate stages
+    ping-pong between the two, and only the last stage writes into the
+    full-size output, so the transform reads the rows once and writes the
+    output once.  At ``depth == 0`` the rows are only gathered, straight
+    into the output.
+
+    ``ranges``, an ``(m, c)`` array, receives ``max(max, -min)`` of each
+    of the ``c`` equal chunks of every output row, taken from each block
+    right after its last stage wrote it.
+
+    Returns the output (a workspace buffer when a workspace is given);
+    ``rows`` are never modified, and never aliased by the result unless
+    ``depth == 0`` and they are already a float32 matrix of ``length``
+    columns with no signs to apply, which is returned as is.
     """
-    if matrix.ndim != 2:
-        raise ValueError("matrix must be 2-D (rows of chunks)")
-    if depth == 0:
-        return matrix
+    if isinstance(rows, np.ndarray) and rows.ndim != 2:
+        raise ValueError("rows must be 2-D (rows of chunks)")
+    num_rows = len(rows)
+    width = len(rows[0])
+    length = width if length is None else length
     chunk = 1 << depth
-    num_rows, row_length = matrix.shape
-    if row_length % chunk:
+    if length % chunk:
         raise ValueError(
-            f"row length {row_length} is not a multiple of the chunk size {chunk}"
+            f"row length {length} is not a multiple of the chunk size {chunk}"
         )
+    if width > length:
+        raise ValueError(f"rows of {width} elements do not fit in {length}")
     factors = factorize_depth(depth)
 
     def scratch(name: str, shape: tuple[int, ...]) -> np.ndarray:
@@ -248,36 +271,77 @@ def fwht_rows(
             return np.empty(shape, dtype=np.float32)
         return workspace.buf(f"{label}.{name}", shape, np.float32)
 
-    out = scratch("out", matrix.shape)
-    block_rows = min(num_rows, max(1, TILE_ELEMENTS // row_length))
-    blocks = [scratch(f"block{i}", (block_rows * row_length,)) for i in range(2)]
+    as_is = (
+        not factors
+        and signs is None
+        and isinstance(rows, np.ndarray)
+        and rows.dtype == np.float32
+        and width == length
+    )
+    out = rows if as_is else scratch("out", (num_rows, length))
+    block_rows = min(num_rows, max(1, TILE_ELEMENTS // length))
+    blocks = [scratch(f"block{i}", (block_rows * length,)) for i in range(2 if factors else 0)]
     for first in range(0, num_rows, block_rows):
-        rows = slice(first, min(first + block_rows, num_rows))
-        source = matrix[rows]
-        size = source.size
-        trailing = chunk
-        for stage, bits in enumerate(factors):
-            factor = 1 << bits
-            trailing //= factor
-            h = hadamard_matrix(bits)
-            last = stage == len(factors) - 1
-            destination = out[rows] if last else blocks[stage & 1][:size]
-            if trailing == 1:
-                # Contract the last axis: (blocks*lead, factor) @ H.
-                np.matmul(
-                    source.reshape(-1, factor),
-                    h,
-                    out=destination.reshape(-1, factor),
-                )
+        stop = min(first + block_rows, num_rows)
+        if not as_is:
+            if factors:
+                source = blocks[0][: (stop - first) * length].reshape(-1, length)
             else:
-                # Contract a middle axis: H @ (lead, factor, trailing).
-                np.matmul(
-                    h,
-                    source.reshape(-1, factor, trailing),
-                    out=destination.reshape(-1, factor, trailing),
-                )
-            source = destination
+                source = out[first:stop]
+            _gather_signed(rows, first, source, width, signs)
+            trailing = chunk
+            for stage, bits in enumerate(factors):
+                factor = 1 << bits
+                trailing //= factor
+                h = hadamard_matrix(bits)
+                if stage == len(factors) - 1:
+                    destination = out[first:stop]
+                else:
+                    destination = blocks[(stage + 1) & 1][: source.size]
+                if trailing == 1:
+                    # Contract the last axis: (blocks*lead, factor) @ H.
+                    np.matmul(
+                        source.reshape(-1, factor),
+                        h,
+                        out=destination.reshape(-1, factor),
+                    )
+                else:
+                    # Contract a middle axis: H @ (lead, factor, trailing).
+                    np.matmul(
+                        h,
+                        source.reshape(-1, factor, trailing),
+                        out=destination.reshape(-1, factor, trailing),
+                    )
+                source = destination
+        if ranges is not None:
+            chunked = out[first:stop].reshape(stop - first, ranges.shape[1], -1)
+            np.maximum(chunked.max(axis=2), -chunked.min(axis=2), out=ranges[first:stop])
     return out
+
+
+def _gather_signed(
+    rows: "np.ndarray | Sequence[np.ndarray]",
+    first: int,
+    block: np.ndarray,
+    width: int,
+    signs: np.ndarray | None,
+) -> None:
+    """Write rows ``first, ...`` of ``rows`` into ``block``, cast, signed and padded.
+
+    The rows are cast to float32 before the sign multiply, and the padded
+    tail is ``0 * signs`` (a signed zero where a sign is -1), exactly what a
+    float32 gather followed by a multiply of the padded rows would hold.
+    """
+    for offset in range(block.shape[0]):
+        row, target = rows[first + offset], block[offset]
+        if signs is None:
+            np.copyto(target[:width], row, casting="unsafe")
+            target[width:] = 0.0
+        else:
+            np.multiply(
+                row, signs[:width], out=target[:width], dtype=np.float32, casting="unsafe"
+            )
+            np.multiply(0.0, signs[width:], out=target[width:])
 
 
 def fwht_normalization(depth: int) -> float:

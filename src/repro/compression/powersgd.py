@@ -259,15 +259,17 @@ class PowerSGDCompressor(AggregationScheme):
 
     # ------------------------------------------------------------------ #
     def aggregate_rows(self, rows_in, ctx: SimContext, d: int) -> AggregationResult:
-        """Per-layer power iteration with the held rows stacked on a batch axis.
+        """Per-layer power iteration, one held row at a time.
 
-        ``P_i = M_i Q`` and ``Q_i = M_i^T P`` become single batched float64
-        matmuls over an ``(m, rows, cols)`` tensor of the ``m`` held rows (a
-        workspace block reused across rounds) instead of per-worker GEMM
-        calls, and the factor all-reduces fold the stacked factors in the
-        ring's per-hop order.  The initial ``Q`` and the orthogonalization of
-        the all-reduced ``P`` are replicated on every rank.  The per-worker
-        report is deferred.
+        Each held row's layer segment is converted into one float64 buffer,
+        sized for the largest layer and reused by every layer, row and round,
+        and ``P_i = M_i Q`` is computed from it; after the all-reduce and the
+        orthogonalization of ``P`` the row is converted again for
+        ``Q_i = M_i^T P``.  The float64 working set is one layer matrix, not
+        one per held row.  The factor all-reduces fold the stacked factors in
+        the ring's per-hop order.  The initial ``Q`` and the
+        orthogonalization of the all-reduced ``P`` are replicated on every
+        rank.  The per-worker report is deferred.
         """
         m = len(ctx.local_ranks)
         shapes = self._shapes_for(d)
@@ -275,28 +277,32 @@ class PowerSGDCompressor(AggregationScheme):
 
         mean_estimate = np.zeros(d, dtype=np.float32)
         largest = max(rows * cols for rows, cols in shapes)
-        block = ctx.workspace.buf("powersgd.block", (m * largest,), np.float64)  # reprolint: disable=RPL002 - float64 power iteration keeps the factors' orthogonalization stable
+        buffer = ctx.workspace.buf("powersgd.matrix", (largest,), np.float64)  # reprolint: disable=RPL002 - float64 power iteration keeps the factors' orthogonalization stable
 
         offset = 0
         for layer_index, (rows, cols) in enumerate(shapes):
             size = rows * cols
             segment = min(size, d - offset)
-            # One float64 block, sized for the largest layer, is reused by
-            # every layer and round; only the part no gradient coordinate
-            # covers is zeroed.
-            stacked = block[: m * size].reshape(m, size)
-            self._gather_rows(
-                [np.asarray(rows_in[i])[offset : offset + segment] for i in range(m)],
-                stacked,
-                columns=segment,
-            )
-            stacked[:, segment:] = 0.0
-            tensor = stacked.reshape(m, rows, cols)
+
+            def layer_matrix(index: int) -> np.ndarray:
+                """Held row ``index``'s layer as a float64 matrix in ``buffer``.
+
+                Only the part no gradient coordinate covers is zeroed.
+                """
+                np.copyto(
+                    buffer[:segment],
+                    rows_in[index][offset : offset + segment],
+                    casting="unsafe",
+                )
+                buffer[segment:size] = 0.0
+                return buffer[:size].reshape(rows, cols)
 
             q = self._initial_q(layer_index, cols, ctx.rng)
 
             # Step 1: P_i = M_i Q, all-reduce P (mean).
-            p_locals = np.matmul(tensor, q)
+            p_locals = np.empty((m, rows, self.rank), dtype=buffer.dtype)
+            for index in range(m):
+                np.matmul(layer_matrix(index), q, out=p_locals[index])
             p_mean = ctx.backend.allreduce_matrix(
                 p_locals.reshape(m, rows * self.rank),
                 wire_bits_per_value=float(self.factor_bits),
@@ -307,7 +313,9 @@ class PowerSGDCompressor(AggregationScheme):
             p_hat = orthogonalize(p_mean)
 
             # Step 3: Q_i = M_i^T P_hat, all-reduce Q (mean).
-            q_locals = np.matmul(tensor.transpose(0, 2, 1), p_hat)
+            q_locals = np.empty((m, cols, self.rank), dtype=buffer.dtype)
+            for index in range(m):
+                np.matmul(layer_matrix(index).T, p_hat, out=q_locals[index])
             q_mean = ctx.backend.allreduce_matrix(
                 q_locals.reshape(m, cols * self.rank),
                 wire_bits_per_value=float(self.factor_bits),

@@ -227,7 +227,11 @@ class THCCompressor(AggregationScheme):
         """Vectorized float32 passes over the stacked held rows.
 
         Only the held rows are rotated and quantized, drawing their share of
-        the world's uniform stream.  The rotation runs unnormalized (the
+        the world's uniform stream.  One :func:`fwht_rows` pass reads the
+        rows, applies the sign diagonal and the padding as each row block
+        enters the transform (``rot=none`` only gathers), and takes the
+        per-chunk ranges as each block leaves it, so the transform's output
+        is the only float32 matrix.  The rotation runs unnormalized (the
         ``2^(-depth/2)`` factors are folded into the quantization scales),
         stochastic rounding runs in tiles, and the integer payloads travel in
         the narrowest dtype that cannot overflow the world's fold.
@@ -237,41 +241,33 @@ class THCCompressor(AggregationScheme):
         workspace = ctx.workspace
         rotation = self._make_rotation(ctx)
         padded_size = padded_size_for(d)
-        wire = workspace.buf("thc.wire", (len(held), padded_size), np.float32)
-
-        # --- Rotation (unnormalized; one matmul chain for the held rows) --- #
         if rotation is None:
-            depth = 0
-            chunk_elements = padded_size
-            self._gather_rows(rows, wire, columns=d)
-            wire[:, d:] = 0.0
-            work = wire
+            depth, chunk_elements, signs = 0, padded_size, None
         else:
             depth = rotation.effective_depth(padded_size)
             chunk_elements = rotation.chunk_elements(padded_size)
-            # The sign diagonal is applied while the rows are gathered (cast
-            # to float32 first, as a gather-then-multiply would); the padded
-            # tail holds 0 * signs.
             signs = rotation.signs(padded_size, np.float32)
-            for index in range(len(held)):
-                np.multiply(
-                    rows[index],
-                    signs[:d],
-                    out=wire[index, :d],
-                    dtype=np.float32,
-                    casting="unsafe",
-                )
-            np.multiply(0.0, signs[d:], out=wire[:, d:])
-            work = fwht_rows(wire, depth, workspace=workspace, label="thc")
         normalization = np.float32(fwht_normalization(depth))
         num_chunks = padded_size // chunk_elements
-        chunked = work.reshape(len(held), num_chunks, chunk_elements)
 
-        # --- Agree on a per-chunk quantization range ----------------------- #
-        # max(|.|) per chunk without materializing |work|; the shared range is
+        # --- Rotation and per-chunk ranges, one block of rows at a time ---- #
+        # fwht_rows applies the sign diagonal as it gathers each block (at
+        # depth 0 it only gathers and pads) and takes max(|.|) per chunk
+        # from the block it just transformed.  The shared range is
         # scale-equivariant, so the unnormalized units cancel in the ratio
         # used for quantization below.
-        per_worker_ranges = np.maximum(chunked.max(axis=2), -chunked.min(axis=2))
+        per_worker_ranges = np.empty((len(held), num_chunks), dtype=np.float32)
+        work = fwht_rows(
+            rows,
+            depth,
+            signs=signs,
+            length=padded_size,
+            ranges=per_worker_ranges,
+            workspace=workspace,
+            label="thc",
+        )
+
+        # --- Agree on a per-chunk quantization range ----------------------- #
         shared_ranges = ctx.backend.allreduce_matrix(
             per_worker_ranges,
             wire_bits_per_value=16.0,
@@ -327,16 +323,13 @@ class THCCompressor(AggregationScheme):
                 label="thc",
             ).reshape(-1)
             unrotated *= normalization
-            unrotated *= rotation.signs(padded_size, np.float32)
+            unrotated *= signs
             mean = np.array(unrotated[:d], copy=True)
 
         # Per-worker transmitted contributions, deferred: plain rounds never
         # pay for the extra inverse rotation over the worker matrix.  The
         # report reads the workspace's levels, and copies them only if a
         # later round asks for the buffer while the report is still unread.
-        sign_vector = (
-            rotation.signs(padded_size, np.float32) if rotation is not None else None
-        )
 
         def materialize_transmitted(levels: np.ndarray) -> np.ndarray:
             dense = levels.astype(np.float32)
@@ -345,7 +338,7 @@ class THCCompressor(AggregationScheme):
             if depth:
                 dense = fwht_rows(dense, depth)
                 dense *= normalization
-                dense *= sign_vector
+                dense *= signs
             return np.ascontiguousarray(dense[:, :d])
 
         return AggregationResult(

@@ -73,11 +73,6 @@ class WorkerProfile:
         if not self.nic_scale > 0:
             raise ValueError("nic_scale must be positive")
 
-    @property
-    def is_nominal(self) -> bool:
-        """Whether this profile matches the cluster's nominal hardware."""
-        return self.slowdown == 1.0 and self.nic_scale == 1.0
-
 
 #: The nominal profile every unlisted worker runs.
 NOMINAL_PROFILE = WorkerProfile()

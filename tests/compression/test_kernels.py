@@ -6,8 +6,15 @@ import numpy as np
 import pytest
 
 from repro.api.measures import paper_context
-from repro.compression.hadamard import HadamardRotation, _butterfly_passes
+from repro.compression.hadamard import (
+    HadamardRotation,
+    _butterfly_passes,
+    depth_for_shared_memory,
+    full_depth,
+    padded_size_for,
+)
 from repro.compression.kernels import (
+    TILE_ELEMENTS,
     LazyTransmitted,
     RoundWorkspace,
     cached_signs,
@@ -146,6 +153,97 @@ class TestFwhtRows:
     def test_depth_zero_is_identity(self):
         matrix = np.ones((2, 8), dtype=np.float32)
         assert fwht_rows(matrix, 0) is matrix
+
+
+#: The partial-rotation depth of the paper testbed's GPU (THC's ``rot=partial``).
+PARTIAL_DEPTH = depth_for_shared_memory(
+    paper_context().kernels.gpu.memory.shared_memory_bytes, bytes_per_value=4
+)
+
+
+def _fused_cases():
+    """(width, rotation, held rows): every combination but 16 rows of 2^20,
+    whose float64 input alone would be 128 MiB."""
+    for width in (1, 5773, 70_001, 1 << 20):
+        for rotation in ("none", "partial", "full"):
+            for num_rows in (1, 3, 16):
+                if num_rows * width <= 3 << 20:
+                    yield width, rotation, num_rows
+
+
+def _unfused_fwht(rows, width, padded, signs, depth):
+    """The path without the fused gather: a sign-multiplied, zero-padded
+    float32 matrix (rows cast first, tail ``0 * signs``), then the transform."""
+    wire = np.empty((len(rows), padded), dtype=np.float32)
+    for index, row in enumerate(rows):
+        if signs is None:
+            np.copyto(wire[index, :width], row, casting="unsafe")
+        else:
+            np.multiply(
+                row, signs[:width], out=wire[index, :width], dtype=np.float32, casting="unsafe"
+            )
+    if signs is None:
+        wire[:, width:] = 0.0
+    else:
+        np.multiply(0.0, signs[width:], out=wire[:, width:])
+    return fwht_rows(wire, depth)
+
+
+class TestFusedFwhtRows:
+    """Signs, padding and per-chunk ranges inside ``fwht_rows``' row blocks."""
+
+    @pytest.mark.parametrize("width, rotation, num_rows", list(_fused_cases()))
+    @pytest.mark.parametrize("as_list", [False, True], ids=["matrix", "list"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_the_unfused_path_byte_for_byte(
+        self, width, rotation, num_rows, as_list, dtype
+    ):
+        padded = padded_size_for(width)
+        depth = {
+            "none": 0,
+            "partial": min(PARTIAL_DEPTH, full_depth(padded)),
+            "full": full_depth(padded),
+        }[rotation]
+        signs = None if rotation == "none" else cached_signs(7, padded, np.float32)
+        num_chunks = 1 if rotation == "none" else padded >> depth
+        matrix = np.random.default_rng(width + num_rows).standard_normal(
+            (num_rows, width)
+        ).astype(dtype)
+        rows = list(matrix) if as_list else matrix
+        expected = _unfused_fwht(matrix, width, padded, signs, depth)
+
+        ranges = np.empty((num_rows, num_chunks), dtype=np.float32)
+        workspace = RoundWorkspace()
+        fused = fwht_rows(
+            rows, depth, signs=signs, length=padded, ranges=ranges, workspace=workspace
+        )
+
+        assert fused.shape == (num_rows, padded) and fused.dtype == np.float32
+        assert fused.tobytes() == expected.tobytes()
+        chunked = expected.reshape(num_rows, num_chunks, -1)
+        expected_ranges = np.maximum(chunked.max(axis=2), -chunked.min(axis=2))
+        assert ranges.tobytes() == expected_ranges.tobytes()
+        # No buffer the size of the rows besides the output.
+        assert workspace.allocated_bytes() <= 4 * num_rows * padded + 8 * max(
+            padded, TILE_ELEMENTS
+        )
+
+    def test_matrix_already_padded_is_returned_at_depth_zero(self):
+        matrix = np.arange(12, dtype=np.float32).reshape(3, 4) - 5
+        ranges = np.empty((3, 2), dtype=np.float32)
+        assert fwht_rows(matrix, 0, ranges=ranges) is matrix
+        np.testing.assert_array_equal(ranges, [[5, 3], [1, 2], [4, 6]])
+
+    def test_rows_are_only_read(self):
+        matrix = np.random.default_rng(3).standard_normal((3, 100))
+        before = matrix.tobytes()
+        fwht_rows(matrix, 2, signs=cached_signs(1, 128, np.float32), length=128)
+        fwht_rows(list(matrix), 0, length=128)
+        assert matrix.tobytes() == before
+
+    def test_rejects_rows_longer_than_the_padded_row(self):
+        with pytest.raises(ValueError, match="do not fit"):
+            fwht_rows(np.ones((2, 9), dtype=np.float32), 2, length=8)
 
 
 def _whole_matrix_rounding(rows, rng, max_level, scale):
