@@ -121,9 +121,12 @@ class TraceStep:
         return mean_row(self.flats())
 
 
-def mean_row(rows: Sequence[np.ndarray]) -> np.ndarray:
-    """The exact mean of equal-length rows: a step's true mean from its flats."""
-    return np.mean(np.stack(rows), axis=0)
+def mean_row(rows: "np.ndarray | Sequence[np.ndarray]") -> np.ndarray:
+    """The exact mean of equal-length rows: a step's true mean from its flats.
+
+    A stacked matrix of the rows is read as it is, without another copy.
+    """
+    return np.mean(np.asarray(rows), axis=0)
 
 
 @dataclass

@@ -307,21 +307,15 @@ class AggregationScheme(abc.ABC):
 
     @staticmethod
     def _gather_rows(
-        rows: "np.ndarray | list[np.ndarray]",
-        out: np.ndarray,
-        *,
-        columns: int | None = None,
+        rows: "np.ndarray | list[np.ndarray]", out: np.ndarray
     ) -> np.ndarray:
         """Copy worker rows (a matrix or a list of vectors) into ``out``.
 
-        ``columns`` restricts the copy to the first columns of ``out`` (the
-        padded tail is left for the caller to clear).  Casting follows the
-        destination dtype -- this is where a kernel drops to its float32
-        compute precision.
+        Casting follows the destination dtype -- this is where a kernel
+        drops to its float32 compute precision.
         """
-        width = out.shape[1] if columns is None else columns
         for index in range(out.shape[0]):
-            np.copyto(out[index, :width], rows[index], casting="unsafe")
+            np.copyto(out[index], rows[index], casting="unsafe")
         return out
 
     @staticmethod
