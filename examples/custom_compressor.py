@@ -23,13 +23,20 @@ from repro.collectives.ops import SumOp
 from repro.compression import Param, SimContext, register
 from repro.compression.base import AggregationResult, AggregationScheme, CostEstimate
 from repro.core import compute_utility
+from repro.grammar import POSITIVE
 from repro.training import vgg19_tinyimagenet
 
 
 @register(
     "randomblock",
     params=(
-        Param("b", float, kwarg="bits_per_coordinate", doc="target wire bits per coordinate"),
+        Param(
+            "b",
+            float,
+            kwarg="bits_per_coordinate",
+            doc="target wire bits per coordinate",
+            domain=POSITIVE,
+        ),
     ),
     description="Energy-blind random-block sparsification (strawman)",
 )
@@ -42,9 +49,10 @@ class RandomBlockCompressor(AggregationScheme):
     """
 
     def __init__(self, bits_per_coordinate: float = 2.0):
-        if bits_per_coordinate <= 0:
-            raise ValueError("bits_per_coordinate must be positive")
         self.bits_per_coordinate = float(bits_per_coordinate)
+        # The declared domain (b > 0) is the one range check, for spec strings
+        # and Python callers alike.
+        RandomBlockCompressor._spec_family.check(self)
         self.name = f"randomblock_b{bits_per_coordinate:g}"
         self._round = 0
 

@@ -24,12 +24,13 @@ from repro.compression.base import (
 )
 from repro.compression.kernels import LazyTransmitted
 from repro.compression.spec import Param, register
+from repro.grammar import UNIT
 
 
 @register(
     "ef",
     params=(
-        Param("decay", float, default=1.0, doc="multiplicative residual decay per round"),
+        Param("decay", float, default=1.0, doc="residual decay per round", domain=UNIT),
     ),
     wraps=True,
     description="Error feedback: accumulate and re-inject the compression residual",
@@ -44,10 +45,9 @@ class ErrorFeedback(AggregationScheme):
     """
 
     def __init__(self, scheme: AggregationScheme, *, decay: float = 1.0):
-        if not 0.0 <= decay <= 1.0:
-            raise ValueError("decay must be in [0, 1]")
         self.scheme = scheme
         self.decay = decay
+        ErrorFeedback._spec_family.check(self)
         #: Residual state, stored as one (held workers, d) float32 matrix.
         self._residual_matrix: np.ndarray | None = None
         self.name = f"ef({scheme.name})"

@@ -35,6 +35,7 @@ from repro.compression.base import (
 from repro.compression.kernels import LazyTransmitted
 from repro.compression.precision import gather_fp16_rows
 from repro.compression.spec import Param, register
+from repro.grammar import NON_NEGATIVE, Interval
 
 
 def default_layer_shapes(num_coordinates: int) -> list[tuple[int, int]]:
@@ -98,10 +99,10 @@ def orthogonalize(matrix: np.ndarray) -> np.ndarray:
 @register(
     "powersgd",
     params=(
-        Param("r", int, kwarg="rank", doc="target rank of the low-rank approximation"),
-        Param("bits", int, kwarg="factor_bits", default=32, doc="factor wire width (16 or 32)"),
+        Param("r", int, "rank", doc="target rank of the approximation", domain=Interval(1)),
+        Param("bits", int, "factor_bits", default=32, doc="factor wire width", domain=(16, 32)),
         Param("warm", bool, kwarg="warm_start", default=True, doc="warm-start power iteration"),
-        Param("seed", int, kwarg="seed", default=42, doc="seed of the initial Q factor"),
+        Param("seed", int, default=42, doc="seed of the initial Q factor", domain=NON_NEGATIVE),
     ),
     description="PowerSGD low-rank compression (layer shapes set per workload)",
 )
@@ -131,15 +132,12 @@ class PowerSGDCompressor(AggregationScheme):
         warm_start: bool = True,
         seed: int = 42,
     ):
-        if rank < 1:
-            raise ValueError("rank must be >= 1")
-        if factor_bits not in (16, 32):
-            raise ValueError("factor_bits must be 16 or 32")
         self.rank = rank
         self.layer_shapes = layer_shapes
         self.factor_bits = factor_bits
         self.warm_start = warm_start
         self.seed = seed
+        PowerSGDCompressor._spec_family.check(self)
         self._q_state: dict[int, np.ndarray] = {}
         self.name = f"powersgd_r{rank}"
 

@@ -120,7 +120,7 @@ def gather_fp16_rows(
 @register(
     "baseline",
     params=(
-        Param("p", Precision, kwarg="wire_precision", doc="wire precision (fp16 or fp32)"),
+        Param("p", Precision, "wire_precision", domain=(Precision.FP16, Precision.FP32)),
     ),
     description="Uncompressed ring all-reduce at FP16 or FP32 wire precision",
 )
@@ -132,9 +132,8 @@ class PrecisionBaseline(AggregationScheme):
     """
 
     def __init__(self, wire_precision: Precision = Precision.FP16):
-        if wire_precision not in (Precision.FP16, Precision.FP32):
-            raise ValueError("precision baselines support FP16 or FP32 wire formats")
         self.wire_precision = wire_precision
+        PrecisionBaseline._spec_family.check(self)
         self.name = f"baseline_{wire_precision.value}"
 
     def expected_bits_per_coordinate(self, num_coordinates: int, world_size: int) -> float:

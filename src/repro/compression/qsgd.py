@@ -31,13 +31,14 @@ from repro.compression.kernels import (
 )
 from repro.compression.quantization import StochasticQuantizer
 from repro.compression.spec import Param, register
+from repro.grammar import Interval
 from repro.compression.thc import AggregationMode
 
 
 @register(
     "qsgd",
     params=(
-        Param("q", int, kwarg="quantization_bits", doc="quantization width q"),
+        Param("q", int, "quantization_bits", doc="quantization width q", domain=Interval(2)),
         Param("b", int, kwarg="wire_bits", doc="wire width b (defaults to q, or q+4 widened)"),
         Param("agg", AggregationMode, kwarg="aggregation", doc="overflow-handling strategy"),
     ),
@@ -65,19 +66,18 @@ class QSGDCompressor(AggregationScheme):
         *,
         aggregation: AggregationMode = AggregationMode.SATURATION,
     ):
-        if quantization_bits < 2:
-            raise ValueError("quantization_bits must be >= 2")
         if wire_bits is None:
             wire_bits = (
                 quantization_bits + 4
                 if aggregation is AggregationMode.WIDENED
                 else quantization_bits
             )
-        if wire_bits < quantization_bits:
-            raise ValueError("wire_bits must be at least quantization_bits")
         self.quantization_bits = quantization_bits
         self.wire_bits = wire_bits
         self.aggregation = aggregation
+        QSGDCompressor._spec_family.check(self)
+        if wire_bits < quantization_bits:
+            raise ValueError("wire_bits must be at least quantization_bits")
         self.quantizer = StochasticQuantizer(bits=quantization_bits)
         self.name = f"qsgd_b{wire_bits}_q{quantization_bits}_{aggregation.value}"
 

@@ -53,6 +53,7 @@ class SignSGDCompressor(AggregationScheme):
 
     def __init__(self, *, scale_by_mean_magnitude: bool = True):
         self.scale_by_mean_magnitude = scale_by_mean_magnitude
+        SignSGDCompressor._spec_family.check(self)
         self.name = "signsgd_majority"
 
     def wire_bits_for(self, world_size: int) -> int:

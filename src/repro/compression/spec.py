@@ -99,14 +99,8 @@ def register(
     """
 
     def decorate(cls: type) -> type:
-        doc_lines = (cls.__doc__ or "").strip().splitlines()
         _DIALECT.register(
-            name,
-            cls,
-            params,
-            wraps=wraps,
-            wrapped_attr=wrapped_attr,
-            description=description or (doc_lines[0] if doc_lines else ""),
+            name, cls, params, wraps=wraps, wrapped_attr=wrapped_attr, description=description
         )
         return cls
 

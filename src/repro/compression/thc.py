@@ -46,6 +46,7 @@ from repro.compression.kernels import (
 )
 from repro.compression.quantization import StochasticQuantizer
 from repro.compression.spec import Param, register
+from repro.grammar import NON_NEGATIVE, Interval
 
 
 class RotationMode(enum.Enum):
@@ -96,11 +97,11 @@ class AggregationMode(enum.Enum):
 @register(
     "thc",
     params=(
-        Param("q", int, kwarg="quantization_bits", doc="quantization width q"),
+        Param("q", int, "quantization_bits", doc="quantization width q", domain=Interval(2)),
         Param("b", int, kwarg="wire_bits", doc="wire width b (defaults to q, or q+4 widened)"),
         Param("rot", RotationMode, kwarg="rotation", doc="Hadamard rotation mode"),
         Param("agg", AggregationMode, kwarg="aggregation", doc="overflow-handling strategy"),
-        Param("seed", int, kwarg="rotation_seed", default=7, doc="rotation sign seed"),
+        Param("seed", int, "rotation_seed", default=7, doc="rotation signs", domain=NON_NEGATIVE),
     ),
     description="THC quantization with saturation and partial-rotation adaptations",
 )
@@ -126,8 +127,6 @@ class THCCompressor(AggregationScheme):
         aggregation: AggregationMode = AggregationMode.SATURATION,
         rotation_seed: int = 7,
     ):
-        if quantization_bits < 2:
-            raise ValueError("quantization_bits must be >= 2")
         if wire_bits is None:
             # Saturating modes (host-side or in-network) keep b = q; the
             # widened adaptation needs headroom for exact partial sums.
@@ -136,13 +135,14 @@ class THCCompressor(AggregationScheme):
                 if aggregation is AggregationMode.WIDENED
                 else quantization_bits
             )
-        if wire_bits < quantization_bits:
-            raise ValueError("wire_bits must be at least quantization_bits")
         self.quantization_bits = quantization_bits
         self.wire_bits = wire_bits
         self.rotation = rotation
         self.aggregation = aggregation
         self.rotation_seed = rotation_seed
+        THCCompressor._spec_family.check(self)
+        if wire_bits < quantization_bits:
+            raise ValueError("wire_bits must be at least quantization_bits")
         self.quantizer = StochasticQuantizer(bits=quantization_bits)
         self.name = (
             f"thc_b{wire_bits}_q{quantization_bits}_{rotation.value}rot_{aggregation.value}"

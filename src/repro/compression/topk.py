@@ -23,6 +23,7 @@ from repro.compression.base import (
     SimContext,
 )
 from repro.compression.spec import Param, register
+from repro.grammar import POSITIVE
 
 #: Wire width of one transmitted coordinate index.
 INDEX_BITS = 32.0
@@ -62,7 +63,7 @@ def k_for_bits_per_coordinate(bits_per_coordinate: float, num_coordinates: int) 
 @register(
     "topk",
     params=(
-        Param("b", float, kwarg="bits_per_coordinate", doc="target wire bits per coordinate"),
+        Param("b", float, "bits_per_coordinate", doc="target bits per coordinate", domain=POSITIVE),
     ),
     description="Local TopK sparsification aggregated with all-gather",
 )
@@ -76,9 +77,8 @@ class TopKCompressor(AggregationScheme):
     """
 
     def __init__(self, bits_per_coordinate: float = 2.0, value_dtype: type = np.float16):
-        if bits_per_coordinate <= 0:
-            raise ValueError("bits_per_coordinate must be positive")
         self.bits_per_coordinate = float(bits_per_coordinate)
+        TopKCompressor._spec_family.check(self)
         self.value_dtype = value_dtype
         self.name = f"topk_b{bits_per_coordinate:g}"
 

@@ -36,6 +36,7 @@ from repro.compression.base import (
 from repro.compression.kernels import TILE_ELEMENTS, LazyTransmitted, RoundWorkspace
 from repro.compression.precision import gather_fp16_rows
 from repro.compression.spec import Param, register
+from repro.grammar import NON_NEGATIVE, POSITIVE
 
 #: Wire width of the chunk-norm consensus stage and of the value stage (FP16).
 STAGE_BITS = 16.0
@@ -85,10 +86,10 @@ def default_chunk_size(bits_per_coordinate: float) -> int:
 @register(
     "topkc",
     params=(
-        Param("b", float, kwarg="bits_per_coordinate", doc="target wire bits per coordinate"),
-        Param("c", int, kwarg="chunk_size", doc="chunk size C (defaults to the paper's choice)"),
+        Param("b", float, "bits_per_coordinate", doc="target bits per coordinate", domain=POSITIVE),
+        Param("c", int, "chunk_size", doc="chunk size C (default: the paper's)", domain=POSITIVE),
         Param("perm", bool, kwarg="permute", default=False, doc="random-permutation ablation"),
-        Param("seed", int, kwarg="permutation_seed", default=1234, doc="permutation seed"),
+        Param("seed", int, "permutation_seed", default=1234, domain=NON_NEGATIVE),
     ),
     description="TopK-Chunked: all-reduce-compatible chunk-consensus sparsifier",
 )
@@ -113,14 +114,13 @@ class TopKChunkedCompressor(AggregationScheme):
         permute: bool = False,
         permutation_seed: int = 1234,
     ):
-        if bits_per_coordinate <= 0:
-            raise ValueError("bits_per_coordinate must be positive")
         self.bits_per_coordinate = float(bits_per_coordinate)
-        self.chunk_size = chunk_size or default_chunk_size(bits_per_coordinate)
-        if self.chunk_size <= 0:
-            raise ValueError("chunk_size must be positive")
+        self.chunk_size = (
+            default_chunk_size(bits_per_coordinate) if chunk_size is None else chunk_size
+        )
         self.permute = permute
         self.permutation_seed = permutation_seed
+        TopKChunkedCompressor._spec_family.check(self)
         suffix = "_perm" if permute else ""
         self.name = f"topkc_b{bits_per_coordinate:g}{suffix}"
 

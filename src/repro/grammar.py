@@ -23,6 +23,12 @@ This module holds the tokenizer and parser, the typed parameter binder
 error classes.  Each spec module declares a :class:`Dialect` with its own
 error subclasses and registers its families into it.
 
+A :class:`Param` states a parameter once: name, kind and domain (an
+:class:`Interval` or a tuple of values).  Registered classes call the one
+check, :meth:`SchemeFamily.check`, from their constructors, so spec strings
+and Python callers accept the same values; :meth:`Dialect.constructor`
+binds Python arguments like a spec term.
+
 Printed specs are a protocol -- they key goldens, sweep memos and the
 advisor's cache -- so every printed spec parses back to an equal object.
 """
@@ -32,6 +38,7 @@ from __future__ import annotations
 import difflib
 import enum
 import math
+import numbers
 import re
 import string
 from dataclasses import dataclass, field
@@ -136,6 +143,40 @@ ALWAYS = _Marker("ALWAYS")
 REQUIRED = _Marker("REQUIRED")
 
 
+@dataclass(frozen=True)
+class Interval:
+    """The numbers from ``low`` to ``high``, each end open or closed (NaN is outside)."""
+
+    low: float = -math.inf
+    high: float = math.inf
+    low_open: bool = False
+    high_open: bool = False
+
+    def __contains__(self, value: object) -> bool:
+        above = value > self.low if self.low_open else value >= self.low
+        below = value < self.high if self.high_open else value <= self.high
+        return above and below
+
+    def bound(self) -> str:
+        """The interval in symbols: ``>= 2``, ``> 0``, ``in (0, 1]``."""
+        low, high = format_number(self.low), format_number(self.high)
+        if self.high == math.inf and not self.high_open:
+            return f"{'>' if self.low_open else '>='} {low}"
+        return f"in {'(' if self.low_open else '['}{low}, {high}{')' if self.high_open else ']'}"
+
+    def label(self) -> str:
+        return "positive" if self == POSITIVE else self.bound()
+
+
+POSITIVE = Interval(0, low_open=True)
+NON_NEGATIVE = Interval(0)
+UNIT = Interval(0, 1)
+
+_KIND_NAMES = {int: "an integer", float: "a number", bool: "a bool", str: "a string"}
+#: The values a number kind takes (the builtins first: they are the fast checks).
+_NUMBERS = {int: (int, numbers.Integral), float: (float, int, numbers.Real)}
+
+
 @dataclass(frozen=True, eq=False)  # identity: each parameter is declared once
 class Param:
     """One typed, introspectable parameter of a family.
@@ -152,8 +193,10 @@ class Param:
             value the canonical spec omits the parameter; :data:`ALWAYS`
             means the parameter is always rendered, :data:`REQUIRED` that
             it is always rendered and a spec must give it.
-        doc: One-line description shown by :func:`family_signature`.
+        doc: One-line description (and why the domain is what it is).
         aliases: Other keys a spec may spell the parameter with.
+        domain: The admitted values of the kind: an :class:`Interval`, a
+            tuple of values, or ``None`` for all.
     """
 
     name: str
@@ -163,6 +206,7 @@ class Param:
     default: object = ALWAYS
     doc: str = ""
     aliases: tuple[str, ...] = ()
+    domain: Interval | tuple | None = None
 
     @property
     def constructor_keyword(self) -> str:
@@ -179,10 +223,11 @@ class Param:
     def coerce(
         self, value: object, family: str, error: type[GrammarParamError] = GrammarParamError
     ) -> object:
-        """Coerce a parsed literal onto this parameter's type."""
-        if self.kind is float and isinstance(value, (int, float)) and not isinstance(value, bool):
+        """Coerce a parsed literal or Python argument (numpy scalars too) onto the type."""
+        numeric = _NUMBERS.get(self.kind)
+        if numeric and isinstance(value, numeric) and not isinstance(value, bool):
             try:
-                return float(value)
+                return self.kind(value)
             except OverflowError:  # an integer literal beyond the float range
                 pass
         if self.kind is bool:
@@ -227,14 +272,36 @@ class Param:
 
     def _kind_label(self) -> str:
         if isinstance(self.kind, type) and issubclass(self.kind, enum.Enum):
-            return "{" + ",".join(str(m.value) for m in self.kind) + "}"
+            return _set_label(self.kind)
         return self.kind.__name__
 
+    def violation(self, value: object) -> str | None:
+        """What ``value`` must be and is not (``None`` if it fits); never a bool for numbers."""
+        kind, domain = self.kind, self.domain
+        if kind in _NUMBERS:
+            if isinstance(value, bool) or not isinstance(value, _NUMBERS[kind]):
+                return _KIND_NAMES[kind]
+        elif not isinstance(value, kind):
+            return _KIND_NAMES.get(kind, f"one of {self._kind_label()}")
+        if domain is None or value in domain:
+            return None
+        return domain.label() if isinstance(domain, Interval) else f"one of {_set_label(domain)}"
+
     def signature_fragment(self) -> str:
-        fragment = f"{self.name}: {self._kind_label()}"
+        """``name: kind [domain] [= default]``, e.g. ``q: int >= 2``."""
+        domain = self.domain
+        if domain is None or isinstance(domain, Interval):
+            fragment = f"{self.name}: {self._kind_label()}"
+            fragment += f" {domain.bound()}" if domain else ""
+        else:
+            fragment = f"{self.name}: {_set_label(domain)}"
         if self.has_default:
             fragment += f" = {self.render(self.default)}"
         return fragment
+
+
+def _set_label(values: Iterable[object]) -> str:
+    return "{" + ",".join(render_value(value) for value in values) + "}"
 
 
 @dataclass(frozen=True)
@@ -346,6 +413,13 @@ class SchemeFamily:
         except ValueError as error:
             raise self.param_error(f"{self.name}: {error}") from None
 
+    def check(self, instance: object) -> None:
+        """The one range check: raise unless each parameter fits its kind and domain."""
+        for param in self.params:
+            label = param.violation(getattr(instance, param.attribute))
+            if label is not None:
+                raise ValueError(f"{param.attribute} must be {label}")
+
     def format_instance(self, instance: object) -> str:
         """The canonical spec string of a live instance (round-trippable)."""
         parts: list[str] = []
@@ -362,7 +436,7 @@ class SchemeFamily:
         return f"{self.name}({', '.join(parts)})"
 
     def signature(self) -> str:
-        """Human-readable signature, e.g. ``thc(q: int, b: int, rot: {...})``."""
+        """Human-readable signature, e.g. ``thc(q: int >= 2, b: int, rot: {...})``."""
         fragments = ["<scheme>"] if self.wraps else []
         fragments.extend(param.signature_fragment() for param in self.params)
         return f"{self.name}({', '.join(fragments)})"
@@ -409,11 +483,27 @@ class Dialect:
             )
         if name in self.families:
             raise ValueError(f"family {name!r} is already registered")
+        if not options.get("description"):
+            doc_lines = (cls.__doc__ or "").strip().splitlines()
+            options["description"] = doc_lines[0] if doc_lines else ""
         family = SchemeFamily(name, cls, tuple(params), param_error=self.param_error, **options)
         for key in (name, *family.aliases):
             self.families[key] = family
         cls._spec_family = family
         return family
+
+    def constructor(self, name: str, **renames: str) -> Callable[..., object]:
+        """A Python constructor building like the spec term (``renames``: extra keywords)."""
+        family = self.families[name]
+
+        def construct(*args: object, **kwargs: object) -> object:
+            extra = {renames[key]: kwargs.pop(key) for key in list(kwargs) if key in renames}
+            bound = tuple((None, value) for value in args) + tuple(kwargs.items())
+            return family.build(bound, **extra)
+
+        construct.__name__ = construct.__qualname__ = name
+        construct.__doc__ = f"``{family.signature()}``: {family.description}"
+        return construct
 
     def names(self) -> list[str]:
         """Canonical family names, sorted."""

@@ -49,9 +49,11 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 from repro.grammar import (
+    NON_NEGATIVE,
     Dialect,
     GrammarParamError,
     GrammarSyntaxError,
+    Interval,
     Param,
     UnknownNameError,
     parse_terms,
@@ -119,6 +121,9 @@ class PolicyRule:
     #: Spec-language family name (set per subclass).
     kind = "abstract"
 
+    def __post_init__(self) -> None:
+        self._spec_family.check(self)
+
     def spec(self) -> str:
         """Canonical spec-string form of this rule."""
         return self._spec_family.format_instance(self)
@@ -130,13 +135,6 @@ class TimeoutRule(PolicyRule):
 
     k: float = 3.0
     kind = "timeout"
-
-    def __post_init__(self) -> None:
-        if not self.k >= 1:
-            raise ValueError(
-                f"k ({self.k:g}) must be >= 1: the deadline is k x the nominal "
-                "round time, and a sub-nominal deadline would abort every round"
-            )
 
 
 @dataclass(frozen=True)
@@ -152,18 +150,6 @@ class RetryRule(PolicyRule):
     backoff: float = 0.1
     kind = "retry"
 
-    def __post_init__(self) -> None:
-        if self.max_attempts < 0:
-            raise ValueError(
-                f"max ({self.max_attempts}) must be >= 0: a negative retry "
-                "budget is meaningless (0 disables retries)"
-            )
-        if not self.backoff >= 0:
-            raise ValueError(
-                f"backoff ({self.backoff:g}) must be >= 0 (it is a delay, "
-                "in nominal round times, before each re-issue)"
-            )
-
 
 @dataclass(frozen=True)
 class DropRule(PolicyRule):
@@ -172,13 +158,6 @@ class DropRule(PolicyRule):
     max_workers: int = 1
     kind = "drop"
 
-    def __post_init__(self) -> None:
-        if self.max_workers < 1:
-            raise ValueError(
-                f"max_workers ({self.max_workers}) must be >= 1: dropping "
-                "zero workers never changes the round (omit the rule instead)"
-            )
-
 
 @dataclass(frozen=True)
 class StaleRule(PolicyRule):
@@ -186,13 +165,6 @@ class StaleRule(PolicyRule):
 
     max_stale: int = 1
     kind = "stale"
-
-    def __post_init__(self) -> None:
-        if self.max_stale < 0:
-            raise ValueError(
-                f"max ({self.max_stale}) must be >= 0 (0 always skips "
-                "timed-out updates instead of re-applying a stale aggregate)"
-            )
 
 
 #: Canonical composition order of rule kinds within a policy spec; also the
@@ -300,19 +272,66 @@ _RULES = Dialect(
     terms="rules",
 )
 
-_RULES.register("timeout", TimeoutRule, (Param("k", float),), aliases=("deadline",))
+_RULES.register(
+    "timeout",
+    TimeoutRule,
+    (
+        Param(
+            "k",
+            float,
+            doc="deadline in nominal round times; a sub-nominal one would abort every round",
+            domain=Interval(1),
+        ),
+    ),
+    aliases=("deadline",),
+)
 _RULES.register(
     "retry",
     RetryRule,
-    (Param("max", int, "max_attempts", aliases=("max_attempts",)), Param("backoff", float)),
+    (
+        Param(
+            "max",
+            int,
+            "max_attempts",
+            doc="retry budget; 0 disables retries",
+            aliases=("max_attempts",),
+            domain=NON_NEGATIVE,
+        ),
+        Param(
+            "backoff",
+            float,
+            doc="delay before each re-issue, in nominal round times",
+            domain=NON_NEGATIVE,
+        ),
+    ),
 )
 _RULES.register(
-    "drop", DropRule, (Param("max_workers", int, aliases=("f",)),), aliases=("drop_stragglers",)
+    "drop",
+    DropRule,
+    (
+        Param(
+            "max_workers",
+            int,
+            doc="stragglers excused; dropping none would never change the round",
+            aliases=("f",),
+            domain=Interval(1),
+        ),
+    ),
+    aliases=("drop_stragglers",),
 )
 _RULES.register(
     "stale",
     StaleRule,
-    (Param("max", int, "max_stale", aliases=("max_stale",)),),
+    (
+        Param(
+            "max",
+            int,
+            "max_stale",
+            doc="consecutive aborts re-applying the last aggregate; 0 always skips them",
+            aliases=("max_stale",),
+            domain=NON_NEGATIVE,
+        ),
+    ),
     aliases=("stale_gradients",),
 )
 
@@ -371,25 +390,12 @@ def policy(
 # Programmatic rule constructors
 # --------------------------------------------------------------------------- #
 
-
-def timeout(k: float = 3.0) -> TimeoutRule:
-    """Abort the collective at ``k`` times the nominal round time."""
-    return TimeoutRule(k=k)
-
-
-def retry(max_attempts: int = 2, backoff: float = 0.1) -> RetryRule:
-    """Re-issue degraded rounds up to ``max_attempts`` times with backoff."""
-    return RetryRule(max_attempts=max_attempts, backoff=backoff)
-
-
-def drop_stragglers(max_workers: int = 1) -> DropRule:
-    """Excuse up to ``max_workers`` stragglers and aggregate the rest."""
-    return DropRule(max_workers=max_workers)
-
-
-def stale_gradients(max_stale: int = 1) -> StaleRule:
-    """Re-apply the last good aggregate for up to ``max_stale`` consecutive aborts."""
-    return StaleRule(max_stale=max_stale)
+#: Each takes the rule's spec parameters positionally or by keyword:
+#: ``retry(2, backoff=0.1)`` is ``retry(max=2, backoff=0.1)``.
+timeout = _RULES.constructor("timeout")
+retry = _RULES.constructor("retry")
+drop_stragglers = _RULES.constructor("drop_stragglers")
+stale_gradients = _RULES.constructor("stale_gradients")
 
 
 # --------------------------------------------------------------------------- #

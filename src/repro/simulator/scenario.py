@@ -49,10 +49,14 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from repro.grammar import (
+    NON_NEGATIVE,
+    POSITIVE,
     REQUIRED,
+    UNIT,
     Dialect,
     GrammarParamError,
     GrammarSyntaxError,
+    Interval,
     Param,
     UnknownNameError,
     parse_terms,
@@ -116,6 +120,7 @@ class ScenarioEvent:
                 f"until_round ({self.until_round}) must be greater than "
                 f"start_round ({self.start_round})"
             )
+        self._spec_family.check(self)
 
     def active_at(self, round_index: int) -> bool:
         """Whether the event's window covers ``round_index``."""
@@ -183,13 +188,6 @@ class SlowdownEvent(ScenarioEvent):
     factor: float
     kind = "slowdown"
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if self.worker < 0:
-            raise ValueError("worker must be non-negative")
-        if not self.factor > 0:
-            raise ValueError("factor must be positive")
-
     def apply(self, cluster, round_index, rng):
         return _scale_ranks(cluster, [(self.worker, self.worker + 1)], slowdown=self.factor)
 
@@ -202,13 +200,6 @@ class NicDegradeEvent(ScenarioEvent):
     factor: float
     kind = "nic_degrade"
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if self.worker < 0:
-            raise ValueError("worker must be non-negative")
-        if not self.factor > 0:
-            raise ValueError("factor must be positive")
-
     def apply(self, cluster, round_index, rng):
         return _scale_ranks(cluster, [(self.worker, self.worker + 1)], nic=self.factor)
 
@@ -220,13 +211,6 @@ class LinkFlapEvent(ScenarioEvent):
     rack: int
     factor: float = 8.0
     kind = "flap"
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if self.rack < 0:
-            raise ValueError("rack must be non-negative")
-        if not self.factor > 0:
-            raise ValueError("factor must be positive")
 
     def apply(self, cluster, round_index, rng):
         if self.rack >= cluster.num_racks:
@@ -255,13 +239,6 @@ class DomainFailEvent(ScenarioEvent):
     factor: float = 8.0
     kind = "domain_fail"
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if self.domain < 0:
-            raise ValueError("domain must be non-negative")
-        if not self.factor > 0:
-            raise ValueError("factor must be positive")
-
     def apply(self, cluster, round_index, rng):
         fabric = cluster.fabric
         num_domains = fabric.num_domains if fabric is not None else 1
@@ -287,11 +264,6 @@ class SwitchMemoryPressureEvent(ScenarioEvent):
 
     factor: float = 0.25
     kind = "switch_mem"
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if not 0 < self.factor <= 1:
-            raise ValueError("factor must be in (0, 1]")
 
     def apply(self, cluster, round_index, rng):
         if cluster.fabric is None or self.factor == 1.0:
@@ -323,13 +295,6 @@ class ChurnEvent(ScenarioEvent):
     p: float
     factor: float = 4.0
     kind = "churn"
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if not 0 <= self.p <= 1:
-            raise ValueError("p must be in [0, 1]")
-        if not self.factor > 0:
-            raise ValueError("factor must be positive")
 
     def apply(self, cluster, round_index, rng):
         if cluster.world_size <= PER_RANK_LIMIT:
@@ -384,11 +349,6 @@ class JoinEvent(ScenarioEvent):
     nodes: int = 1
     kind = "join"
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if self.nodes < 1:
-            raise ValueError("nodes must be >= 1")
-
     def apply(self, cluster, round_index, rng):
         return _resize_nodes(cluster, cluster.num_nodes + self.nodes)
 
@@ -399,11 +359,6 @@ class LeaveEvent(ScenarioEvent):
 
     nodes: int = 1
     kind = "leave"
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if self.nodes < 1:
-            raise ValueError("nodes must be >= 1")
 
     def apply(self, cluster, round_index, rng):
         return _resize_nodes(cluster, cluster.num_nodes - self.nodes)
@@ -551,26 +506,23 @@ _EVENTS = Dialect(
     terms="events",
 )
 
-_WORKER = Param("w", int, "worker", default=REQUIRED, aliases=("worker",))
-_FACTOR = Param("x", float, "factor", aliases=("factor",))
-_REQUIRED_FACTOR = Param("x", float, "factor", default=REQUIRED, aliases=("factor",))
-_NODES = Param("n", int, "nodes", aliases=("nodes",))
+_WORKER = Param("w", int, "worker", default=REQUIRED, aliases=("worker",), domain=NON_NEGATIVE)
+_FACTOR = Param("x", float, "factor", doc="times slower", aliases=("factor",), domain=POSITIVE)
+_REQUIRED_FACTOR = replace(_FACTOR, default=REQUIRED)
+_POOL_FRACTION = replace(_FACTOR, doc="pool fraction left", domain=Interval(0, 1, low_open=True))
+_RACK = Param("rack", int, default=REQUIRED, domain=NON_NEGATIVE)
+_DOMAIN = Param("d", int, "domain", default=REQUIRED, aliases=("domain",), domain=NON_NEGATIVE)
+_PROBABILITY = Param("p", float, default=REQUIRED, doc="per-round chance", domain=UNIT)
+_NODES = Param("n", int, "nodes", aliases=("nodes",), domain=Interval(1))
 
 _EVENTS.register("slowdown", SlowdownEvent, (_WORKER, _REQUIRED_FACTOR))
 _EVENTS.register("nic_degrade", NicDegradeEvent, (_WORKER, _REQUIRED_FACTOR), aliases=("nic",))
+_EVENTS.register("flap", LinkFlapEvent, (_RACK, _FACTOR), aliases=("link_flap",))
+_EVENTS.register("domain_fail", DomainFailEvent, (_DOMAIN, _FACTOR), aliases=("domain",))
 _EVENTS.register(
-    "flap", LinkFlapEvent, (Param("rack", int, default=REQUIRED), _FACTOR), aliases=("link_flap",)
+    "switch_mem", SwitchMemoryPressureEvent, (_POOL_FRACTION,), aliases=("switch_memory_pressure",)
 )
-_EVENTS.register(
-    "domain_fail",
-    DomainFailEvent,
-    (Param("d", int, "domain", default=REQUIRED, aliases=("domain",)), _FACTOR),
-    aliases=("domain",),
-)
-_EVENTS.register(
-    "switch_mem", SwitchMemoryPressureEvent, (_FACTOR,), aliases=("switch_memory_pressure",)
-)
-_EVENTS.register("churn", ChurnEvent, (Param("p", float, default=REQUIRED), _FACTOR))
+_EVENTS.register("churn", ChurnEvent, (_PROBABILITY, _FACTOR))
 _EVENTS.register("join", JoinEvent, (_NODES,))
 _EVENTS.register("leave", LeaveEvent, (_NODES,))
 
@@ -630,61 +582,18 @@ def scenario(
 # Programmatic event constructors
 # --------------------------------------------------------------------------- #
 
-
-def slowdown(
-    worker: int, x: float = 2.0, *, at_round: int = 0, until: int | None = None
-) -> SlowdownEvent:
-    """Worker ``worker`` runs ``x`` times slower for rounds ``[at_round, until)``."""
-    return SlowdownEvent(worker=worker, factor=x, start_round=at_round, until_round=until)
-
-
-def nic_degrade(
-    worker: int, x: float = 4.0, *, at_round: int = 0, until: int | None = None
-) -> NicDegradeEvent:
-    """Worker ``worker``'s NIC drops to ``1/x`` bandwidth for the window."""
-    return NicDegradeEvent(worker=worker, factor=x, start_round=at_round, until_round=until)
-
-
-def link_flap(
-    rack: int, x: float = 8.0, *, at_round: int = 0, until: int | None = None
-) -> LinkFlapEvent:
-    """Rack ``rack``'s members lose NIC bandwidth (``x`` times slower) for the window."""
-    return LinkFlapEvent(rack=rack, factor=x, start_round=at_round, until_round=until)
-
-
-def domain_fail(
-    domain: int, x: float = 8.0, *, at_round: int = 0, until: int | None = None
-) -> DomainFailEvent:
-    """Failure domain ``domain``'s members lose NIC bandwidth for the window."""
-    return DomainFailEvent(domain=domain, factor=x, start_round=at_round, until_round=until)
-
-
-def switch_memory_pressure(
-    x: float = 0.25, *, at_round: int = 0, until: int | None = None
-) -> SwitchMemoryPressureEvent:
-    """The switches' aggregation pool shrinks to ``x`` of its size for the window."""
-    return SwitchMemoryPressureEvent(factor=x, start_round=at_round, until_round=until)
-
-
-def churn(
-    p: float, x: float = 4.0, *, at_round: int = 0, until: int | None = None
-) -> ChurnEvent:
-    """Each worker independently slows by ``x`` with probability ``p`` per round."""
-    return ChurnEvent(p=p, factor=x, start_round=at_round, until_round=until)
-
-
-def join(
-    nodes: int = 1, *, at_round: int = 0, until: int | None = None
-) -> JoinEvent:
-    """``nodes`` extra nominal nodes participate for rounds ``[at_round, until)``."""
-    return JoinEvent(nodes=nodes, start_round=at_round, until_round=until)
-
-
-def leave(
-    nodes: int = 1, *, at_round: int = 0, until: int | None = None
-) -> LeaveEvent:
-    """The last ``nodes`` nodes drop out for rounds ``[at_round, until)``."""
-    return LeaveEvent(nodes=nodes, start_round=at_round, until_round=until)
+#: Each takes the event's spec parameters positionally or by keyword, plus
+#: the round window ``at_round=`` / ``until=``: ``slowdown(3, 2.5,
+#: at_round=10, until=40)`` is ``slowdown(w=3, x=2.5)@10..40``.
+_WINDOW = {"at_round": "start_round", "until": "until_round"}
+slowdown = _EVENTS.constructor("slowdown", **_WINDOW)
+nic_degrade = _EVENTS.constructor("nic_degrade", **_WINDOW)
+link_flap = _EVENTS.constructor("link_flap", **_WINDOW)
+domain_fail = _EVENTS.constructor("domain_fail", **_WINDOW)
+switch_memory_pressure = _EVENTS.constructor("switch_memory_pressure", **_WINDOW)
+churn = _EVENTS.constructor("churn", **_WINDOW)
+join = _EVENTS.constructor("join", **_WINDOW)
+leave = _EVENTS.constructor("leave", **_WINDOW)
 
 
 # --------------------------------------------------------------------------- #

@@ -1,81 +1,107 @@
-"""Round-trip fuzz over the three spec grammars.
+"""Round-trip fuzz over the three spec grammars, drawn from the declared domains.
 
 Schemes, scenarios and recovery policies print themselves as spec strings,
 and those strings key goldens, sweep memos and the advisor's cache.  For
-each grammar, hypothesis builds objects programmatically -- with arbitrary
-finite floats over each parameter's valid range -- and checks that
+every registered family of each grammar, hypothesis builds objects
+programmatically -- each parameter drawn from its :class:`~repro.grammar.Param`
+kind and domain, finite floats only -- and checks that
 
 * the printed spec parses back to an equal object, and
 * printing is a fixpoint: the parsed object prints the same spec.
+
+The domains are also probed from outside: the nearest value past each
+finite end of an interval (and NaN) is rejected by the spec string and by
+the Python constructor alike, with one message.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.compression.registry import make_scheme
-from repro.compression.spec import available_families, get_family
-from repro.simulator.recovery import (
-    DropRule,
-    RecoveryPolicy,
-    RetryRule,
-    StaleRule,
-    TimeoutRule,
-    parse_policy,
-)
-from repro.simulator.scenario import (
-    Scenario,
-    churn,
-    domain_fail,
-    join,
-    leave,
-    link_flap,
-    nic_degrade,
-    parse_scenario,
-    slowdown,
-    switch_memory_pressure,
-)
+from repro.compression.spec import _DIALECT as SCHEMES
+from repro.grammar import REQUIRED, Interval, render_value
+from repro.simulator.recovery import _RULES as RULES
+from repro.simulator.recovery import RecoveryPolicy, parse_policy
+from repro.simulator.scenario import _EVENTS as EVENTS
+from repro.simulator.scenario import Scenario, parse_scenario
 
-#: Every finite float, and the positive ones.
-finite = st.floats(allow_nan=False, allow_infinity=False)
-positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
-unit = st.floats(min_value=0.0, max_value=1.0)
-counts = st.integers(min_value=0, max_value=1 << 20)
+#: Families whose parameters constrain each other (``wire_bits >=
+#: quantization_bits``); no single domain states that, so draws that break
+#: it are skipped.
+CROSS_FIELD = {"thc", "qsgd"}
+
+#: Integer draws past a lower bound stay within this span.
+INT_SPAN = 1 << 20
 
 
-# --------------------------------------------------------------------------- #
-# Schemes: every registered family, drawn from its declared parameters
-# --------------------------------------------------------------------------- #
+def _families(dialect) -> list:
+    """The dialect's families, once each (aliases dropped), by name."""
+    unique = {family.name: family for family in dialect.families.values()}
+    return [unique[name] for name in sorted(unique)]
+
+
+def _finite(bound: float) -> float | None:
+    return None if math.isinf(bound) else bound
 
 
 def _param_values(param) -> st.SearchStrategy:
-    if isinstance(param.kind, type) and issubclass(param.kind, enum.Enum):
-        return st.sampled_from(list(param.kind))
-    if param.kind is bool:
+    """Every value of the parameter's kind inside its domain."""
+    domain, kind = param.domain, param.kind
+    if isinstance(domain, tuple):
+        return st.sampled_from(domain)
+    if isinstance(kind, type) and issubclass(kind, enum.Enum):
+        return st.sampled_from(list(kind))
+    if kind is bool:
         return st.booleans()
-    if param.kind is int:
-        return st.integers(min_value=-2, max_value=64)
-    return finite
+    if domain is None:
+        domain = Interval(-2, 64) if kind is int else Interval()
+    if kind is int:
+        # Integer domains here have integral, closed or open, finite lower ends.
+        low = int(domain.low) + domain.low_open
+        high = low + INT_SPAN if math.isinf(domain.high) else int(domain.high) - domain.high_open
+        return st.integers(low, high)
+    return st.floats(
+        min_value=_finite(domain.low),
+        max_value=_finite(domain.high),
+        exclude_min=domain.low_open,
+        exclude_max=domain.high_open,
+        allow_nan=False,
+        allow_infinity=False,
+    )
+
+
+@st.composite
+def _built(draw, family, **extra):
+    """An instance of ``family``: required parameters always, the rest maybe."""
+    kwargs = {
+        param.constructor_keyword: draw(_param_values(param))
+        for param in family.params
+        if param.default is REQUIRED or draw(st.booleans())
+    }
+    wrapped = (draw(schemes(wrappers=False)),) if family.wraps else ()
+    try:
+        return family.cls(*wrapped, **kwargs, **extra)
+    except ValueError:
+        if family.name not in CROSS_FIELD:
+            raise
+        assume(False)
+
+
+# --------------------------------------------------------------------------- #
+# Schemes: every registered family
+# --------------------------------------------------------------------------- #
 
 
 @st.composite
 def schemes(draw, wrappers: bool = True):
-    names = [n for n in available_families() if wrappers or not get_family(n).wraps]
-    family = get_family(draw(st.sampled_from(names)))
-    kwargs = {
-        param.constructor_keyword: draw(_param_values(param))
-        for param in family.params
-        if draw(st.booleans())
-    }
-    wrapped = (draw(schemes(wrappers=False)),) if family.wraps else ()
-    try:
-        return family.cls(*wrapped, **kwargs)
-    except ValueError:
-        assume(False)
+    families = [family for family in _families(SCHEMES) if wrappers or not family.wraps]
+    return draw(_built(draw(st.sampled_from(families))))
 
 
 def _scheme_identity(scheme) -> tuple:
@@ -87,57 +113,36 @@ def _scheme_identity(scheme) -> tuple:
 
 
 # --------------------------------------------------------------------------- #
-# Scenarios: every event type, with random windows
+# Scenarios: every event family, with random windows
 # --------------------------------------------------------------------------- #
 
 
 @st.composite
-def _window(draw) -> dict:
-    start = draw(counts)
-    until = draw(st.none() | st.integers(min_value=start + 1, max_value=start + (1 << 20)))
-    return {"at_round": start, "until": until}
+def _event(draw):
+    start = draw(st.integers(0, INT_SPAN))
+    until = draw(st.none() | st.integers(min_value=start + 1, max_value=start + INT_SPAN))
+    family = draw(st.sampled_from(_families(EVENTS)))
+    return draw(_built(family, start_round=start, until_round=until))
 
-
-_EVENTS = [
-    st.builds(lambda w, x, window: slowdown(w, x, **window), counts, positive, _window()),
-    st.builds(lambda w, x, window: nic_degrade(w, x, **window), counts, positive, _window()),
-    st.builds(lambda r, x, window: link_flap(r, x, **window), counts, positive, _window()),
-    st.builds(lambda d, x, window: domain_fail(d, x, **window), counts, positive, _window()),
-    st.builds(
-        lambda x, window: switch_memory_pressure(x, **window),
-        st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
-        _window(),
-    ),
-    st.builds(lambda p, x, window: churn(p, x, **window), unit, positive, _window()),
-    st.builds(lambda n, window: join(n, **window), st.integers(1, 64), _window()),
-    st.builds(lambda n, window: leave(n, **window), st.integers(1, 64), _window()),
-]
 
 scenarios = st.builds(
     lambda events, seed: Scenario(events=tuple(events), seed=seed),
-    st.lists(st.one_of(_EVENTS), max_size=4),
-    counts,
+    st.lists(_event(), max_size=4),
+    st.integers(0, INT_SPAN),
 )
 
 
 # --------------------------------------------------------------------------- #
-# Recovery policies: any subset of the four rule kinds
+# Recovery policies: any subset of the rule families
 # --------------------------------------------------------------------------- #
-
-_RULES = [
-    st.builds(TimeoutRule, k=st.floats(min_value=1.0, allow_infinity=False)),
-    st.builds(
-        RetryRule,
-        max_attempts=counts,
-        backoff=st.floats(min_value=0.0, allow_infinity=False),
-    ),
-    st.builds(DropRule, max_workers=st.integers(min_value=1, max_value=1 << 20)),
-    st.builds(StaleRule, max_stale=counts),
-]
 
 policies = st.builds(
     lambda rules: RecoveryPolicy(rules=tuple(rules)),
-    st.lists(st.one_of(_RULES), max_size=4, unique_by=lambda rule: rule.kind),
+    st.lists(
+        st.sampled_from(_families(RULES)).flatmap(_built),
+        max_size=len(_families(RULES)),
+        unique_by=lambda rule: rule.kind,
+    ),
 )
 
 
@@ -159,3 +164,72 @@ def test_spec_parses_back_to_an_equal_object_and_is_a_fixpoint(grammar, data):
     parsed = parse(text, subject)
     assert identity(parsed) == identity(subject)
     assert parsed.spec() == text
+
+
+# --------------------------------------------------------------------------- #
+# Just outside each domain: both paths reject, with one message
+# --------------------------------------------------------------------------- #
+
+PARSERS = {"scheme": make_scheme, "scenario": parse_scenario, "policy": parse_policy}
+
+#: The scheme a wrapper family wraps when probed.
+INNER = "topk(b=2)"
+
+
+def _inside(param) -> object:
+    """One value inside the parameter's domain (for required neighbours)."""
+    domain = param.domain
+    if isinstance(domain, tuple):
+        return domain[0]
+    low = domain.low if not domain.low_open else domain.low + 1
+    return param.kind(low)
+
+
+def _outside(param) -> list[object]:
+    """The nearest value past each finite end of the parameter's interval."""
+    domain = param.domain
+    values = []
+    for end, is_open, direction in (
+        (domain.low, domain.low_open, -math.inf),
+        (domain.high, domain.high_open, math.inf),
+    ):
+        if math.isinf(end):
+            continue
+        if param.kind is int:
+            values.append(int(end) if is_open else int(end) + (1 if direction > 0 else -1))
+        else:
+            values.append(float(end) if is_open else math.nextafter(end, direction))
+    if param.kind is float:
+        values.append(math.nan)
+    return values
+
+
+def _probes():
+    for grammar, dialect in (("scheme", SCHEMES), ("scenario", EVENTS), ("policy", RULES)):
+        for family in _families(dialect):
+            for param in family.params:
+                if isinstance(param.domain, Interval):
+                    for value in _outside(param):
+                        name = f"{family.name}-{param.name}={render_value(value)}"
+                        yield pytest.param(grammar, family, param, value, id=name)
+
+
+@pytest.mark.parametrize("grammar, family, param, value", list(_probes()))
+def test_values_just_outside_a_domain_fail_alike(grammar, family, param, value):
+    arguments = {
+        other: _inside(other)
+        for other in family.params
+        if other.default is REQUIRED and other is not param
+    }
+    arguments[param] = value
+    wrapped = (make_scheme(INNER),) if family.wraps else ()
+    with pytest.raises(ValueError) as from_python:
+        family.cls(*wrapped, **{p.constructor_keyword: v for p, v in arguments.items()})
+    assert str(from_python.value) == f"{param.attribute} must be {param.domain.label()}"
+
+    rendered = [f"{p.name}={render_value(v)}" for p, v in arguments.items()]
+    text = f"{family.name}({', '.join([INNER, *rendered] if family.wraps else rendered)})"
+    with pytest.raises(ValueError) as from_spec:
+        PARSERS[grammar](text)
+    if not math.isnan(value):  # no spec literal spells NaN
+        assert str(from_spec.value) == f"{family.name}: {from_python.value}"

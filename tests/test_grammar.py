@@ -9,22 +9,28 @@ naming the family.  The corpus below pins the exact class for each input.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.analysis.registry import UnknownRuleError, resolve_rule_codes
 from repro.compression.registry import make_scheme
 from repro.compression.spec import SpecParamError, SpecSyntaxError, UnknownSchemeError
+from repro.compression.topkc import TopKChunkedCompressor
 from repro.simulator.recovery import (
     PolicyParamError,
     PolicySyntaxError,
+    RetryRule,
     UnknownPolicyRuleError,
     parse_policy,
 )
 from repro.simulator.scenario import (
     ScenarioParamError,
     ScenarioSyntaxError,
+    SlowdownEvent,
     UnknownEventError,
+    join,
     parse_scenario,
+    slowdown,
 )
 
 CORPUS = [
@@ -101,6 +107,8 @@ CONSTRUCTOR_ERRORS = [
     (make_scheme, "thc(q=0)", SpecParamError),
     (make_scheme, "powersgd(r=0)", SpecParamError),
     (make_scheme, "ef(topk(b=2), decay=2)", SpecParamError),
+    # ``c=0`` used to read as "unset" and silently priced the default C = 64.
+    (make_scheme, "topkc(b=2, c=0)", SpecParamError),
 ]
 
 #: An argument list left open.  The old regex matcher skipped it and built
@@ -152,3 +160,31 @@ def test_negative_zero_prints_as_a_fixpoint():
     scheme.decay = -0.0
     assert scheme.spec() == "ef(baseline(p=fp16), decay=0)"
     assert make_scheme(scheme.spec()).spec() == scheme.spec()
+
+
+#: Objects built in Python, and what each must do: raise ``ValueError``
+#: where no spec string could spell the object, or print this spec.  The
+#: constructors used to accept all of them, and the rejected ones printed
+#: specs that do not parse back (``join(n=true)``, ``retry(max=2.5, ...)``).
+PYTHON_BUILT = [
+    ("join(True)", lambda: join(True), ValueError),
+    ("RetryRule(max_attempts=2.5)", lambda: RetryRule(max_attempts=2.5), ValueError),
+    ("SlowdownEvent(worker=1.5)", lambda: SlowdownEvent(worker=1.5, factor=2), ValueError),
+    ("topkc(c=2.5)", lambda: TopKChunkedCompressor(2.0, chunk_size=2.5), ValueError),
+    ("topkc(c=0)", lambda: TopKChunkedCompressor(2.0, chunk_size=0), ValueError),
+    ("slowdown(1)", lambda: slowdown(1), ValueError),
+    ("slowdown(np.int64)", lambda: slowdown(np.int64(2), 3.0), "slowdown(w=2, x=3)"),
+]
+
+
+@pytest.mark.parametrize(
+    "build, expected", [case[1:] for case in PYTHON_BUILT], ids=[case[0] for case in PYTHON_BUILT]
+)
+def test_python_built_objects_print_specs_that_parse_back(build, expected):
+    if expected is ValueError:
+        with pytest.raises(ValueError):
+            build()
+        return
+    built = build()
+    assert built.spec() == expected
+    assert parse_scenario(expected).events == (built,)
