@@ -49,10 +49,12 @@ class RandomBlockCompressor(AggregationScheme):
     """
 
     def __init__(self, bits_per_coordinate: float = 2.0):
-        self.bits_per_coordinate = float(bits_per_coordinate)
         # The declared domain (b > 0) is the one range check, for spec strings
-        # and Python callers alike.
+        # and Python callers alike; it sees the value as given, since
+        # float(True) would pass.
+        self.bits_per_coordinate = bits_per_coordinate
         RandomBlockCompressor._spec_family.check(self)
+        self.bits_per_coordinate = float(bits_per_coordinate)
         self.name = f"randomblock_b{bits_per_coordinate:g}"
         self._round = 0
 

@@ -27,6 +27,7 @@ from repro.bridge import (
     simulate_trace,
     synthetic_trace,
 )
+from repro.core.metrics import vnmse
 
 SPECS = (
     "baseline(p=fp16)",
@@ -65,10 +66,11 @@ def step_2_execute_one_scheme(trace):
     spec = "thc(q=4, rot=partial, agg=sat)"
     measured = run_harness(spec, trace, seed=3)
     simulated = simulate_trace(spec, trace, seed=3)
-    for sim, meas in zip(simulated.rounds, measured.rounds):
+    for step, sim, meas in zip(trace.steps, simulated.rounds, measured.rounds):
+        truth = step.true_mean()
         print(
-            f"  step {meas.index}: measured vNMSE={meas.vnmse:.6f} "
-            f"(simulated {sim.vnmse:.6f}), uplink "
+            f"  step {meas.index}: measured vNMSE={vnmse(meas.mean_estimate, truth):.6f} "
+            f"(simulated {vnmse(sim.mean_estimate, truth):.6f}), uplink "
             f"{sum(meas.per_worker_bytes)} bytes over "
             f"{meas.collective_calls} collectives"
         )

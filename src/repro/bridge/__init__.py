@@ -15,7 +15,8 @@ package closes the loop between those predictions and reality:
 * :mod:`repro.bridge.actors` -- the :class:`GradientWorker` /
   :class:`AggregationServer` execution harness that actually runs each
   scheme's compress -> transmit -> aggregate -> decompress loop over trace
-  steps, measuring real VNMSE, payload bytes, and wall-clock per round;
+  steps, measuring each round's mean estimate, payload bytes and
+  wall-clock;
 * :mod:`repro.bridge.prediction` -- the matched simulated run (same trace,
   same seed, per-collective traffic recording) that the harness's
   measurements are differentially validated against.

@@ -2,8 +2,9 @@
 
 This is where a registered scheme stops being simulated and actually *runs*.
 Every worker executes the scheme's one implementation -- the same kernels
-``session.vnmse`` and ``tta`` run -- on the one gradient row it holds, as a
-rank of a real deployment would.  Its collective backend is a
+``session.vnmse`` and ``tta`` run, through the simulator's own per-step loop
+(:func:`~repro.bridge.prediction.aggregate_steps`) -- on the one gradient row
+it holds, as a rank of a real deployment would.  Its collective backend is a
 :class:`TransportBackend` that holds just that rank
 (:attr:`~TransportBackend.local_ranks`): it wire-encodes the worker's row of
 each collective payload into real bytes, ships it to an
@@ -20,26 +21,38 @@ row's share of the stream the monolithic simulator draws for all rows, so
 every worker finishes the round holding the bit-identical mean estimate,
 which the harness asserts.
 
+:func:`run_harness` is the one driver of both transports.  They differ only
+in the channel factory, in whether workers start as threads or as OS
+processes, in where a worker reads its rows (the trace in memory, or its
+rank's rows from the trace directory) and in how a hung worker is cleaned
+up (a thread is left to its timeout, a process is terminated).  Every
+worker runs :func:`_worker_main`, which sends a failure as its ``result``
+message with the error's ``repr``; the server raises
+``BridgeProtocolError("worker {rank} failed: {error}")`` for the lowest
+failing rank of the first batch that holds one, after telling every peer.
+
 Measured per round, per worker: real uplink payload bits/bytes (compared
-*exactly* against the simulator's traffic accounting), the scheme's VNMSE on
-the trace's true mean, and wall-clock seconds.  Simulated seconds come from
-the scheme's ``estimate_costs`` on the simulator's side
-(:func:`~repro.bridge.prediction.simulate_trace`); no collective here
-prices anything.
+*exactly* against the simulator's traffic accounting) and wall-clock
+seconds.  Simulated seconds come from the scheme's ``estimate_costs`` on the
+simulator's side (:func:`~repro.bridge.prediction.simulate_trace`); no
+collective here prices anything.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import multiprocessing
 import tempfile
 import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable, Iterator
 
 import numpy as np
 
+from repro.bridge.prediction import aggregate_steps
 from repro.bridge.trace import GradientTrace, load_rank_rows, load_trace, save_trace
 from repro.bridge.transport import (
     BridgeTimeoutError,
@@ -56,7 +69,6 @@ from repro.collectives.api import Collective, CollectiveBackend
 from repro.collectives.ops import ReduceOp, SumOp
 from repro.compression.base import SimContext
 from repro.compression.registry import make_scheme
-from repro.core.metrics import vnmse
 from repro.simulator.cluster import ClusterSpec, paper_testbed
 from repro.simulator.kernel_cost import KernelCostModel
 
@@ -112,16 +124,6 @@ class TransportBackend(CollectiveBackend):
     # -------------------------------------------------------------- #
     # Accounting
     # -------------------------------------------------------------- #
-    @property
-    def uplink_bits(self) -> int:
-        """Logical bits this worker has put on the wire so far."""
-        return sum(call.bits for call in self.calls)
-
-    @property
-    def uplink_bytes(self) -> int:
-        """Actual payload bytes this worker has put on the wire so far."""
-        return sum(call.nbytes for call in self.calls)
-
     def _record(self, kind: str, sections: list[EncodedSection]) -> None:
         self.calls.append(
             CallRecord(
@@ -222,13 +224,25 @@ class AggregationServer:
         self.results: dict[int, dict] = {}
 
     def serve(self) -> dict[int, dict]:
-        """Serve collective traffic until every worker sends its result."""
+        """Serve collective traffic until every worker sends its result.
+
+        A batch holding a failed worker's result raises for the lowest
+        failing rank, before any other check of the batch.
+        """
         world = len(self.endpoints)
         try:
             while len(self.results) < world:
                 batch = [
                     self.endpoints[rank].recv(self.timeout) for rank in range(world)
                 ]
+                failed = sorted(
+                    (message["rank"], message["error"])
+                    for message in batch
+                    if message.get("error")
+                )
+                if failed:
+                    rank, error = failed[0]
+                    raise BridgeProtocolError(f"worker {rank} failed: {error}")
                 kinds = {message.get("kind") for message in batch}
                 if kinds == {"result"}:
                     for message in batch:
@@ -334,38 +348,36 @@ class GradientWorker:
             kernels=KernelCostModel(gpu=self.cluster.gpu),
             rng=np.random.default_rng(self.seed),
         )
-        scheme = make_scheme(self.spec)
+        steps = aggregate_steps(
+            make_scheme(self.spec), ctx, (row[np.newaxis] for _, row in self.rows)
+        )
         rounds = []
-        for index, row in self.rows:
-            calls_before = len(backend.calls)
-            bits_before = backend.uplink_bits
-            bytes_before = backend.uplink_bytes
+        for index, _ in self.rows:
+            # Pulling the next step runs its aggregation, so it is timed.
             started = time.perf_counter()
-            result = scheme.aggregate(row[np.newaxis], ctx)
-            wall_seconds = time.perf_counter() - started
+            mean, calls, bits_per_coordinate = next(steps)
             rounds.append(
                 {
                     "index": index,
-                    "mean": np.asarray(result.mean_estimate, dtype=np.float32),
-                    "uplink_bits": backend.uplink_bits - bits_before,
-                    "uplink_bytes": backend.uplink_bytes - bytes_before,
-                    "collective_calls": len(backend.calls) - calls_before,
-                    "bits_per_coordinate": result.bits_per_coordinate,
-                    "wall_seconds": wall_seconds,
+                    "mean": mean,
+                    "uplink_bits": sum(call.bits for call in calls),
+                    "uplink_bytes": sum(call.nbytes for call in calls),
+                    "collective_calls": len(calls),
+                    "bits_per_coordinate": bits_per_coordinate,
+                    "wall_seconds": time.perf_counter() - started,
                 }
             )
         return {"kind": "result", "rank": self.rank, "rounds": rounds}
 
 
 # ------------------------------------------------------------------ #
-# Harness drivers
+# The harness driver
 # ------------------------------------------------------------------ #
 @dataclass(frozen=True)
 class HarnessRound:
     """Measured outcome of one aggregation round across all workers."""
 
     index: int
-    vnmse: float
     mean_estimate: np.ndarray
     per_worker_bits: tuple[int, ...]
     per_worker_bytes: tuple[int, ...]
@@ -381,8 +393,7 @@ class HarnessResult:
     Attributes:
         spec: The scheme spec that ran.
         transport: ``"inprocess"`` or ``"process"``.
-        rounds: Per-round measurements; ``vnmse`` is computed against the
-            trace's exact per-step mean.
+        rounds: Per-round measurements, in trace order.
         downlink_bytes: Total server->worker payload bytes: the world size
             times the summed bytes of every reply.  A reduced aggregate goes
             back at its own dtype's width, a gather as every worker's uplink
@@ -397,44 +408,33 @@ class HarnessResult:
     downlink_bytes: int = 0
 
     @property
-    def mean_vnmse(self) -> float:
-        return float(np.mean([round_.vnmse for round_ in self.rounds]))
-
-    @property
     def total_wall_seconds(self) -> float:
         return float(sum(round_.wall_seconds for round_ in self.rounds))
 
 
 def _merge_results(
-    spec: str,
-    transport: str,
-    trace: GradientTrace,
-    results: dict[int, dict],
-    downlink_bytes: int,
+    spec: str, transport: str, results: dict[int, dict], downlink_bytes: int
 ) -> HarnessResult:
-    world = trace.num_workers
     rounds = []
-    for position, step in enumerate(trace.steps):
-        per_worker = [results[rank]["rounds"][position] for rank in range(world)]
-        means = [entry["mean"] for entry in per_worker]
+    for per_worker in zip(*(results[rank]["rounds"] for rank in sorted(results))):
+        first = per_worker[0]
         # Every worker must leave the round holding the identical estimate:
         # the collective delivered one aggregate, and everything after it is
         # deterministic local arithmetic.  Any divergence is a harness bug.
-        for rank in range(1, world):
-            if not np.array_equal(means[0], means[rank]):
+        for rank, entry in enumerate(per_worker[1:], start=1):
+            if not np.array_equal(first["mean"], entry["mean"]):
                 raise BridgeProtocolError(
-                    f"round {step.index}: worker {rank}'s mean estimate "
+                    f"round {first['index']}: worker {rank}'s mean estimate "
                     "diverged from worker 0's"
                 )
         rounds.append(
             HarnessRound(
-                index=step.index,
-                vnmse=vnmse(means[0], step.true_mean()),
-                mean_estimate=means[0],
+                index=first["index"],
+                mean_estimate=first["mean"],
                 per_worker_bits=tuple(entry["uplink_bits"] for entry in per_worker),
                 per_worker_bytes=tuple(entry["uplink_bytes"] for entry in per_worker),
-                collective_calls=per_worker[0]["collective_calls"],
-                bits_per_coordinate=per_worker[0]["bits_per_coordinate"],
+                collective_calls=first["collective_calls"],
+                bits_per_coordinate=first["bits_per_coordinate"],
                 wall_seconds=max(entry["wall_seconds"] for entry in per_worker),
             )
         )
@@ -446,148 +446,47 @@ def _merge_results(
     )
 
 
-def _run_inprocess(
-    spec: str,
-    trace: GradientTrace,
-    cluster: ClusterSpec,
-    seed: int,
-    timeout: float,
-) -> HarnessResult:
-    world = cluster.world_size
-    channels = [inprocess_channel() for _ in range(world)]
-    server = AggregationServer(
-        cluster, [server_end for _, server_end in channels], timeout=timeout
-    )
-
-    failures: dict[int, BaseException] = {}
-
-    def worker_main(rank: int) -> None:
-        worker = GradientWorker(
-            rank,
-            spec,
-            [(step.index, step.flat(rank)) for step in trace.steps],
-            cluster,
-            channels[rank][0],
-            seed=seed,
-            timeout=timeout,
-        )
-        try:
-            channels[rank][0].send(worker.run())
-        except BaseException as error:  # noqa: B036 - relayed to the driver
-            failures[rank] = error
-            # Unblock the server so the driver sees the real error.
-            channels[rank][0].send({"kind": "result", "rank": rank, "rounds": []})
-
-    threads = [
-        threading.Thread(target=worker_main, args=(rank,), name=f"bridge-w{rank}")
-        for rank in range(world)
-    ]
-    for thread in threads:
-        thread.start()
-    try:
-        results = server.serve()
-    except Exception as server_error:
-        for thread in threads:
-            thread.join(timeout=timeout)
-        # A worker failure desynchronises the protocol before the server
-        # notices; report the root cause, not the symptom.
-        if failures:
-            rank, error = sorted(failures.items())[0]
-            raise BridgeProtocolError(
-                f"worker {rank} failed: {error!r}"
-            ) from error
-        raise server_error
-    finally:
-        for thread in threads:
-            thread.join(timeout=timeout)
-    if failures:
-        rank, error = sorted(failures.items())[0]
-        raise BridgeProtocolError(f"worker {rank} failed: {error!r}") from error
-    return _merge_results(spec, "inprocess", trace, results, server.downlink_bytes)
-
-
-def _process_worker_main(
+def _worker_main(
     rank: int,
     spec: str,
-    trace_dir: str,
+    rows_of: Callable[[int], list[tuple[int, np.ndarray]]],
     cluster: ClusterSpec,
     seed: int,
     timeout: float,
     endpoint,
 ) -> None:
-    """Entry point of one worker OS process (must be module-level to spawn)."""
+    """Entry point of one worker, thread or process (module-level to spawn).
+
+    Sends the worker's result message; a failure is sent as the result's
+    ``error``, which the server raises naming this rank.
+    """
     try:
-        rows = load_rank_rows(trace_dir, rank)
         worker = GradientWorker(
-            rank, spec, rows, cluster, endpoint, seed=seed, timeout=timeout
+            rank, spec, rows_of(rank), cluster, endpoint, seed=seed, timeout=timeout
         )
-        endpoint.send(worker.run())
-    except BaseException as error:  # noqa: B036 - relayed to the driver
-        endpoint.send(
-            {"kind": "result", "rank": rank, "rounds": [], "error": repr(error)}
-        )
-        raise
+        message = worker.run()
+    except Exception as error:  # relayed to the server, which raises it
+        message = {"kind": "result", "rank": rank, "rounds": [], "error": repr(error)}
+    endpoint.send(message)
 
 
-def _run_multiprocess(
-    spec: str,
-    trace: GradientTrace,
-    cluster: ClusterSpec,
-    seed: int,
-    timeout: float,
-) -> HarnessResult:
-    world = cluster.world_size
-    # Workers read their own rank's rows from disk -- the honest path: each
-    # process sees only the recorded artifact, not driver memory.  A trace
-    # read from disk is read again from there; one built in memory is saved
-    # for the call.
-    saved = trace.source is None
-    with (
-        tempfile.TemporaryDirectory(prefix="bridge-trace-")
-        if saved
-        else contextlib.nullcontext(trace.source)
-    ) as trace_dir:
-        if saved:
+@contextlib.contextmanager
+def _rank_rows(trace: GradientTrace, transport: str) -> Iterator[Callable]:
+    """Where each worker reads its own rows, as ``rows_of(rank)``.
+
+    Threads read the trace in memory.  Processes read their rank's rows from
+    disk -- the honest path: each process sees only the recorded artifact,
+    not driver memory.  A trace read from disk is read again from there;
+    one built in memory is saved for the call.
+    """
+    if transport == "inprocess":
+        yield lambda rank: [(step.index, step.flat(rank)) for step in trace.steps]
+    elif trace.source is not None:
+        yield functools.partial(load_rank_rows, str(trace.source))
+    else:
+        with tempfile.TemporaryDirectory(prefix="bridge-trace-") as trace_dir:
             save_trace(trace, trace_dir)
-        channels = [multiprocess_channel() for _ in range(world)]
-        mp_context = multiprocessing.get_context()
-        processes = [
-            mp_context.Process(
-                target=_process_worker_main,
-                args=(
-                    rank,
-                    spec,
-                    str(Path(trace_dir)),
-                    cluster,
-                    seed,
-                    timeout,
-                    channels[rank][0],
-                ),
-                name=f"bridge-w{rank}",
-            )
-            for rank in range(world)
-        ]
-        for process in processes:
-            process.start()
-        server = AggregationServer(
-            cluster, [server_end for _, server_end in channels], timeout=timeout
-        )
-        try:
-            results = server.serve()
-        finally:
-            for process in processes:
-                process.join(timeout=timeout)
-                if process.is_alive():  # pragma: no cover - hung worker
-                    process.terminate()
-    errors = {
-        rank: message["error"]
-        for rank, message in results.items()
-        if message.get("error")
-    }
-    if errors:
-        rank = sorted(errors)[0]
-        raise BridgeProtocolError(f"worker {rank} failed: {errors[rank]}")
-    return _merge_results(spec, "process", trace, results, server.downlink_bytes)
+            yield functools.partial(load_rank_rows, trace_dir)
 
 
 def run_harness(
@@ -617,6 +516,10 @@ def run_harness(
             the call).
         timeout: Per-message channel timeout; a crashed or deadlocked actor
             surfaces as :class:`~repro.bridge.transport.BridgeTimeoutError`.
+
+    Raises:
+        BridgeProtocolError: ``worker {rank} failed: {error}`` when a worker
+            raised, for the lowest failing rank; or the protocol broke.
     """
     if isinstance(trace, (str, Path)):
         trace = load_trace(trace)
@@ -627,7 +530,33 @@ def run_harness(
             f"{trace.num_workers}"
         )
     if transport == "inprocess":
-        return _run_inprocess(spec, trace, cluster, seed, timeout)
-    if transport == "process":
-        return _run_multiprocess(spec, trace, cluster, seed, timeout)
-    raise ValueError(f"unknown transport {transport!r}; use 'inprocess' or 'process'")
+        channel, start = inprocess_channel, threading.Thread
+    elif transport == "process":
+        channel, start = multiprocess_channel, multiprocessing.get_context().Process
+    else:
+        raise ValueError(
+            f"unknown transport {transport!r}; use 'inprocess' or 'process'"
+        )
+    channels = [channel() for _ in range(cluster.world_size)]
+    server = AggregationServer(
+        cluster, [server_end for _, server_end in channels], timeout=timeout
+    )
+    with _rank_rows(trace, transport) as rows_of:
+        workers = [
+            start(
+                target=_worker_main,
+                args=(rank, spec, rows_of, cluster, seed, timeout, worker_end),
+                name=f"bridge-w{rank}",
+            )
+            for rank, (worker_end, _) in enumerate(channels)
+        ]
+        for worker in workers:
+            worker.start()
+        try:
+            results = server.serve()
+        finally:
+            for worker in workers:
+                worker.join(timeout=timeout)
+                if worker.is_alive() and transport == "process":  # pragma: no cover - hung worker
+                    worker.terminate()
+    return _merge_results(spec, transport, results, server.downlink_bytes)

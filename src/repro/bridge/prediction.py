@@ -9,7 +9,8 @@ prices).  The harness's measured uplink must equal this accounting bit for
 bit; the validation family and ``tests/bridge`` enforce it.
 
 The simulated run executes the same code as the harness and as
-``session.vnmse``/``tta``: one kernel pass over all workers' rows, whose
+``session.vnmse``/``tta``, through the per-step loop every harness rank runs
+too (:func:`aggregate_steps`): one kernel pass over all workers' rows, whose
 collective calls carry one row per worker -- exactly what each harness rank
 computes from its own row and puts on its wire.  With the same seed each
 harness rank draws its row's share of the simulator's rng stream, so the two
@@ -21,15 +22,15 @@ cost ledger, not from the aggregation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable, Iterator
 
 import numpy as np
 
-from repro.bridge.trace import GradientTrace, mean_row
+from repro.bridge.trace import GradientTrace
 from repro.collectives.api import Collective, CollectiveBackend
 from repro.collectives.ops import ReduceOp
-from repro.compression.base import SimContext
+from repro.compression.base import AggregationScheme, SimContext
 from repro.compression.registry import make_scheme
-from repro.core.metrics import vnmse
 from repro.simulator.cluster import ClusterSpec, paper_testbed
 from repro.simulator.kernel_cost import KernelCostModel
 
@@ -106,12 +107,29 @@ class RecordingBackend(CollectiveBackend):
         return gathered
 
 
+def aggregate_steps(
+    scheme: AggregationScheme, ctx: SimContext, held_rows: Iterable
+) -> Iterator[tuple[np.ndarray, list, float]]:
+    """Aggregate each step's held rows; yield its mean, calls and ``b``.
+
+    The one per-step loop of the simulator (every worker's rows, stacked)
+    and of each harness rank (its own row).  Per step it yields the float32
+    mean estimate, the step's slice of ``ctx.backend.calls`` -- the traffic
+    that side counted -- and the scheme's ``bits_per_coordinate``.
+    """
+    calls = ctx.backend.calls
+    for rows in held_rows:
+        before = len(calls)
+        result = scheme.aggregate(rows, ctx)
+        mean = np.asarray(result.mean_estimate, dtype=np.float32)
+        yield mean, calls[before:], result.bits_per_coordinate
+
+
 @dataclass(frozen=True)
 class SimulatedRound:
     """The simulator's prediction for one trace step."""
 
     index: int
-    vnmse: float
     mean_estimate: np.ndarray
     per_worker_bits: tuple[int, ...]
     collective_calls: int
@@ -129,10 +147,6 @@ class SimulatedRun:
     spec: str
     rounds: tuple[SimulatedRound, ...] = field(default_factory=tuple)
     total_seconds: float = 0.0
-
-    @property
-    def mean_vnmse(self) -> float:
-        return float(np.mean([round_.vnmse for round_ in self.rounds]))
 
 
 def simulate_trace(
@@ -154,39 +168,29 @@ def simulate_trace(
             f"cluster world size {cluster.world_size} != trace workers "
             f"{trace.num_workers}"
         )
-    backend = RecordingBackend(cluster)
     ctx = SimContext(
-        backend=backend,
+        backend=RecordingBackend(cluster),
         kernels=KernelCostModel(gpu=cluster.gpu),
         rng=np.random.default_rng(seed),
     )
     scheme = make_scheme(spec)
-    world = cluster.world_size
-
-    rounds = []
-    for step in trace.steps:
-        rows = np.stack(step.flats())
-        calls_before = len(backend.calls)
-        result = scheme.aggregate(rows, ctx)
-        step_calls = backend.calls[calls_before:]
-        per_worker = tuple(
-            sum(call.per_worker_bits[rank] for call in step_calls)
-            for rank in range(world)
+    steps = aggregate_steps(scheme, ctx, (np.stack(step.flats()) for step in trace.steps))
+    rounds = tuple(
+        SimulatedRound(
+            index=step.index,
+            mean_estimate=mean,
+            per_worker_bits=tuple(
+                sum(call.per_worker_bits[rank] for call in calls)
+                for rank in range(cluster.world_size)
+            ),
+            collective_calls=len(calls),
+            bits_per_coordinate=bits_per_coordinate,
         )
-        mean = np.asarray(result.mean_estimate, dtype=np.float32)
-        rounds.append(
-            SimulatedRound(
-                index=step.index,
-                vnmse=vnmse(mean, mean_row(rows)),
-                mean_estimate=mean,
-                per_worker_bits=per_worker,
-                collective_calls=len(step_calls),
-                bits_per_coordinate=result.bits_per_coordinate,
-            )
-        )
+        for step, (mean, calls, bits_per_coordinate) in zip(trace.steps, steps)
+    )
     priced = scheme.estimate_costs(trace.num_coordinates, ctx)
     return SimulatedRun(
         spec=spec,
-        rounds=tuple(rounds),
+        rounds=rounds,
         total_seconds=len(rounds) * priced.total_seconds,
     )

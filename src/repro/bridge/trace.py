@@ -118,15 +118,7 @@ class TraceStep:
 
     def true_mean(self) -> np.ndarray:
         """The exact mean gradient of this step (the harness's ground truth)."""
-        return mean_row(self.flats())
-
-
-def mean_row(rows: "np.ndarray | Sequence[np.ndarray]") -> np.ndarray:
-    """The exact mean of equal-length rows: a step's true mean from its flats.
-
-    A stacked matrix of the rows is read as it is, without another copy.
-    """
-    return np.mean(np.asarray(rows), axis=0)
+        return np.mean(np.asarray(self.flats()), axis=0)
 
 
 @dataclass

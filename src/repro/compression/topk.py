@@ -77,8 +77,10 @@ class TopKCompressor(AggregationScheme):
     """
 
     def __init__(self, bits_per_coordinate: float = 2.0, value_dtype: type = np.float16):
-        self.bits_per_coordinate = float(bits_per_coordinate)
+        # Checked as the caller gave it: float(True) is 1.0 and would pass.
+        self.bits_per_coordinate = bits_per_coordinate
         TopKCompressor._spec_family.check(self)
+        self.bits_per_coordinate = float(bits_per_coordinate)
         self.value_dtype = value_dtype
         self.name = f"topk_b{bits_per_coordinate:g}"
 

@@ -114,13 +114,15 @@ class TopKChunkedCompressor(AggregationScheme):
         permute: bool = False,
         permutation_seed: int = 1234,
     ):
-        self.bits_per_coordinate = float(bits_per_coordinate)
+        # Checked as the caller gave it: float(True) is 1.0 and would pass.
+        self.bits_per_coordinate = bits_per_coordinate
         self.chunk_size = (
             default_chunk_size(bits_per_coordinate) if chunk_size is None else chunk_size
         )
         self.permute = permute
         self.permutation_seed = permutation_seed
         TopKChunkedCompressor._spec_family.check(self)
+        self.bits_per_coordinate = float(bits_per_coordinate)
         suffix = "_perm" if permute else ""
         self.name = f"topkc_b{bits_per_coordinate:g}{suffix}"
 

@@ -48,6 +48,7 @@ from repro.compression.registry import ALIASES, make_scheme
 from repro.compression.signsgd import SignSGDCompressor
 from repro.compression.topk import TopKCompressor
 from repro.compression.topkc import TopKChunkedCompressor
+from repro.core.metrics import squared_norm, vnmse
 from repro.simulator.cluster import ClusterSpec, paper_testbed
 
 #: The whole registry at its paper configurations (deduplicated aliases).
@@ -208,11 +209,21 @@ class ValidationReport:
 
 
 def compare_runs(
-    spec: str, simulated: SimulatedRun, measured: HarnessResult, num_coordinates: int
+    spec: str, simulated: SimulatedRun, measured: HarnessResult, trace: GradientTrace
 ) -> AgreementRow:
-    """Fold one (simulated, measured) pair into an agreement row."""
-    simulated_vnmse = simulated.mean_vnmse
-    measured_vnmse = measured.mean_vnmse
+    """Fold one (simulated, measured) pair over ``trace`` into an agreement row.
+
+    Each step's true mean and its energy are taken once and score both
+    runs' estimates.
+    """
+    simulated_errors, measured_errors = [], []
+    for step, sim, meas in zip(trace.steps, simulated.rounds, measured.rounds):
+        truth = step.true_mean()
+        energy = squared_norm(truth)
+        simulated_errors.append(vnmse(sim.mean_estimate, truth, energy=energy))
+        measured_errors.append(vnmse(meas.mean_estimate, truth, energy=energy))
+    simulated_vnmse = float(np.mean(simulated_errors))
+    measured_vnmse = float(np.mean(measured_errors))
     gap = abs(measured_vnmse - simulated_vnmse) / max(abs(simulated_vnmse), 1e-12)
     tolerance = vnmse_tolerance(spec)
     sim_bits = tuple(sum(round_.per_worker_bits) for round_ in simulated.rounds)
@@ -221,9 +232,10 @@ def compare_runs(
         sim.per_worker_bits == meas.per_worker_bits
         for sim, meas in zip(simulated.rounds, measured.rounds)
     ) and len(simulated.rounds) == len(measured.rounds)
-    num_workers = len(simulated.rounds[0].per_worker_bits)
     accounted = float(
-        np.mean([bits / num_workers / num_coordinates for bits in sim_bits])
+        np.mean(
+            [bits / trace.num_workers / trace.num_coordinates for bits in sim_bits]
+        )
     )
     return AgreementRow(
         spec=spec,
@@ -281,7 +293,7 @@ def run_validation(
         measured = run_harness(
             spec, trace, cluster=cluster, seed=seed, transport=transport
         )
-        rows.append(compare_runs(spec, simulated, measured, trace.num_coordinates))
+        rows.append(compare_runs(spec, simulated, measured, trace))
     return ValidationReport(
         rows=tuple(rows),
         num_steps=trace.num_steps,

@@ -15,8 +15,9 @@ They are one grammar in three dialects (whitespace-insensitive)::
     scenario := "static" | event ("+" event)*  # event := term [ "@" START [".." UNTIL] ]
     policy   := "" | "none" | term ("+" term)*
 
-NUMBER is a decimal literal that fits a float; scenario and policy names
-are lowercase identifiers.
+NUMBER is a decimal literal that fits a float, or ``inf`` (signed or not),
+which is how a domain's infinite end prints; scenario and policy names are
+lowercase identifiers.
 
 This module holds the tokenizer and parser, the typed parameter binder
 (:class:`Param` / :class:`SchemeFamily`), the canonical printer and the base
@@ -546,6 +547,8 @@ _TOKEN_RE = re.compile(
     \s*(
         # A dot right after the digits starts a '..' window, not a fraction.
         [+-]?(?:[0-9]+\.(?!\.)[0-9]*|\.[0-9]+|[0-9]+)(?:[eE][+-]?[0-9]+)?
+        # Infinity as format_number prints it, not the start of a longer name.
+      | [+-]?inf(?![A-Za-z0-9_.])
         # Dots are allowed after the first character so legacy alias names
         # such as "topk_b0.5" stay one token and compose inside wrappers.
       | [A-Za-z_][A-Za-z0-9_.]*
@@ -567,8 +570,12 @@ _BOOL_LITERALS = {"true": True, "false": False}
 
 def _is_number(token: str) -> bool:
     # Numbers start with a digit, or with a sign or dot that is not a whole
-    # token ("+" joins terms, ".." spans a window).
-    return token[:1].isdigit() or (len(token) > 1 and token[0] in "+-." and token != "..")
+    # token ("+" joins terms, ".." spans a window); or they are infinity.
+    return (
+        token[:1].isdigit()
+        or (len(token) > 1 and token[0] in "+-." and token != "..")
+        or token == "inf"
+    )
 
 
 class _Parser:
@@ -635,7 +642,7 @@ class _Parser:
                 except ValueError:  # more digits than int() converts
                     pass
             number = float(token)
-            if math.isinf(number):
+            if math.isinf(number) and not token.endswith("inf"):
                 raise self.fail(f"number {token!r} overflows a float", self.index - 1)
             return number
         if not self.dialect.nested:

@@ -15,6 +15,9 @@ from repro.bridge import (
     synthetic_trace,
 )
 from repro.bridge.transport import inprocess_channel, multiprocess_channel
+from repro.compression.precision import PrecisionBaseline
+from repro.compression.registry import register_scheme, unregister_scheme
+from repro.core.metrics import vnmse
 from repro.simulator.cluster import paper_testbed
 
 
@@ -51,7 +54,11 @@ class TestRunHarness:
     def test_vnmse_against_true_mean(self, trace):
         """The lossless baseline must estimate the trace mean near-exactly."""
         result = run_harness("baseline(p=fp32)", trace, seed=0)
-        assert result.mean_vnmse < 1e-12
+        errors = [
+            vnmse(round_.mean_estimate, step.true_mean())
+            for step, round_ in zip(trace.steps, result.rounds)
+        ]
+        assert np.mean(errors) < 1e-12
 
     def test_seed_determinism(self, trace):
         a = run_harness("thc(q=4, rot=partial, agg=sat)", trace, seed=3)
@@ -116,3 +123,27 @@ class TestWorkerFailures:
     def test_bad_spec_surfaces_as_worker_failure(self, trace):
         with pytest.raises(BridgeProtocolError, match="worker"):
             run_harness("definitely-not-a-scheme", trace)
+
+
+class RankOneBlowsUp(PrecisionBaseline):
+    """The FP16 baseline, except that rank 1 raises instead of aggregating."""
+
+    def aggregate_rows(self, rows, ctx, d):
+        if ctx.local_ranks.start == 1:
+            raise RuntimeError("rank one blew up")
+        return super().aggregate_rows(rows, ctx, d)
+
+
+class TestMidRoundWorkerFailure:
+    """Rank 1 fails while rank 0 waits inside its first all-reduce."""
+
+    @pytest.fixture
+    def scheme(self):
+        register_scheme("rank-one-blows-up", RankOneBlowsUp)
+        yield "rank-one-blows-up"
+        unregister_scheme("rank-one-blows-up")
+
+    @pytest.mark.parametrize("transport", ["inprocess", "process"])
+    def test_the_failing_rank_and_its_cause_are_named(self, scheme, trace, transport):
+        with pytest.raises(BridgeProtocolError, match=r"worker 1 failed: .*rank one blew up"):
+            run_harness(scheme, trace, transport=transport, timeout=10)

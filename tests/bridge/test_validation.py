@@ -114,7 +114,7 @@ def test_measured_traffic_equals_simulated_accounting(spec, runs):
 @pytest.mark.parametrize("spec", ALL_SPECS)
 def test_measured_vnmse_within_documented_tolerance(spec, runs, trace):
     simulated, measured = runs(spec)
-    row = compare_runs(spec, simulated, measured, trace.num_coordinates)
+    row = compare_runs(spec, simulated, measured, trace)
     assert row.tolerance == TOLERANCES[scheme_class(spec)]
     assert row.relative_gap <= row.tolerance, (
         f"{spec} ({row.scheme_class}): measured vNMSE {row.measured_vnmse} vs "

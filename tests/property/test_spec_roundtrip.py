@@ -4,7 +4,8 @@ Schemes, scenarios and recovery policies print themselves as spec strings,
 and those strings key goldens, sweep memos and the advisor's cache.  For
 every registered family of each grammar, hypothesis builds objects
 programmatically -- each parameter drawn from its :class:`~repro.grammar.Param`
-kind and domain, finite floats only -- and checks that
+kind and domain, infinity included where a domain's end admits it -- and
+checks that
 
 * the printed spec parses back to an equal object, and
 * printing is a fixpoint: the parsed object prints the same spec.
@@ -46,10 +47,6 @@ def _families(dialect) -> list:
     return [unique[name] for name in sorted(unique)]
 
 
-def _finite(bound: float) -> float | None:
-    return None if math.isinf(bound) else bound
-
-
 def _param_values(param) -> st.SearchStrategy:
     """Every value of the parameter's kind inside its domain."""
     domain, kind = param.domain, param.kind
@@ -66,13 +63,13 @@ def _param_values(param) -> st.SearchStrategy:
         low = int(domain.low) + domain.low_open
         high = low + INT_SPAN if math.isinf(domain.high) else int(domain.high) - domain.high_open
         return st.integers(low, high)
+    # Infinity is drawn where the domain has a closed infinite end.
     return st.floats(
-        min_value=_finite(domain.low),
-        max_value=_finite(domain.high),
+        min_value=domain.low,
+        max_value=domain.high,
         exclude_min=domain.low_open,
         exclude_max=domain.high_open,
         allow_nan=False,
-        allow_infinity=False,
     )
 
 

@@ -15,6 +15,7 @@ import pytest
 from repro.analysis.registry import UnknownRuleError, resolve_rule_codes
 from repro.compression.registry import make_scheme
 from repro.compression.spec import SpecParamError, SpecSyntaxError, UnknownSchemeError
+from repro.compression.topk import TopKCompressor
 from repro.compression.topkc import TopKChunkedCompressor
 from repro.simulator.recovery import (
     PolicyParamError,
@@ -165,7 +166,8 @@ def test_negative_zero_prints_as_a_fixpoint():
 #: Objects built in Python, and what each must do: raise ``ValueError``
 #: where no spec string could spell the object, or print this spec.  The
 #: constructors used to accept all of them, and the rejected ones printed
-#: specs that do not parse back (``join(n=true)``, ``retry(max=2.5, ...)``).
+#: specs that do not parse back (``join(n=true)``, ``retry(max=2.5, ...)``)
+#: or that spell another value (``topk(b=1)`` for ``b=True``).
 PYTHON_BUILT = [
     ("join(True)", lambda: join(True), ValueError),
     ("RetryRule(max_attempts=2.5)", lambda: RetryRule(max_attempts=2.5), ValueError),
@@ -174,6 +176,9 @@ PYTHON_BUILT = [
     ("topkc(c=0)", lambda: TopKChunkedCompressor(2.0, chunk_size=0), ValueError),
     ("slowdown(1)", lambda: slowdown(1), ValueError),
     ("slowdown(np.int64)", lambda: slowdown(np.int64(2), 3.0), "slowdown(w=2, x=3)"),
+    ("topk(b=True)", lambda: TopKCompressor(True), ValueError),
+    ("topkc(b=True)", lambda: TopKChunkedCompressor(True), ValueError),
+    ("slowdown(x=inf)", lambda: slowdown(1, float("inf")), "slowdown(w=1, x=inf)"),
 ]
 
 
