@@ -245,7 +245,9 @@ class AggregationScheme(abc.ABC):
         This is how the paper-scale throughput tables are produced: the
         kernel and collective cost models are evaluated at the real model
         size (hundreds of millions of coordinates) even though the functional
-        simulation runs on smaller gradients.
+        simulation runs on smaller gradients.  The estimate must depend on
+        ``num_coordinates`` and ``ctx`` alone: bucket pricing reuses one
+        estimate for every bucket of a size.
         """
 
     def estimate_bucket_costs(
@@ -260,15 +262,17 @@ class AggregationScheme(abc.ABC):
         never sum to less than one monolithic round); layer-structured
         schemes (PowerSGD) override this to partition whole layers instead.
         Implementations may return fewer buckets than requested, never more.
+
+        A near-equal split has at most two distinct sizes, so each distinct
+        size is priced once and its frozen estimate repeated in bucket order.
         """
         from repro.simulator.pipeline import split_coordinates
 
         if num_buckets <= 1:
             return [self.estimate_costs(num_coordinates, ctx)]
-        return [
-            self.estimate_costs(size, ctx)
-            for size in split_coordinates(num_coordinates, num_buckets)
-        ]
+        sizes = split_coordinates(num_coordinates, num_buckets)
+        priced = {size: self.estimate_costs(size, ctx) for size in dict.fromkeys(sizes)}
+        return [priced[size] for size in sizes]
 
     def describe(self) -> str:
         """Human-readable one-line description (used in reports)."""

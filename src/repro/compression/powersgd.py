@@ -164,9 +164,16 @@ class PowerSGDCompressor(AggregationScheme):
         del world_size
         shapes = self._shapes_for(num_coordinates)
         covered = sum(rows * cols for rows, cols in shapes)
-        tail = num_coordinates - covered
-        factor_bits = self.factor_coordinates(num_coordinates) * self.factor_bits
-        tail_bits = tail * 16.0  # uncompressed tail travels in FP16
+        return self._bits_per_coordinate(
+            num_coordinates, covered, self.factor_coordinates(num_coordinates)
+        )
+
+    def _bits_per_coordinate(
+        self, num_coordinates: int, covered: int, factor_values: int
+    ) -> float:
+        """``b`` of ``factor_values`` factor entries plus the uncovered tail."""
+        factor_bits = factor_values * self.factor_bits
+        tail_bits = (num_coordinates - covered) * 16.0  # uncompressed tail travels in FP16
         return (factor_bits + tail_bits) / num_coordinates
 
     def reset_state(self) -> None:
@@ -181,30 +188,8 @@ class PowerSGDCompressor(AggregationScheme):
         return seeded.standard_normal((cols, self.rank))
 
     def estimate_costs(self, num_coordinates: int, ctx: SimContext) -> CostEstimate:
-        if num_coordinates <= 0:
-            raise ValueError("num_coordinates must be positive")
-        shapes = self._shapes_for(num_coordinates)
-        covered = sum(rows * cols for rows, cols in shapes)
-        compression = ctx.kernels.elementwise_sum_time(num_coordinates)
-        factor_values = 0
-        for rows, cols in shapes:
-            size = rows * cols
-            compression += ctx.kernels.powersgd_time(size, self.rank, rows=rows)
-            factor_values += (rows + cols) * self.rank
-        # The P and Q factors of all layers are bucketed into two all-reduces.
-        communication = 2 * ctx.backend.cost_model.ring_allreduce(
-            factor_values * float(self.factor_bits) / 2.0
-        ).seconds
-        tail = num_coordinates - covered
-        if tail > 0:
-            communication += ctx.backend.cost_model.ring_allreduce(tail * 16.0).seconds
-        return CostEstimate(
-            compression_seconds=compression,
-            communication_seconds=communication,
-            bits_per_coordinate=self.expected_bits_per_coordinate(
-                num_coordinates, ctx.world_size
-            ),
-        )
+        """One round priced as a single bucket of all layers."""
+        return self.estimate_bucket_costs(num_coordinates, 1, ctx)[0]
 
     def estimate_bucket_costs(
         self, num_coordinates: int, num_buckets: int, ctx: SimContext
@@ -214,18 +199,26 @@ class PowerSGDCompressor(AggregationScheme):
         PowerSGD's cost is structured by layer shapes, so a bucket is a
         contiguous group of layers (the uncompressed tail rides with the last
         bucket); splitting raw coordinate ranges would tear matrices apart.
+        Each distinct layer shape is priced once, and every bucket adds its
+        layers' times one at a time in layer order (a sum that multiplied by
+        shape counts would round differently).
         """
         from repro.simulator.pipeline import split_coordinates
 
         if num_coordinates <= 0:
             raise ValueError("num_coordinates must be positive")
         shapes = self._shapes_for(num_coordinates)
-        if num_buckets <= 1 or len(shapes) == 1:
-            return [self.estimate_costs(num_coordinates, ctx)]
         covered = sum(rows * cols for rows, cols in shapes)
         tail = num_coordinates - covered
-        group_sizes = split_coordinates(len(shapes), min(num_buckets, len(shapes)))
-        bits = self.expected_bits_per_coordinate(num_coordinates, ctx.world_size)
+        bits = self._bits_per_coordinate(
+            num_coordinates, covered, sum((rows + cols) * self.rank for rows, cols in shapes)
+        )
+        layer_seconds = {
+            (rows, cols): ctx.kernels.powersgd_time(rows * cols, self.rank, rows=rows)
+            for rows, cols in dict.fromkeys(map(tuple, shapes))
+        }
+        num_groups = 1 if num_buckets <= 1 else min(num_buckets, len(shapes))
+        group_sizes = split_coordinates(len(shapes), num_groups)
 
         estimates = []
         offset = 0
@@ -239,8 +232,9 @@ class PowerSGDCompressor(AggregationScheme):
             compression = ctx.kernels.elementwise_sum_time(group_coordinates)
             factor_values = 0
             for rows, cols in group:
-                compression += ctx.kernels.powersgd_time(rows * cols, self.rank, rows=rows)
+                compression += layer_seconds[rows, cols]
                 factor_values += (rows + cols) * self.rank
+            # A bucket's P and Q factors travel in two all-reduces.
             communication = 2 * ctx.backend.cost_model.ring_allreduce(
                 factor_values * float(self.factor_bits) / 2.0
             ).seconds

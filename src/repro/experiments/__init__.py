@@ -4,6 +4,9 @@ Every module exposes a ``run_*`` function that returns structured results and
 a ``render_*`` function that prints the same rows/series the paper reports.
 The benchmark harness under ``benchmarks/`` calls these drivers; the
 EXPERIMENTS.md document records the measured values next to the paper's.
+Importing the package loads no driver; ``from repro.experiments import
+table8`` loads that one, so ``python -m repro.experiments.validation`` runs
+its module once.
 
 | Module      | Paper content                                              |
 |-------------|------------------------------------------------------------|
@@ -21,26 +24,6 @@ EXPERIMENTS.md document records the measured values next to the paper's.
 | ``fleet``   | Scheme pricing on 100k-1M-worker generated fabrics          |
 | ``validation`` | Measured-vs-simulated agreement via the real-tensor bridge |
 """
-
-from repro.experiments import (  # noqa: F401
-    adaptive,
-    common,
-    faults,
-    figure1,
-    figure2,
-    figure3,
-    fleet,
-    scenario_fleet,
-    table1,
-    table2,
-    table4,
-    table5,
-    table6,
-    table7,
-    table8,
-    table9,
-    validation,
-)
 
 __all__ = [
     "adaptive",

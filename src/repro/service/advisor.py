@@ -417,10 +417,10 @@ class AdvisorService:
                     # from logging "exception was never retrieved".
                     future.add_done_callback(self._consume_exception)
                     self._inflight[key] = future
-                    group = groups.get(resolved._axes_key())
+                    group = groups.get(resolved.axes_key)
                     if group is None:
                         group = _SweepGroup(resolved=resolved)
-                        groups[resolved._axes_key()] = group
+                        groups[resolved.axes_key] = group
                     group.entries.append((spec, canonical, key))
                 needed[spec] = future
             finishers.append((item, needed))

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Mapping, Sequence
 
 from repro.compression.registry import make_scheme
@@ -191,7 +191,13 @@ class ResolvedRequest:
     def metric_kwargs(self) -> dict:
         return dict(self.request.metric_kwargs)
 
-    def _axes_key(self) -> str:
+    @cached_property
+    def axes_key(self) -> str:
+        """The canonicalized non-spec axes, shared by every candidate's key.
+
+        Built once per resolved request: formatting the scenario and
+        digesting the cluster is most of a point key's cost.
+        """
         workload = self.workload.name if self.workload is not None else "-"
         if self.scenario is None:
             scenario_part = "-"
@@ -209,7 +215,7 @@ class ResolvedRequest:
         survives service restarts (unlike the sweep memo's object keys) and
         two spellings of one question collide on purpose.
         """
-        return f"{canonical}|{self._axes_key()}"
+        return f"{canonical}|{self.axes_key}"
 
     def point_keys(self) -> dict[str, str]:
         """Ordered mapping of candidate spec (as written) to its point key."""

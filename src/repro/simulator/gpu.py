@@ -93,13 +93,21 @@ class GpuModel:
     kernel_launch_overhead_s: float = 5e-6
 
     def flops_per_second(self, precision: Precision) -> float:
-        """Sustained FLOP/s for the given precision."""
-        peak = {
-            Precision.FP32: self.fp32_tflops,
-            Precision.TF32: self.tf32_tflops,
-            Precision.FP16: self.fp16_tflops,
-            Precision.INT8: self.fp16_tflops * 2.0,
-        }[precision]
+        """Sustained FLOP/s for the given precision.
+
+        Every kernel time calls this, so it compares enum identities and
+        hashes nothing.  An unknown precision raises ``KeyError``.
+        """
+        if precision is Precision.FP32:
+            peak = self.fp32_tflops
+        elif precision is Precision.FP16:
+            peak = self.fp16_tflops
+        elif precision is Precision.TF32:
+            peak = self.tf32_tflops
+        elif precision is Precision.INT8:
+            peak = self.fp16_tflops * 2.0
+        else:
+            raise KeyError(precision)
         return peak * 1e12 * self.efficiency
 
     def compute_time(self, flops: float, precision: Precision = Precision.FP32) -> float:

@@ -133,6 +133,22 @@ class TestResolution:
         assert seeded[0].point_keys() != seeded[1].point_keys()
 
 
+    def test_axes_key_is_built_once_per_request(self, monkeypatch):
+        """Every candidate's point key reuses one formatted scenario."""
+        from repro.simulator.scenario import Scenario
+
+        specs = ("topkc(b=2)", "topk(b=2)", THC, "powersgd(r=4)", "signsgd", "qsgd(q=4, agg=sat)")
+        resolved = AdviseRequest(
+            specs=specs, workload="bert_large", scenario="churn(p=0.1)"
+        ).resolve(paper_testbed())
+        calls = []
+        original = Scenario.spec
+        monkeypatch.setattr(Scenario, "spec", lambda self: calls.append(1) or original(self))
+        keys = resolved.point_keys()
+        assert resolved.point_keys() == keys
+        assert len(calls) == 1
+        assert all(key.endswith("|" + resolved.axes_key) for key in keys.values())
+
 class TestRanking:
     def test_metric_directions(self):
         bert = bert_large_wikitext()  # perplexity: improves down
